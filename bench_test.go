@@ -8,7 +8,6 @@ package pivot
 // `cmd/pivot-exp` for the full tables.
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -411,33 +410,6 @@ func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
 		m.Engine.Step(10_000)
 	}
 	b.ReportMetric(10_000*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
-// BenchmarkSimulatorCyclesPerSecondParallel measures the sharded windowed
-// tick loop on the Fig-1 task mix (1 LC Silo + 3 BE iBench, the same tasks
-// as the serial benchmark above) hosted on an 8-core machine, across shard
-// worker counts, so one -bench run shows the scaling curve. workers=1
-// isolates the windowed loop's algorithmic win (coordinator forecasts and
-// skips the shared slots; cores advance in bulk inside windows); higher
-// counts add goroutine fan-out on top.
-func BenchmarkSimulatorCyclesPerSecondParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tasks := []machine.TaskSpec{
-				{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1},
-				{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 11},
-				{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 12},
-				{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 13},
-			}
-			m := machine.MustNew(machine.KunpengConfig(8),
-				machine.Options{Policy: machine.PolicyDefault, Parallel: workers}, tasks)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Engine.Step(10_000)
-			}
-			b.ReportMetric(10_000*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
-		})
-	}
 }
 
 func BenchmarkOfflineProfiling(b *testing.B) {

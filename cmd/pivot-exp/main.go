@@ -109,7 +109,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint in-flight runs here; a rerun resumes them mid-simulation")
 	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
-	parallelSim := flag.Int("parallel-sim", 0, "drive each machine with N shard worker goroutines on the windowed tick loop (0 = serial; bit-identical results)")
 	scenarioPath := flag.String("scenario", "", "run a user scenario file (JSON) through the harness instead of experiment ids")
 	workers := flag.Int("workers", 0, "with -scenario: spawn this many local worker processes and distribute units to them")
 	listenAddr := flag.String("listen", "", "with -scenario: coordinator address for workers (unix socket path or host:port; default a private socket when -workers > 0)")
@@ -169,7 +168,6 @@ func main() {
 	ctx.Watchdog = sim.Cycle(*watchdog)
 	ctx.Audit = *audit
 	ctx.Dense = *dense
-	ctx.Parallel = *parallelSim
 	ctx.CheckpointDir = *ckptDir
 	ctx.CheckpointInterval = sim.Cycle(*ckptInterval)
 	ctx.Progress = liveProgress

@@ -84,7 +84,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the run here; an identical rerun resumes mid-simulation")
 	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
-	parallelSim := flag.Int("parallel-sim", 0, "drive each machine with N shard worker goroutines on the windowed tick loop (0 = serial; bit-identical results)")
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario file (JSON) instead of the flag-built co-location")
 	quick := flag.Bool("quick", false, "with -scenario: use the fast (coarser) calibration scale")
 	quiet := flag.Bool("quiet", false, "with -scenario: suppress calibration progress notes")
@@ -134,8 +133,7 @@ func main() {
 			progress = nil
 		}
 		opts := scenarioOpts{
-			cores: *cores, scale: scale,
-			dense: *dense, parallel: *parallelSim,
+			cores: *cores, scale: scale, dense: *dense,
 			flightOut: *flightOut, flightTop: *flightTop, flightSample: *flightSample,
 			progress: liveProgress,
 			csvOut:   *csvOut,
@@ -194,7 +192,7 @@ func main() {
 		*sample = 64 // lifecycle events come from the request sampler
 	}
 
-	m := pivot.MustNewMachine(cfg, pivot.Options{Policy: pol, SampleRequests: *sample, Dense: *dense, Parallel: *parallelSim}, tasks)
+	m := pivot.MustNewMachine(cfg, pivot.Options{Policy: pol, SampleRequests: *sample, Dense: *dense}, tasks)
 	if wantStats {
 		m.EnableStats(pivot.Cycle(*statsEpoch), 0)
 	}

@@ -19,10 +19,9 @@ import (
 type scenarioOpts struct {
 	cores int
 	scale exp.Scale
-	// dense / parallel pick the execution engine for every run unit
-	// (bit-identical results either way; dense wins).
-	dense    bool
-	parallel int
+	// dense forces the per-cycle tick loop on every run unit
+	// (bit-identical results either way).
+	dense bool
 	// flightOut enables the per-request flight recorder on every run unit and
 	// exports the last unit's tail-attribution report there.
 	flightOut    string
@@ -47,7 +46,6 @@ func runScenario(out, progress io.Writer, path string, opts scenarioOpts) error 
 	ctx.Out = progress
 	ctx.Progress = opts.progress
 	ctx.Dense = opts.dense
-	ctx.Parallel = opts.parallel
 	if opts.flightOut != "" {
 		ctx.FlightTop = opts.flightTop
 		ctx.FlightSample = opts.flightSample

@@ -136,26 +136,6 @@ func (c *Controller) Tick(now sim.Cycle) {
 	c.Station.Tick(now)
 }
 
-// TickNext is Tick fused with a post-tick NextWork verdict, mirroring
-// Station.TickNext. A window rollover counts as work: it mutates usage and
-// class state that neighbouring components' forecasts may depend on.
-func (c *Controller) TickNext(now sim.Cycle) (next sim.Cycle, idle, worked bool) {
-	if now-c.windowStart >= c.cfg.WindowCycles {
-		c.rollWindow()
-		c.windowStart = now
-		worked = true
-	}
-	n2, i2, w2 := c.Station.TickNext(now)
-	worked = worked || w2
-	if !i2 {
-		return 0, false, worked
-	}
-	if b := c.windowStart + c.cfg.WindowCycles; b < n2 {
-		n2 = b
-	}
-	return n2, true, worked
-}
-
 // NextWork implements sim.IdleReporter, shadowing the embedded Station's so
 // that engine skip-ahead registered against the Controller also honours the
 // monitoring-window boundary: rollWindow mutates usage and class state even

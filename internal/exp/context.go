@@ -217,12 +217,6 @@ type Context struct {
 	// machine.Options.Dense). Results are bit-identical either way.
 	Dense bool
 
-	// Parallel, when > 0, runs every simulation on the sharded windowed tick
-	// loop with this many worker goroutines per machine (see
-	// machine.Options.Parallel). Results are bit-identical to serial for any
-	// value; Dense overrides it.
-	Parallel int
-
 	// CheckpointDir, when set, makes every checkpointable co-location run
 	// crash-safe: it periodically writes its full machine state to a per-run
 	// subdirectory and, on a later identical invocation, resumes from the
@@ -288,7 +282,6 @@ func (ctx *Context) guard(opt machine.Options) machine.Options {
 	opt.WatchdogWindow = ctx.Watchdog
 	opt.Audit = ctx.Audit
 	opt.Dense = ctx.Dense
-	opt.Parallel = ctx.Parallel
 	return opt
 }
 

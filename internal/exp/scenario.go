@@ -110,15 +110,6 @@ func (ctx *Context) ForScenario(sc *scenario.Scenario) *Context {
 	if cfg := ConfigFor(sc.Machine, ctx.Cfg.Cores); cfg != ctx.Cfg {
 		out = ctx.sibling(cfg)
 	}
-	if sc.Sim != nil && sc.Sim.Parallel > 0 {
-		// Execution-engine override: results are bit-identical either way, so
-		// a shallow copy (sharing calibration caches) is safe.
-		if out == ctx {
-			cp := *ctx
-			out = &cp
-		}
-		out.Parallel = sc.Sim.Parallel
-	}
 	out.RegisterScenarioApps(sc)
 	return out
 }

@@ -41,7 +41,6 @@ type cacheKeyInput struct {
 	Scale    any             `json:"scale"`
 	Cores    int             `json:"cores"`
 	Dense    bool            `json:"dense"`
-	Parallel int             `json:"parallel,omitempty"`
 }
 
 // CacheKey derives the content address of one unit's result under one build.
@@ -52,7 +51,6 @@ func CacheKey(build string, p *harness.UnitPayload) string {
 		Scale:    p.Scale,
 		Cores:    p.Cores,
 		Dense:    p.Dense,
-		Parallel: p.Parallel,
 	})
 	if err != nil {
 		// UnitPayload is built from marshalable values only; this cannot

@@ -144,14 +144,13 @@ type unitRunner struct {
 
 // contextFor returns the cached context for a payload's execution settings.
 func (r *unitRunner) contextFor(p *harness.UnitPayload) *workerCtx {
-	key := fmt.Sprintf("%d|%t|%d|%+v", p.Cores, p.Dense, p.Parallel, p.Scale)
+	key := fmt.Sprintf("%d|%t|%+v", p.Cores, p.Dense, p.Scale)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	wc, ok := r.ctxs[key]
 	if !ok {
 		ctx := exp.NewContext(machine.KunpengConfig(p.Cores), p.Scale)
 		ctx.Dense = p.Dense
-		ctx.Parallel = p.Parallel
 		wc = &workerCtx{ctx: ctx, resolve: ctx.UnitResolver()}
 		r.ctxs[key] = wc
 	}

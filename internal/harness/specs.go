@@ -56,12 +56,10 @@ type UnitPayload struct {
 	// Scenario is the unit's resolved (sweep-free) scenario, canonically
 	// encoded; workers strict-parse it back.
 	Scenario json.RawMessage `json:"scenario"`
-	// Scale, Cores, Dense and Parallel pin the executing context's
-	// configuration.
-	Scale    exp.Scale `json:"scale"`
-	Cores    int       `json:"cores"`
-	Dense    bool      `json:"dense,omitempty"`
-	Parallel int       `json:"parallel,omitempty"`
+	// Scale, Cores and Dense pin the executing context's configuration.
+	Scale exp.Scale `json:"scale"`
+	Cores int       `json:"cores"`
+	Dense bool      `json:"dense,omitempty"`
 	// CkptEvery is the checkpoint interval (simulated cycles) workers apply;
 	// 0 means the machine default.
 	CkptEvery uint64 `json:"ckpt_every,omitempty"`
@@ -105,7 +103,6 @@ func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, err
 				Scale:     ctx.Scale,
 				Cores:     ctx.Cfg.Cores,
 				Dense:     ctx.Dense,
-				Parallel:  ctx.Parallel,
 				CkptEvery: uint64(ctx.CheckpointInterval),
 			},
 		}

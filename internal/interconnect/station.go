@@ -219,34 +219,17 @@ scan:
 // Tick forwards up to Bandwidth ready requests into the downstream acceptor.
 // Priority-queue requests go first, except that a starved normal request is
 // promoted ahead of them.
-func (s *Station) Tick(now sim.Cycle) { s.TickNext(now) }
-
-// TickNext is Tick fused with a post-tick NextWork verdict, for schedulers
-// that would otherwise pay a separate idle poll around every tick. It
-// returns the same (next, idle) contract as NextWork evaluated after the
-// grants, plus whether any request was actually forwarded downstream (the
-// signal dirty-propagation schedulers need). The verdict is exact on the
-// "nothing ready" exit — the grant loop has just proven both heads unready —
-// and conservatively busy on the refusal and bandwidth-exhausted exits,
-// where a ready head may remain.
-func (s *Station) TickNext(now sim.Cycle) (next sim.Cycle, idle, worked bool) {
-	if s.Fault != nil {
+func (s *Station) Tick(now sim.Cycle) {
+	if s.Fault != nil && s.Fault.HoldGrant(now) {
 		// Injected faults consume per-cycle injector state (HoldGrant draws
-		// its schedule on every call), so a faulted station may never sleep:
-		// stay dense and conservatively report work.
-		if !s.Fault.HoldGrant(now) {
-			s.tickNext(now)
-		}
-		return 0, false, true
+		// its schedule on every call), which is why a faulted station never
+		// reports idle (see NextWork).
+		return
 	}
-	return s.tickNext(now)
-}
-
-// tickNext runs the grant loop. The selection reads each queue head exactly
-// once — an earlier version spelled it as starvedNormal/prio-peek/pickNormal
-// helpers, whose repeated head loads were the hottest lines of the loop
-// under saturation.
-func (s *Station) tickNext(now sim.Cycle) (next sim.Cycle, idle, worked bool) {
+	// The grant loop reads each queue head exactly once — an earlier version
+	// spelled it as starvedNormal/prio-peek/pickNormal helpers, whose
+	// repeated head loads were the hottest lines of the loop under
+	// saturation.
 	for n := 0; n < s.cfg.Bandwidth; n++ {
 		var e *entry
 		var fromPrio bool
@@ -278,29 +261,15 @@ func (s *Station) tickNext(now sim.Cycle) (next sim.Cycle, idle, worked bool) {
 			}
 		}
 		if e == nil {
-			// Nothing ready: every exit above proves both heads (and, absent
-			// spikes, therefore every entry) lie in the future.
-			nl, pl := s.normal.Len(), s.prio.Len()
-			if nl == 0 && pl == 0 {
+			if s.normal.Len() == 0 && s.prio.Len() == 0 {
 				s.sawSpike = false
-				return sim.NeverWork, true, worked
 			}
-			if s.sawSpike {
-				return 0, false, worked
-			}
-			next = sim.NeverWork
-			if pl > 0 {
-				next = s.prio.At(0).ready
-			}
-			if nl > 0 && hn.ready < next {
-				next = hn.ready
-			}
-			return next, true, worked
+			return
 		}
 
 		r, enq := e.req, e.enq
 		if !s.down.Accept(r, now) {
-			return 0, false, worked // head-of-line blocking: downstream full
+			return // head-of-line blocking: downstream full
 		}
 		// Charge the residency only on successful hand-off: the downstream
 		// Accept may already have stamped the request into its own stage,
@@ -315,9 +284,7 @@ func (s *Station) tickNext(now sim.Cycle) (next sim.Cycle, idle, worked bool) {
 			s.normal.RemoveAt(idx)
 		}
 		s.Stats.Forwarded++
-		worked = true
 	}
-	return 0, false, worked // bandwidth exhausted: a ready head may remain
 }
 
 // NextWork implements sim.IdleReporter. A station with no fault injector and

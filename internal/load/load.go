@@ -18,7 +18,7 @@
 //     the exact cycle of the following arrival), so an idle core can sleep
 //     to precisely that instant — rate changes, bursts and churn events are
 //     forecastable, never discovered late. This is what keeps the skip-ahead
-//     and sharded parallel engines bit-identical to the dense engine.
+//     engine bit-identical to the dense engine.
 //
 // Non-homogeneous models (phases, on-off) are realised by thinning a
 // max-rate Poisson process: candidates arrive at rate λmax and each is

@@ -84,9 +84,7 @@ func (s *Source) RecentMean(n int) float64 {
 // RatePerMCycle converts the source's arrival rate at cycle now to requests
 // per million cycles, the load unit used throughout the experiments. The
 // cycle is explicit rather than read from the source's clock: the stats
-// sampler calls this at epoch barriers, where the engine clock is identical
-// across the dense, skip-ahead and sharded-parallel engines but a shard's
-// local replay clock may sit a cycle past the barrier.
+// gauge reports the rate at the last epoch sample, not at dump time.
 func (s *Source) RatePerMCycle(now sim.Cycle) float64 {
 	return s.model.Rate(now) * 1e6
 }

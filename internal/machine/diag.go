@@ -263,13 +263,6 @@ func (m *Machine) StepChecked(ctx context.Context, n sim.Cycle) error {
 	if w := m.Opt.WatchdogWindow; w > 0 && w < granule {
 		granule = w
 	}
-	auditEpoch := m.Opt.AuditEpoch
-	if auditEpoch == 0 {
-		auditEpoch = DefaultStatsEpoch
-	}
-	if m.Opt.Audit && auditEpoch < granule {
-		granule = auditEpoch
-	}
 
 	lastCommits := m.committedTotal()
 	lastProgress := m.Engine.Now()
@@ -301,7 +294,7 @@ func (m *Machine) StepChecked(ctx context.Context, n sim.Cycle) error {
 				return &StallError{Window: w, Diag: m.Diagnose()}
 			}
 		}
-		if m.Opt.Audit && now-lastAudit >= auditEpoch {
+		if m.Opt.Audit && now-lastAudit >= DefaultStatsEpoch {
 			lastAudit = now
 			if err := m.AuditNow(); err != nil {
 				return err

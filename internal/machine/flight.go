@@ -18,10 +18,6 @@ func (m *Machine) EnableFlight(cfg flight.Config) {
 	if m.flightRec != nil {
 		return
 	}
-	// The recorder's pooled span buffers are handed out in request-issue
-	// order, which sharded execution reorders; fall back to the serial tick
-	// loop so flight reports stay byte-identical to the dense reference.
-	m.disableParallel()
 	m.flightRec = flight.New(cfg)
 	m.flightOn = true
 }

@@ -88,10 +88,9 @@ func TestStationaryShorthandEqualsNeutralLoadSpec(t *testing.T) {
 }
 
 // TestShapedLoadEngineTriangle: a fully-shaped task must run byte-identically
-// under the dense per-cycle loop, quiescence-aware skip-ahead, and the
-// sharded parallel engine — the contract that makes load shapes usable with
-// every tick loop. Serialised state and the sampled stats series must both
-// match.
+// under the dense per-cycle loop and quiescence-aware skip-ahead — the
+// contract that makes load shapes usable with either tick loop. Serialised
+// state and the sampled stats series must both match.
 func TestShapedLoadEngineTriangle(t *testing.T) {
 	ctx := context.Background()
 	tasks := append([]TaskSpec{shapedLCTask()}, beTasks(workload.IBench, 3)...)
@@ -110,22 +109,11 @@ func TestShapedLoadEngineTriangle(t *testing.T) {
 
 	dense := run(Options{Dense: true})
 	skip := run(Options{})
-	par := run(Options{Parallel: 2})
-	if !par.ParallelActive() {
-		t.Fatalf("parallel engine did not engage")
+	if got, want := stateBytes(t, skip), stateBytes(t, dense); string(got) != string(want) {
+		t.Errorf("skip-ahead state differs from dense (%d vs %d bytes)", len(got), len(want))
 	}
-
-	denseState, denseStats := stateBytes(t, dense), statsJSON(t, dense)
-	for _, leg := range []struct {
-		name string
-		m    *Machine
-	}{{"skip-ahead", skip}, {"parallel", par}} {
-		if got := stateBytes(t, leg.m); string(got) != string(denseState) {
-			t.Errorf("%s state differs from dense (%d vs %d bytes)", leg.name, len(got), len(denseState))
-		}
-		if got := statsJSON(t, leg.m); string(got) != string(denseStats) {
-			t.Errorf("%s stats differ from dense", leg.name)
-		}
+	if string(statsJSON(t, skip)) != string(statsJSON(t, dense)) {
+		t.Error("skip-ahead stats differ from dense")
 	}
 
 	// The run crossed the first window's close and the second's open, so the

@@ -120,14 +120,11 @@ type Options struct {
 	// forever. 0 disables the watchdog (and plain Run never checks it).
 	WatchdogWindow sim.Cycle
 
-	// Audit enables the invariant auditor: every AuditEpoch cycles of a
-	// StepChecked run, the machine asserts request conservation, queue
+	// Audit enables the invariant auditor: every DefaultStatsEpoch cycles of
+	// a StepChecked run, the machine asserts request conservation, queue
 	// capacity bounds and bandwidth-credit accounting, aborting with a
 	// *AuditError on the first violation.
 	Audit bool
-
-	// AuditEpoch is the auditing period in cycles (0 = DefaultStatsEpoch).
-	AuditEpoch sim.Cycle
 
 	// MaxCycles bounds the total simulated cycles a StepChecked run may
 	// consume (a runaway budget); 0 = unbounded.
@@ -139,15 +136,6 @@ type Options struct {
 	// compares against — so Dense is deliberately NOT part of the checkpoint
 	// fingerprint: dense and skip-ahead runs share checkpoints.
 	Dense bool
-
-	// Parallel, when > 0, shards the machine across that many worker
-	// goroutines (one shard per core; see parallel.go): the -parallel-sim
-	// knob. Results are bit-identical to serial for every worker count, so
-	// like Dense it is deliberately NOT part of the checkpoint fingerprint —
-	// serial and parallel runs share checkpoints. Dense wins when both are
-	// set, and enabling the flight recorder falls back to serial (its pooled
-	// span allocation is issue-order-sensitive).
-	Parallel int
 }
 
 // LCTask is the runtime state of one latency-critical task.
@@ -200,21 +188,14 @@ type Machine struct {
 	// statsOn caches "EnableStats was called" as a plain bool so per-request
 	// hot paths pay a single flag test, not pointer comparisons, when the
 	// framework is disabled.
-	statsReg   *stats.Registry
-	sampler    *stats.Sampler
-	latDist    *stats.Distribution
-	statsOn    bool
-	statsEpoch sim.Cycle
-	// statsNow is the cycle of the in-flight epoch sample. Time-varying
-	// gauges must read it, not a live clock: the serial engine samples from
-	// a ticker at the sample cycle, the parallel coordinator samples from
-	// the window barrier one cycle later, and only this stamp is identical
-	// in both.
+	statsReg *stats.Registry
+	sampler  *stats.Sampler
+	latDist  *stats.Distribution
+	statsOn  bool
+	// statsNow is the cycle of the last epoch sample. Time-varying gauges
+	// read it, not the live clock, so a dump taken after the run reports
+	// the value the final sample saw.
 	statsNow sim.Cycle
-
-	// par is the sharded-execution runtime (nil in serial mode); see
-	// parallel.go.
-	par *parRuntime
 
 	// Flight recorder (nil until EnableFlight); flightOn caches the check so
 	// the request hot paths pay a single flag test when recording is off.
@@ -243,8 +224,9 @@ type Machine struct {
 	reqsDelayed  int
 	// outOcc is a bitmask of ports with a non-empty egress queue, kept
 	// coherent at every len(p.out) 0↔non-0 transition so the per-cycle
-	// skip-ahead polls (auxNextWork, auxSkip) iterate set bits instead of
-	// scanning every port. Derived state — restore rebuilds it.
+	// skip-ahead polls (auxTicker's NextWork and SkipCycles) iterate set
+	// bits instead of scanning every port. Derived state — restore rebuilds
+	// it.
 	outOcc uint64
 	// statsResetAt anchors elapsed-cycle accounting (bandwidth credit) to
 	// the last ResetStats.
@@ -299,7 +281,7 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 			if lspec.Mean == 0 {
 				lspec.Mean = spec.MeanInterarrival
 			}
-			lc.Source = loadgen.New(lc.Gen, load.New(lspec, rng.Fork()), m.lcClock(i))
+			lc.Source = loadgen.New(lc.Gen, load.New(lspec, rng.Fork()), m.Engine.Now)
 			stream = lc.Source
 			hooks.OnReqEnd = lc.Source.OnReqEnd
 			if opt.Profile {
@@ -348,9 +330,6 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 		m.Engine.Register(c)
 	}
 	m.Engine.SetDense(opt.Dense)
-	if opt.Parallel > 0 && !opt.Dense {
-		m.buildParallel(opt.Parallel)
-	}
 	return m, nil
 }
 
@@ -542,20 +521,14 @@ type auxTicker struct{ m *Machine }
 
 func (a *auxTicker) Tick(now sim.Cycle) { a.m.auxTick(now) }
 
+// NextWork: a port with pending egress used to pin the machine dense
+// unconditionally — through entire MBA-throttled intervals — but when the
+// head request is only waiting out the throttle's inserted delay, the
+// release cycle is a hard bound: nothing else can move that queue earlier,
+// and downstream refusals (a full interconnect) report as not-held and stay
+// dense.
 func (a *auxTicker) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	return a.m.auxNextWork(now)
-}
-
-func (a *auxTicker) SkipCycles(from, to sim.Cycle) { a.m.auxSkip(from, to) }
-
-// auxNextWork is the quiescence bound shared by the serial auxTicker and the
-// parallel coordinator's aux slot. A port with pending egress used to pin
-// the machine dense unconditionally — through entire MBA-throttled intervals
-// — but when the head request is only waiting out the throttle's inserted
-// delay, the release cycle is a hard bound: nothing else can move that queue
-// earlier, and downstream refusals (a full interconnect) report as not-held
-// and stay dense.
-func (m *Machine) auxNextWork(now sim.Cycle) (sim.Cycle, bool) {
+	m := a.m
 	next, idle := m.delays.nextDue(now)
 	if !idle {
 		return 0, false
@@ -581,13 +554,13 @@ func (m *Machine) auxNextWork(now sim.Cycle) (sim.Cycle, bool) {
 	return next, true
 }
 
-// auxSkip compensates elided auxTicks: each skipped cycle, a dense flush
+// SkipCycles compensates elided auxTicks: each skipped cycle, a dense flush
 // would have offered every non-empty port's head request to the throttle and
 // been refused once (the flush loop stops at the first refusal), bumping
 // Delayed exactly once per held port per cycle.
-func (m *Machine) auxSkip(from, to sim.Cycle) {
-	if n := bits.OnesCount64(m.outOcc); n > 0 {
-		m.thr.Delayed += uint64(n) * uint64(to-from)
+func (a *auxTicker) SkipCycles(from, to sim.Cycle) {
+	if n := bits.OnesCount64(a.m.outOcc); n > 0 {
+		a.m.thr.Delayed += uint64(n) * uint64(to-from)
 	}
 }
 
@@ -648,10 +621,6 @@ func (m *Machine) onResp(r *mem.Req, now sim.Cycle) {
 		return
 	}
 	m.llc.Insert(r.Addr, r.Part, false)
-	if m.par != nil {
-		m.deliverPar(r, now, true)
-		return
-	}
 	m.deliver(r, now, true)
 }
 
@@ -668,33 +637,24 @@ func (m *Machine) deliver(r *mem.Req, now sim.Cycle, llcMiss bool) {
 	// Even a waiter-less fill (a prefetch) frees an MSHR that may unblock a
 	// structurally refused load: drop the core's cached idle verdict.
 	m.Cores[r.CoreID].WakeIdle()
-	m.deliverStats(r, now)
-	m.recycle(r, now)
-}
-
-// deliverStats is the measurement half of a delivery: the per-component
-// latency split, the LC latency distribution and request-flow sampling. In
-// parallel mode it runs on the coordinator (deliverPar), in exactly the
-// order serial delivers run.
-func (m *Machine) deliverStats(r *mem.Req, now sim.Cycle) {
-	if !r.LCTask || r.Prefetch || now < m.measureStart {
-		return
-	}
-	if m.statsSet == nil || m.statsSet.Contains(r.PC) {
-		for c := 0; c < int(mem.NumComponents); c++ {
-			m.splitSum[c] += float64(r.Split[c])
+	if r.LCTask && !r.Prefetch && now >= m.measureStart {
+		if m.statsSet == nil || m.statsSet.Contains(r.PC) {
+			for c := 0; c < int(mem.NumComponents); c++ {
+				m.splitSum[c] += float64(r.Split[c])
+			}
+			m.splitCount++
 		}
-		m.splitCount++
+		if m.statsOn {
+			m.latDist.Observe(float64(now - r.Issued))
+		}
+		if len(m.sampled) < m.Opt.SampleRequests {
+			m.sampled = append(m.sampled, RequestRecord{
+				PC: r.PC, CoreID: r.CoreID, Critical: r.Critical,
+				IssuedAt: uint64(r.Issued), CompletedAt: uint64(now), Split: r.Split,
+			})
+		}
 	}
-	if m.statsOn {
-		m.latDist.Observe(float64(now - r.Issued))
-	}
-	if len(m.sampled) < m.Opt.SampleRequests {
-		m.sampled = append(m.sampled, RequestRecord{
-			PC: r.PC, CoreID: r.CoreID, Critical: r.Critical,
-			IssuedAt: uint64(r.Issued), CompletedAt: uint64(now), Split: r.Split,
-		})
-	}
+	m.recycle(r, now)
 }
 
 func (m *Machine) newReq() *mem.Req {
@@ -723,14 +683,6 @@ func (m *Machine) recycle(r *mem.Req, now sim.Cycle) {
 		r.Trace = nil
 	}
 	m.reqsRecycled++
-	if m.par != nil {
-		// Return the request to its issuing core's pool: shard allocation
-		// must never contend with another shard (pools are unobservable, so
-		// the routing cannot affect results).
-		sh := m.par.shards[r.CoreID]
-		sh.pool = append(sh.pool, r)
-		return
-	}
 	m.reqPool = append(m.reqPool, r)
 }
 

@@ -52,12 +52,6 @@ type delayed struct {
 	seq  uint64
 	line uint64
 	req  *mem.Req // delayEgress / delayDeliver only
-
-	// schedSeq breaks canonical-order ties between events one core schedules
-	// in the same cycle when parallel mode reassembles slot order across
-	// shard wheels (see parallel.go). Serial mode leaves it zero; it is
-	// derived bookkeeping, never serialised.
-	schedSeq uint64
 }
 
 func (d *delayQ) after(e delayed) {
@@ -116,8 +110,7 @@ func (d *delayQ) nextDue(now sim.Cycle) (sim.Cycle, bool) {
 	return 0, false // unreachable while count > 0; fail dense, not idle
 }
 
-// recount rebuilds the derived occupancy caches after a checkpoint restore
-// or an out-of-band wheel edit (shard merge, restore split).
+// recount rebuilds the derived occupancy caches after a checkpoint restore.
 func (d *delayQ) recount() {
 	d.count = 0
 	d.occ = [4]uint64{}
@@ -175,53 +168,6 @@ type corePort struct {
 	// out holds L2-miss requests awaiting acceptance by the MBA throttle /
 	// interconnect; bounded by Cfg.PortOutCap for back-pressure.
 	out []*mem.Req
-
-	// sh is this core's shard when the machine runs in parallel mode (nil in
-	// serial mode). While set, core-local completions go to the shard wheel,
-	// egress is staged for the barrier merge, requests come from the shard
-	// pool, and the out-queue length is read from the shard's mirror.
-	sh *parShard
-}
-
-// schedLocal schedules a core-local completion (loadDone / fillLocal).
-func (p *corePort) schedLocal(e delayed) {
-	if sh := p.sh; sh != nil {
-		sh.seq++
-		e.schedSeq = sh.seq
-		sh.wheel.after(e)
-		return
-	}
-	p.m.delays.after(e)
-}
-
-// delayReq schedules this core's egress hop (see Machine.delayReq).
-func (p *corePort) delayReq(due sim.Cycle, kind delayKind, r *mem.Req) {
-	if sh := p.sh; sh != nil {
-		sh.delayedEv++
-		sh.seq++
-		sh.egress = append(sh.egress, delayed{due: due, kind: kind, req: r, schedSeq: sh.seq})
-		return
-	}
-	p.m.delayReq(due, kind, r)
-}
-
-// newReq allocates a request from this core's pool (the shard's in parallel
-// mode, the machine's otherwise).
-func (p *corePort) newReq() *mem.Req {
-	if sh := p.sh; sh != nil {
-		return sh.newReq()
-	}
-	return p.m.newReq()
-}
-
-// egressLen is the out-queue length as seen from the core's own timeline: in
-// parallel mode the shard's mailbox-maintained mirror, since the queue itself
-// belongs to the coordinator.
-func (p *corePort) egressLen() int {
-	if sh := p.sh; sh != nil {
-		return sh.outLen
-	}
-	return len(p.out)
 }
 
 func newCorePort(m *Machine, id int, isLC bool) *corePort {
@@ -255,14 +201,14 @@ func (p *corePort) Load(lr cpu.LoadRequest, now sim.Cycle) bool {
 	l1Hit := sim.Cycle(p.m.Cfg.L1.HitCycles)
 
 	if p.l1.Lookup(line, part) {
-		p.schedLocal(delayed{due: now + l1Hit, kind: delayLoadDone, core: p.id, seq: lr.Seq})
+		p.m.delays.after(delayed{due: now + l1Hit, kind: delayLoadDone, core: p.id, seq: lr.Seq})
 		return true
 	}
 	if e := p.mshr.Lookup(line); e != nil {
 		e.Waiters = append(e.Waiters, lr.Seq)
 		return true
 	}
-	if p.mshr.Full() || p.egressLen() >= p.m.Cfg.PortOutCap {
+	if p.mshr.Full() || len(p.out) >= p.m.Cfg.PortOutCap {
 		return false // structural stall; the core retries
 	}
 
@@ -270,14 +216,14 @@ func (p *corePort) Load(lr cpu.LoadRequest, now sim.Cycle) bool {
 	if p.l2.Lookup(line, part) {
 		e, _ := p.mshr.Allocate(line)
 		e.Waiters = append(e.Waiters, lr.Seq)
-		p.schedLocal(delayed{due: now + l1Hit + l2Hit, kind: delayFillLocal, core: p.id, line: line})
+		p.m.delays.after(delayed{due: now + l1Hit + l2Hit, kind: delayFillLocal, core: p.id, line: line})
 		return true
 	}
 
 	// L2 miss: a shared-path request is born.
 	e, _ := p.mshr.Allocate(line)
 	e.Waiters = append(e.Waiters, lr.Seq)
-	r := p.newReq()
+	r := p.m.newReq()
 	r.Addr = line
 	r.PC = lr.PC
 	r.CoreID = p.id
@@ -287,7 +233,7 @@ func (p *corePort) Load(lr cpu.LoadRequest, now sim.Cycle) bool {
 	r.Issued = now
 	r.Hop(mem.CompL1, now, l1Hit)
 	r.Hop(mem.CompL2, now+l1Hit, l2Hit)
-	p.delayReq(now+l1Hit+l2Hit, delayEgress, r)
+	p.m.delayReq(now+l1Hit+l2Hit, delayEgress, r)
 	p.maybePrefetch(line, now)
 	return true
 }
@@ -305,7 +251,7 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 		// Prefetches are second-class citizens: they may use only half the
 		// miss buffers and egress slots, so a burst can never starve demand
 		// misses of structural resources.
-		if p.mshr.Len() >= p.m.Cfg.L1.MSHRs/2 || p.egressLen() >= p.m.Cfg.PortOutCap/2 {
+		if p.mshr.Len() >= p.m.Cfg.L1.MSHRs/2 || len(p.out) >= p.m.Cfg.PortOutCap/2 {
 			return
 		}
 		if p.l1.Contains(cand) || p.l2.Contains(cand) || p.mshr.Lookup(cand) != nil {
@@ -314,14 +260,14 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 		if _, fresh := p.mshr.Allocate(cand); !fresh {
 			continue
 		}
-		r := p.newReq()
+		r := p.m.newReq()
 		r.Addr = cand
 		r.CoreID = p.id
 		r.Part = mem.PartID(p.id)
 		r.LCTask = p.isLC
 		r.Prefetch = true
 		r.Issued = now
-		p.delayReq(now+sim.Cycle(p.m.Cfg.L1.HitCycles), delayEgress, r)
+		p.m.delayReq(now+sim.Cycle(p.m.Cfg.L1.HitCycles), delayEgress, r)
 	}
 }
 
@@ -345,10 +291,10 @@ func (p *corePort) fillLocal(line uint64, now sim.Cycle) {
 func (p *corePort) RetryReady(kind cpu.OpKind, addr uint64) bool {
 	line := p.lineOf(addr)
 	if kind == cpu.OpStore {
-		return p.l1.Contains(line) || p.egressLen() < p.m.Cfg.PortOutCap
+		return p.l1.Contains(line) || len(p.out) < p.m.Cfg.PortOutCap
 	}
 	return p.l1.Contains(line) || p.mshr.Lookup(line) != nil ||
-		(!p.mshr.Full() && p.egressLen() < p.m.Cfg.PortOutCap)
+		(!p.mshr.Full() && len(p.out) < p.m.Cfg.PortOutCap)
 }
 
 // SkipRetries implements cpu.RetryPort: account for n elided retry attempts
@@ -370,10 +316,10 @@ func (p *corePort) Store(addr, pc uint64, now sim.Cycle) bool {
 	if p.l1.Touch(line, part) { // Lookup + refresh/mark-dirty in one scan
 		return true
 	}
-	if p.egressLen() >= p.m.Cfg.PortOutCap {
+	if len(p.out) >= p.m.Cfg.PortOutCap {
 		return false // write buffer full: SQ backs up
 	}
-	r := p.newReq()
+	r := p.m.newReq()
 	r.Addr = line
 	r.PC = pc
 	r.CoreID = p.id
@@ -382,7 +328,7 @@ func (p *corePort) Store(addr, pc uint64, now sim.Cycle) bool {
 	r.Critical = p.storeCritical
 	r.LCTask = p.isLC
 	r.Issued = now
-	p.delayReq(now+sim.Cycle(p.m.Cfg.L1.HitCycles), delayEgress, r)
+	p.m.delayReq(now+sim.Cycle(p.m.Cfg.L1.HitCycles), delayEgress, r)
 	return true
 }
 

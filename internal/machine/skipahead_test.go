@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"pivot/internal/mem"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
@@ -26,38 +27,17 @@ func (tc ckptCase) buildMode(t *testing.T, dense bool) *Machine {
 	return m
 }
 
-// buildPar builds a ckptCase machine in sharded parallel mode with the given
-// worker count.
-func (tc ckptCase) buildPar(t *testing.T, workers int) *Machine {
-	t.Helper()
-	opt := tc.opt
-	opt.Parallel = workers
-	m, err := New(KunpengConfig(4), opt, tc.tasks)
-	if err != nil {
-		t.Fatalf("%s: New: %v", tc.name, err)
-	}
-	if !m.ParallelActive() {
-		t.Fatalf("%s: parallel mode not active", tc.name)
-	}
-	if tc.stats {
-		m.EnableStats(5_000, 0)
-	}
-	return m
-}
-
-// TestSkipAheadEquivalence is the tentpole's central proof obligation,
-// extended to a serial/skip/parallel triangle: for every workload mix, a
-// skip-ahead run, a sharded parallel run and a -dense run finish with
+// TestSkipAheadEquivalence is the tentpole's central proof obligation: for
+// every workload mix, a skip-ahead run and a -dense run finish with
 // byte-identical serialised machine state, byte-identical result-snapshot
 // JSON, byte-identical stats-framework dumps (where enabled), and the same
-// checkpoint fingerprint. The dense serial loop remains the trusted oracle.
+// checkpoint fingerprint. The dense loop is the trusted oracle.
 func TestSkipAheadEquivalence(t *testing.T) {
 	for _, tc := range ckptCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			dense := tc.buildMode(t, true)
 			skip := tc.buildMode(t, false)
-			par := tc.buildPar(t, 2)
 			if dense.Engine.Dense() == skip.Engine.Dense() {
 				t.Fatal("modes not actually distinct")
 			}
@@ -67,61 +47,36 @@ func TestSkipAheadEquivalence(t *testing.T) {
 			if err := skip.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
 				t.Fatalf("skip run: %v", err)
 			}
-			if err := par.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
-				t.Fatalf("parallel run: %v", err)
-			}
 
-			ref := stateBytes(t, dense)
-			if got := stateBytes(t, skip); !bytes.Equal(got, ref) {
+			if got, ref := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, ref) {
 				t.Errorf("skip: serialised machine state differs (%d vs %d bytes)", len(got), len(ref))
 			}
-			if got := stateBytes(t, par); !bytes.Equal(got, ref) {
-				t.Errorf("parallel: serialised machine state differs (%d vs %d bytes)", len(got), len(ref))
+			if skip.Fingerprint() != dense.Fingerprint() {
+				t.Errorf("checkpoint fingerprints differ: skip %#x, dense %#x",
+					skip.Fingerprint(), dense.Fingerprint())
 			}
-			if skip.Fingerprint() != dense.Fingerprint() || par.Fingerprint() != dense.Fingerprint() {
-				t.Errorf("checkpoint fingerprints differ: skip %#x, par %#x, dense %#x",
-					skip.Fingerprint(), par.Fingerprint(), dense.Fingerprint())
-			}
-			var sj, dj, pj bytes.Buffer
-			if err := skip.Snapshot().WriteJSON(&sj); err != nil {
-				t.Fatal(err)
-			}
-			if err := dense.Snapshot().WriteJSON(&dj); err != nil {
-				t.Fatal(err)
-			}
-			if err := par.Snapshot().WriteJSON(&pj); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sj.Bytes(), dj.Bytes()) {
+			if !bytes.Equal(snapshotJSON(t, skip), snapshotJSON(t, dense)) {
 				t.Error("skip: result-snapshot JSON differs from dense")
 			}
-			if !bytes.Equal(pj.Bytes(), dj.Bytes()) {
-				t.Error("parallel: result-snapshot JSON differs from dense")
+			if tc.stats && !bytes.Equal(statsJSON(t, skip), statsJSON(t, dense)) {
+				t.Error("skip: stats-framework dump differs from dense")
 			}
-			if tc.stats {
-				var ss, ds, ps bytes.Buffer
-				if err := skip.StatsDump().WriteJSON(&ss); err != nil {
-					t.Fatal(err)
-				}
-				if err := dense.StatsDump().WriteJSON(&ds); err != nil {
-					t.Fatal(err)
-				}
-				if err := par.StatsDump().WriteJSON(&ps); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ss.Bytes(), ds.Bytes()) {
-					t.Error("skip: stats-framework dump differs from dense")
-				}
-				if !bytes.Equal(ps.Bytes(), ds.Bytes()) {
-					t.Error("parallel: stats-framework dump differs from dense")
-				}
-			}
-			if skip.MeasuredCycles() != dense.MeasuredCycles() || par.MeasuredCycles() != dense.MeasuredCycles() {
-				t.Errorf("measured cycles: skip %d, par %d, dense %d",
-					skip.MeasuredCycles(), par.MeasuredCycles(), dense.MeasuredCycles())
+			if skip.MeasuredCycles() != dense.MeasuredCycles() {
+				t.Errorf("measured cycles: skip %d, dense %d",
+					skip.MeasuredCycles(), dense.MeasuredCycles())
 			}
 		})
 	}
+}
+
+// snapshotJSON renders a machine's result snapshot.
+func snapshotJSON(t *testing.T, m *Machine) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.Snapshot().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // TestSkipAheadEquivalenceIdleHeavy covers the regime skip-ahead exists for:
@@ -134,24 +89,99 @@ func TestSkipAheadEquivalenceIdleHeavy(t *testing.T) {
 		return MustNew(KunpengConfig(4), opt,
 			[]TaskSpec{lcTask(workload.Silo, 60_000)})
 	}
-	d, s, p := mk(Options{Dense: true}), mk(Options{}), mk(Options{Parallel: 2})
+	d, s := mk(Options{Dense: true}), mk(Options{})
 	d.Run(50_000, 150_000)
 	s.Run(50_000, 150_000)
-	p.Run(50_000, 150_000)
-	ref := stateBytes(t, d)
-	if got := stateBytes(t, s); !bytes.Equal(got, ref) {
+	if got, ref := stateBytes(t, s), stateBytes(t, d); !bytes.Equal(got, ref) {
 		t.Errorf("idle-heavy skip state differs (%d vs %d bytes)", len(got), len(ref))
-	}
-	if got := stateBytes(t, p); !bytes.Equal(got, ref) {
-		t.Errorf("idle-heavy parallel state differs (%d vs %d bytes)", len(got), len(ref))
 	}
 	if s.LCp95(0) != d.LCp95(0) || s.Cores[0].Stats.IdleCycles != d.Cores[0].Stats.IdleCycles {
 		t.Errorf("idle-heavy stats differ: p95 %d vs %d, idle %d vs %d",
 			s.LCp95(0), d.LCp95(0), s.Cores[0].Stats.IdleCycles, d.Cores[0].Stats.IdleCycles)
 	}
-	if p.LCp95(0) != d.LCp95(0) || p.Cores[0].Stats.IdleCycles != d.Cores[0].Stats.IdleCycles {
-		t.Errorf("idle-heavy parallel stats differ: p95 %d vs %d, idle %d vs %d",
-			p.LCp95(0), d.LCp95(0), p.Cores[0].Stats.IdleCycles, d.Cores[0].Stats.IdleCycles)
+}
+
+// TestThrottleIdleEquivalence targets the MBA quiescence fix: ports whose
+// heads are held by the bandwidth throttle used to pin the machine dense
+// (the aux ticker reported "work now" the whole time); the throttle now
+// reports its real next-release cycle so skip-ahead elides throttled
+// intervals — and must still match dense byte-for-byte, including the
+// Delayed compensation counter.
+func TestThrottleIdleEquivalence(t *testing.T) {
+	mk := func(opt Options) *Machine {
+		opt.Policy = PolicyDefault
+		m := MustNew(KunpengConfig(4), opt,
+			append([]TaskSpec{lcTask(workload.Silo, 2000)}, beTasks(workload.IBench, 3)...))
+		for core := 1; core < 4; core++ {
+			m.MBA().SetLevel(mem.PartID(core), 2) // floor: ~50x TBurst between grants
+		}
+		return m
+	}
+	d, s := mk(Options{Dense: true}), mk(Options{})
+	d.Run(10_000, 90_000)
+	s.Run(10_000, 90_000)
+	if d.MBA().Delayed == 0 {
+		t.Fatal("throttle never held a request; test exercises nothing")
+	}
+	if got, ref := stateBytes(t, s), stateBytes(t, d); !bytes.Equal(got, ref) {
+		t.Errorf("throttled skip state differs (%d vs %d bytes)", len(got), len(ref))
+	}
+	if s.MBA().Delayed != d.MBA().Delayed {
+		t.Errorf("throttle Delayed counters differ: dense %d, skip %d", d.MBA().Delayed, s.MBA().Delayed)
+	}
+	if s.BECommitted() != d.BECommitted() {
+		t.Errorf("BE committed differ: dense %d, skip %d", d.BECommitted(), s.BECommitted())
+	}
+}
+
+// flaky is a deterministic counter-driven mem.Fault: its decisions depend
+// only on how many times each hook ran, and faulted stations pin themselves
+// dense, so dense and skip-ahead runs present it the identical call sequence.
+type flaky struct{ drops, spikes, holds uint64 }
+
+func (f *flaky) DropAccept(sim.Cycle) bool { f.drops++; return f.drops%97 == 0 }
+func (f *flaky) ExtraLatency(sim.Cycle) sim.Cycle {
+	f.spikes++
+	if f.spikes%41 == 0 {
+		return 7
+	}
+	return 0
+}
+func (f *flaky) HoldGrant(sim.Cycle) bool { f.holds++; return f.holds%61 == 0 }
+
+// TestFaultInjectedEquivalence: fault injection perturbs admission, latency
+// and arbitration on all four MSC stations, and a skip-ahead run must still
+// match dense byte-for-byte: the faulted stations stay dense while the cores
+// and plumbing around them keep skipping. Faults are detached before
+// snapshotting (fault state lives outside the snapshot surface, which is why
+// faulted runs refuse checkpointing).
+func TestFaultInjectedEquivalence(t *testing.T) {
+	tc := ckptCases()[0]
+	ctx := context.Background()
+	run := func(m *Machine) *Machine {
+		t.Helper()
+		for _, comp := range mem.MSCs {
+			if err := m.SetFault(comp, &flaky{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			t.Fatalf("faulted run: %v", err)
+		}
+		for _, comp := range mem.MSCs {
+			if err := m.SetFault(comp, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	dense := run(tc.buildMode(t, true))
+	skip := run(tc.buildMode(t, false))
+	if got, want := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, want) {
+		t.Error("fault-injected skip-ahead state differs from dense")
+	}
+	if !bytes.Equal(snapshotJSON(t, skip), snapshotJSON(t, dense)) {
+		t.Error("fault-injected result snapshots differ")
 	}
 }
 

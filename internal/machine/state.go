@@ -49,9 +49,7 @@ type DelayedState struct {
 	Req    mem.ReqState
 }
 
-// delayedState converts one wheel event to its serialisable form. The
-// parallel-mode schedSeq tie-breaker is deliberately absent: it is derived
-// bookkeeping, and the wire format stays identical to serial's.
+// delayedState converts one wheel event to its serialisable form.
 func delayedState(e delayed) DelayedState {
 	ds := DelayedState{Due: e.due, Kind: uint8(e.kind), Core: e.core, Seq: e.seq, Line: e.line}
 	if e.req != nil {
@@ -197,19 +195,15 @@ func (m *Machine) SnapshotState() (*MachineState, error) {
 		}
 		s.Ports[i] = ps
 	}
-	if m.par != nil {
-		m.snapshotDelays(s)
-	} else {
-		for slot, pend := range m.delays.wheel {
-			if len(pend) == 0 {
-				continue
-			}
-			out := make([]DelayedState, len(pend))
-			for i, e := range pend {
-				out[i] = delayedState(e)
-			}
-			s.Delays[slot] = out
+	for slot, pend := range m.delays.wheel {
+		if len(pend) == 0 {
+			continue
 		}
+		out := make([]DelayedState, len(pend))
+		for i, e := range pend {
+			out[i] = delayedState(e)
+		}
+		s.Delays[slot] = out
 	}
 	for _, lc := range m.lcs {
 		ls := LCTaskState{Source: lc.Source.SnapshotState()}
@@ -368,12 +362,6 @@ func (m *Machine) RestoreState(s *MachineState) error {
 	// The occupancy cache feeding skip-ahead's quiescence poll is derived
 	// state: rebuild it from the restored wheel.
 	m.delays.recount()
-	if m.par != nil {
-		// Parallel mode keeps core-local completions in per-shard wheels:
-		// re-split the restored (canonically ordered) shared wheel and reset
-		// every shard's window-scoped runtime.
-		m.splitRestoredDelays()
-	}
 
 	for i, lc := range m.lcs {
 		ls := s.LCs[i]

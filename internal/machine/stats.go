@@ -75,7 +75,6 @@ func (m *Machine) EnableStats(epochCycles sim.Cycle, ringCap int) {
 
 	m.statsReg = reg
 	m.statsOn = true
-	m.statsEpoch = epochCycles
 	m.sampler = stats.NewSampler(reg, uint64(epochCycles), ringCap)
 	// Registered after every component, so each sample sees the cycle's
 	// final state. The ticker reports its next epoch boundary so skip-ahead

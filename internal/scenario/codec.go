@@ -114,8 +114,7 @@ func (s *Scenario) decode(data []byte) error {
 			s.Faults = new(Faults)
 			err = strictUnmarshal(raw, s.Faults, key)
 		case "sim":
-			s.Sim = new(Sim)
-			err = strictUnmarshal(raw, s.Sim, key)
+			err = errf(key, "the sharded parallel engine was removed; delete the sim stanza")
 		case "sweep":
 			err = s.decodeSweep(raw)
 		default:

@@ -479,9 +479,5 @@ func (s *Scenario) clone() *Scenario {
 		}
 		out.Faults = &cp
 	}
-	if s.Sim != nil {
-		cp := *s.Sim
-		out.Sim = &cp
-	}
 	return &out
 }

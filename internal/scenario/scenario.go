@@ -61,11 +61,6 @@ type Scenario struct {
 	// outside the machine snapshot.
 	Faults *Faults `json:"faults,omitempty"`
 
-	// Sim, when set, overrides execution-engine knobs for every run of this
-	// scenario. Execution mode never changes what the simulation computes
-	// (the engine's bit-identical contract) — only how fast.
-	Sim *Sim `json:"sim,omitempty"`
-
 	// Sweep declares the axes to expand (cartesian product, first axis
 	// outermost). An empty list means the scenario is a single run unit.
 	Sweep []Axis `json:"sweep,omitempty"`
@@ -87,17 +82,6 @@ const (
 	PresetKunpeng  = "kunpeng"
 	PresetNeoverse = "neoverse"
 )
-
-// Sim overrides execution-engine knobs (how to simulate, never what the
-// simulation computes).
-type Sim struct {
-	// Parallel > 0 runs each machine of this scenario on the sharded
-	// windowed tick loop with that many worker goroutines
-	// (machine.Options.Parallel); 0 inherits the CLI's -parallel-sim
-	// setting. Results are bit-identical to serial for any value.
-	Parallel int `json:"parallel,omitempty"`
-	_        [0]func()
-}
 
 // Faults declares the scenario's fault-injection plan: per-station rates for
 // the three deterministic perturbations internal/faultinject implements.

@@ -77,6 +77,13 @@ func TestParseErrors(t *testing.T) {
 			path: "sweep[0]", msg: `unknown field "step"`,
 		},
 		{
+			name: "removed sim stanza",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
+			       "sim":{"parallel":2}}`,
+			path: "sim", msg: "sharded parallel engine was removed; delete the sim stanza",
+		},
+		{
 			name: "type error on scalar",
 			doc: `{"version":"one","name":"t","policy":"Default",
 			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}]}`,

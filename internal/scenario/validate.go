@@ -41,21 +41,7 @@ func (s *Scenario) Validate() error {
 	if err := s.validateFaults(); err != nil {
 		return err
 	}
-	if err := s.validateSim(); err != nil {
-		return err
-	}
 	return s.validateSweep()
-}
-
-// validateSim checks the execution-engine stanza.
-func (s *Scenario) validateSim() error {
-	if s.Sim == nil {
-		return nil
-	}
-	if s.Sim.Parallel < 0 {
-		return errf("sim.parallel", "must not be negative (got %d)", s.Sim.Parallel)
-	}
-	return nil
 }
 
 // validateFaults checks the fault-injection stanza: known station names,

@@ -78,26 +78,6 @@ func TestSeedCorpusRegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pinned parallel-equivalence scenario: a generated mix carrying an
-	// explicit `sim` stanza, replayed through the parallel oracle. Keeps the
-	// stanza's strict-codec path and the sharded-vs-dense byte contract
-	// exercised even if the generator never emits sim overrides.
-	parSc := Generate(1, 2).Clone()
-	parSc.Sim = &scenario.Sim{Parallel: 2}
-	if got := CheckAll(ctx, parSc, Oracles(), Env{}); got != nil {
-		t.Fatalf("parallel-pinned scenario not green: %s: %s", got.Oracle, got.Detail)
-	}
-	parEntry := &Finding{
-		Oracle:   "parallel",
-		Seed:     1,
-		Index:    2,
-		Detail:   "pinned: a sharded parallel run must stay byte-identical to dense",
-		Scenario: parSc,
-	}
-	if _, err := WriteEntry(testdataCorpus, parEntry); err != nil {
-		t.Fatal(err)
-	}
-
 	// Pinned load-shape scenario: every load-model feature (phase program
 	// with ramp/sine/off segments, MMPP-2 bursts, tenant windows, Zipf skew)
 	// in one stanza, replayed through the whole bank — including the

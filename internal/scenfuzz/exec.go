@@ -35,7 +35,6 @@ func Defects() []string { return []string{DefectSkipFaults} }
 // mode selects how a unit's machine is instrumented for one oracle leg.
 type mode struct {
 	dense     bool
-	parallel  int // shard worker goroutines (0 = serial tick loop)
 	stats     bool
 	flight    bool
 	audit     bool
@@ -94,7 +93,6 @@ func build(sc *scenario.Scenario, md mode) (*machine.Machine, error) {
 	opt := exp.OptionsFor(sc.Options)
 	opt.Policy = mth.Policy
 	opt.Dense = md.dense
-	opt.Parallel = md.parallel
 	opt.Audit = md.audit
 	opt.WatchdogWindow = md.watchdog
 	opt.MaxCycles = md.maxCycles

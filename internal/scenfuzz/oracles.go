@@ -9,7 +9,6 @@ import (
 	"os"
 	"strings"
 
-	"pivot/internal/checkpoint"
 	"pivot/internal/faultinject"
 	"pivot/internal/machine"
 	"pivot/internal/scenario"
@@ -42,7 +41,6 @@ func Oracles() []Oracle {
 	return []Oracle{
 		{"codec", "encode→decode→re-encode is byte-identical and strict-decode accepts its own output", codecCheck},
 		{"equiv", "skip-ahead and -dense runs end in byte-identical state, snapshot and stats", equivCheck},
-		{"parallel", "a sharded parallel run ends byte-identical to -dense (state, stats, checkpoint payload)", parallelCheck},
 		{"checkpoint", "a run killed at a derived cycle and resumed equals an uninterrupted run", checkpointCheck},
 		{"flight", "the flight recorder changes nothing observable", flightCheck},
 		{"stationary", "a task without a load stanza equals one shaped by the neutral flat program", stationaryCheck},
@@ -168,93 +166,6 @@ func equivCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcr
 		faultinject.Detach(dense)
 		return compareMachines(tr, label, skip, dense, "skip-ahead", "dense", false, true)
 	})
-}
-
-// parallelCheck: for every run unit, a sharded parallel machine (two shard
-// worker goroutines) and a dense machine must finish with byte-identical
-// serialised state, result snapshot, stats dump and — on checkpointable
-// units — checkpoint payload. The check sits behind a capability probe: a
-// unit whose machine cannot shard falls back to the serial loop, and
-// comparing serial against dense would silently prove nothing, so such
-// units are skipped with a transcript note instead.
-func parallelCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcript) error {
-	return eachUnit(sc, func(u *scenario.Scenario, label string) error {
-		warmup, measure := windows(u)
-		par, err := build(u, mode{parallel: 2, stats: true})
-		if err != nil {
-			return fmt.Errorf("building parallel machine: %w", err)
-		}
-		if !par.ParallelActive() {
-			tr.Logf("%s: sharded execution unavailable on this unit — skipped", label)
-			return nil
-		}
-		dense, err := build(u, mode{dense: true, stats: true})
-		if err != nil {
-			return fmt.Errorf("building dense machine: %w", err)
-		}
-		faulted := attachFaults(par, u)
-		attachFaults(dense, u)
-		tr.Logf("%s: warmup=%d measure=%d faults=%v (2 shard workers vs dense)",
-			label, warmup, measure, faulted)
-		if err := par.RunChecked(ctx, warmup, measure); err != nil {
-			return fmt.Errorf("parallel run: %w", err)
-		}
-		if err := dense.RunChecked(ctx, warmup, measure); err != nil {
-			return fmt.Errorf("dense run: %w", err)
-		}
-		faultinject.Detach(par)
-		faultinject.Detach(dense)
-		if err := compareMachines(tr, label, par, dense, "parallel", "dense", false, true); err != nil {
-			return err
-		}
-		return compareCheckpointPayloads(tr, label, par, dense)
-	})
-}
-
-// compareCheckpointPayloads writes one checkpoint frame from each finished
-// machine through the real checkpoint path and demands byte-identical
-// payloads. Units that refuse checkpointing (custom streams) are noted and
-// pass vacuously.
-func compareCheckpointPayloads(tr *Transcript, label string, a, b *machine.Machine) error {
-	if err := a.Checkpointable(); err != nil {
-		tr.Logf("%s: not checkpointable (%v) — payload comparison skipped", label, err)
-		return nil
-	}
-	dir, err := os.MkdirTemp("", "pivot-fuzz-par-")
-	if err != nil {
-		return fmt.Errorf("checkpoint dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	ap, err := writtenPayload(a, dir+"/a")
-	if err != nil {
-		return fmt.Errorf("parallel checkpoint: %w", err)
-	}
-	bp, err := writtenPayload(b, dir+"/b")
-	if err != nil {
-		return fmt.Errorf("dense checkpoint: %w", err)
-	}
-	if !bytes.Equal(ap, bp) {
-		return fmt.Errorf("checkpoint payloads differ between parallel and dense (%d vs %d bytes): %s",
-			len(ap), len(bp), firstDiff(ap, bp))
-	}
-	tr.Logf("%s: checkpoint payloads identical (%d bytes)", label, len(ap))
-	return nil
-}
-
-// writtenPayload checkpoints m into dir and reads back the frame's payload.
-func writtenPayload(m *machine.Machine, dir string) ([]byte, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	path, err := m.WriteCheckpoint(dir, 1)
-	if err != nil {
-		return nil, err
-	}
-	ck, err := checkpoint.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ck.Payload, nil
 }
 
 // checkpointCheck: kill a skip-ahead run at a scenario-derived cycle

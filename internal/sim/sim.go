@@ -75,10 +75,6 @@ type Engine struct {
 	now   Cycle
 	slots []tickerSlot
 	dense bool
-
-	// plan, when set, switches Step to sharded windowed execution (see
-	// parallel.go). Dense mode overrides it.
-	plan *ShardPlan
 }
 
 // NewEngine returns an engine positioned at cycle 0 with no tickers.
@@ -117,10 +113,6 @@ func (e *Engine) Step(n Cycle) {
 			}
 			e.now++
 		}
-		return
-	}
-	if e.plan != nil {
-		e.stepSharded(end)
 		return
 	}
 	for e.now < end {

@@ -1,96 +1,84 @@
 #!/usr/bin/env bash
-# bench.sh — record (or gate on) the simulator's headline perf numbers.
+# bench.sh — record (or gate on) the simulator's headline perf number.
 #
-# Default mode runs the serial headline benchmark and the sharded parallel
-# benchmark (all worker counts, keeping the fastest variant) and appends one
-# record per benchmark to the history array in BENCH_cycles_per_sec.json in
-# the repo root:
+# Runs BenchmarkSimulatorCyclesPerSecond (the Fig-1 default mix: 1 LC Silo +
+# 3 BE iBench on the 4-core Kunpeng config, stepped in 10,000-cycle granules,
+# so ns_per_cycle = ns/op / 10000) five times and reduces the repeats to
+# their median and interquartile range. Default mode appends one
+# record to the history array in BENCH_cycles_per_sec.json in the repo root:
 #
 #   [
-#     {"commit": ..., "date": ..., "benchmark": ..., "ns_per_cycle": ...,
-#      "cycles_per_sec": ...},
-#     {"commit": ..., "date": ..., "benchmark": "...Parallel", "workers": N,
-#      "ns_per_cycle": ..., "cycles_per_sec": ...},
+#     {"commit": ..., "date": ..., "benchmark": ..., "host_cores": ...,
+#      "gomaxprocs": ..., "count": 5, "ns_per_cycle": <median>,
+#      "cycles_per_sec": <median>, "cycles_per_sec_iqr": ...},
 #     ...
 #   ]
 #
-# One record per commit per benchmark (re-measuring the same commit replaces
-# its records), so the perf trajectory is readable from the working tree
-# alone — no spelunking through git history for earlier numbers.
+# One record per commit (re-measuring the same commit replaces its record),
+# so the perf trajectory is readable from the working tree alone. Records of
+# other benchmarks already in the file are kept as they are.
 #
 #   scripts/bench.sh              # measure and append to the history
-#   scripts/bench.sh -check       # measure and FAIL if either benchmark's
-#                                 # cycles/sec regressed >20% vs its latest
-#                                 # committed record (a benchmark with no
-#                                 # committed record passes trivially)
+#   scripts/bench.sh -check       # measure and FAIL if the median cycles/sec
+#                                 # regressed >20% vs the latest committed
+#                                 # record (no committed record passes)
 #
 # A pre-history file holding a single bare JSON object is migrated to the
 # array form on the next write.
-#
-# Both benchmarks step the Fig-1 default mix (1 LC Silo + 3 BE iBench) in
-# 10,000-cycle granules, so ns_per_cycle = ns/op / 10000. The serial one
-# hosts it on the 4-core Kunpeng config; the parallel one on the 8-core
-# config under the sharded windowed tick loop.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 out=BENCH_cycles_per_sec.json
-serial=BenchmarkSimulatorCyclesPerSecond
-parallel=BenchmarkSimulatorCyclesPerSecondParallel
+bench=BenchmarkSimulatorCyclesPerSecond
 benchtime=${BENCHTIME:-2s}
 mode=${1:-write}
 
-bench_out=$(go test -bench "^(${serial}|${parallel})\$" -benchtime "$benchtime" -run '^$' . | tee /dev/stderr)
+bench_out=$(go test -bench "^${bench}\$" -benchtime "$benchtime" -count 5 -run '^$' . | tee /dev/stderr)
 
-# pick_ns NAME_REGEX -> fastest "ns/op" among matching result lines (the
-# parallel benchmark emits one line per workers= variant; keep the best).
-pick_ns() {
-    echo "$bench_out" | grep -E "^$1" |
-        awk '{for (i=1;i<=NF;i++) if ($(i)=="ns/op" && ($(i-1)+0 < best || best=="")) best=$(i-1)} END{print best}'
-}
-
-serial_ns=$(pick_ns "${serial}[^P]")
-par_ns=$(pick_ns "${parallel}/")
-par_workers=$(echo "$bench_out" | grep -E "^${parallel}/" |
-    awk -v best="$par_ns" '$0 ~ /ns\/op/ {for (i=1;i<=NF;i++) if ($(i)=="ns/op" && $(i-1)==best) {split($1,a,"="); print a[2]}}' | head -n 1)
-if [ -z "$serial_ns" ] || [ -z "$par_ns" ]; then
-    echo "bench.sh: could not parse ns/op (serial='${serial_ns}' parallel='${par_ns}')" >&2
+# One ns/op value per repeat, sorted ascending.
+ns_values=$(echo "$bench_out" | grep -E "^${bench}(-[0-9]+)?[[:space:]]" |
+    awk '{for (i=1;i<=NF;i++) if ($(i)=="ns/op") print $(i-1)}' | sort -g)
+n=$(printf '%s\n' "$ns_values" | sed '/^$/d' | wc -l | tr -d ' ')
+if [ "$n" -eq 0 ]; then
+    echo "bench.sh: could not parse ns/op from the benchmark output" >&2
     exit 1
 fi
 
+# quantile Q -> linearly interpolated Q-quantile of the sorted values on
+# stdin.
+quantile() {
+    awk -v q="$1" '{v[NR]=$1} END{p=(NR-1)*q; i=int(p); f=p-i; printf "%.4f", v[i+1]+(v[i+2]-v[i+1])*f}'
+}
 to_cps() { awk -v n="$1" 'BEGIN{printf "%.0f", 1e9/(n/10000)}'; }
 to_npc() { awk -v n="$1" 'BEGIN{printf "%.4f", n/10000}'; }
 
-serial_cps=$(to_cps "$serial_ns")
-par_cps=$(to_cps "$par_ns")
+median_ns=$(printf '%s\n' "$ns_values" | quantile 0.5)
+q1_ns=$(printf '%s\n' "$ns_values" | quantile 0.25)
+q3_ns=$(printf '%s\n' "$ns_values" | quantile 0.75)
+median_cps=$(to_cps "$median_ns")
+# Cycles/sec falls as ns/op rises, so the ns quartiles swap ends.
+iqr_cps=$(awk -v lo="$(to_cps "$q3_ns")" -v hi="$(to_cps "$q1_ns")" 'BEGIN{printf "%.0f", hi-lo}')
 
 if [ "$mode" = "-check" ]; then
     if [ ! -f "$out" ]; then
         echo "bench.sh: no committed $out baseline to check against" >&2
         exit 1
     fi
-    fail=0
-    for pair in "${serial}:${serial_cps}" "${parallel}:${par_cps}"; do
-        name=${pair%%:*}
-        cur=${pair##*:}
-        # Latest record for this benchmark = last matching line (records are
-        # appended in measurement order; the pre-history single object names
-        # the serial benchmark).
-        base=$(grep -o '{[^}]*}' "$out" | grep "\"benchmark\": \"${name}\"" |
-            tail -n 1 | grep -o '"cycles_per_sec"[^,}]*' | grep -o '[0-9.]*$' || true)
-        if [ -z "$base" ]; then
-            echo "bench.sh: ${name}: no committed record yet (${cur} cycles/s) — skipping gate"
-            continue
-        fi
-        floor=$(awk -v b="$base" 'BEGIN{printf "%.0f", b*0.8}')
-        echo "bench.sh: ${name}: current ${cur} cycles/s, latest baseline ${base}, floor ${floor}"
-        if awk -v c="$cur" -v f="$floor" 'BEGIN{exit !(c < f)}'; then
-            echo "bench.sh: FAIL — ${name} regressed >20% vs committed baseline" >&2
-            fail=1
-        fi
-    done
-    [ "$fail" = 0 ] || exit 1
+    # Latest record for this benchmark = last matching line (records are
+    # appended in measurement order).
+    base=$(grep -o '{[^}]*}' "$out" | grep "\"benchmark\": \"${bench}\"" |
+        tail -n 1 | grep -o '"cycles_per_sec"[^,}]*' | grep -o '[0-9.]*$' || true)
+    if [ -z "$base" ]; then
+        echo "bench.sh: ${bench}: no committed record yet (median ${median_cps} cycles/s) — skipping gate"
+        exit 0
+    fi
+    floor=$(awk -v b="$base" 'BEGIN{printf "%.0f", b*0.8}')
+    echo "bench.sh: ${bench}: median ${median_cps} cycles/s (IQR ${iqr_cps}, n=${n}), latest baseline ${base}, floor ${floor}"
+    if awk -v c="$median_cps" -v f="$floor" 'BEGIN{exit !(c < f)}'; then
+        echo "bench.sh: FAIL — ${bench} median regressed >20% vs committed baseline" >&2
+        exit 1
+    fi
     echo "bench.sh: OK"
     exit 0
 fi
@@ -106,23 +94,21 @@ gomaxprocs=$(go env GOMAXPROCS 2>/dev/null)
 if [ -z "$gomaxprocs" ] || [ "$gomaxprocs" = "0" ]; then
     gomaxprocs=${GOMAXPROCS:-$host_cores}
 fi
-host_stamp="\"host_cores\": ${host_cores}, \"gomaxprocs\": ${gomaxprocs}"
-serial_rec="{\"commit\": \"${commit}\", \"date\": \"${date}\", \"benchmark\": \"${serial}\", ${host_stamp}, \"ns_per_cycle\": $(to_npc "$serial_ns"), \"cycles_per_sec\": ${serial_cps}}"
-par_rec="{\"commit\": \"${commit}\", \"date\": \"${date}\", \"benchmark\": \"${parallel}\", \"workers\": ${par_workers:-1}, ${host_stamp}, \"ns_per_cycle\": $(to_npc "$par_ns"), \"cycles_per_sec\": ${par_cps}}"
+rec="{\"commit\": \"${commit}\", \"date\": \"${date}\", \"benchmark\": \"${bench}\", \"host_cores\": ${host_cores}, \"gomaxprocs\": ${gomaxprocs}, \"count\": ${n}, \"ns_per_cycle\": $(to_npc "$median_ns"), \"cycles_per_sec\": ${median_cps}, \"cycles_per_sec_iqr\": ${iqr_cps}}"
 
 # Existing records, one per line (records are flat objects, so this parses
 # both the array form and the pre-history single object), minus any previous
-# measurement of this same commit.
+# measurement of this benchmark at this same commit.
 records=""
 if [ -f "$out" ]; then
-    records=$(grep -o '{[^}]*}' "$out" | grep -v "\"commit\": \"${commit}\"" || true)
+    records=$(grep -o '{[^}]*}' "$out" | grep -v "\"commit\": \"${commit}\", \"date\": \"[^\"]*\", \"benchmark\": \"${bench}\"" || true)
 fi
-records=$(printf '%s\n%s\n%s\n' "$records" "$serial_rec" "$par_rec" | sed '/^[[:space:]]*$/d')
+records=$(printf '%s\n%s\n' "$records" "$rec" | sed '/^[[:space:]]*$/d')
 
 {
     echo '['
     printf '%s\n' "$records" | sed '$!s/$/,/' | sed 's/^/  /'
     echo ']'
 } >"$out"
-n=$(printf '%s\n' "$records" | wc -l | tr -d ' ')
-echo "bench.sh: appended to $out (serial ${serial_cps}, parallel ${par_cps} sim-cycles/s @ workers=${par_workers:-1}, ${n} record(s))"
+total=$(printf '%s\n' "$records" | wc -l | tr -d ' ')
+echo "bench.sh: appended to $out (median ${median_cps} sim-cycles/s, IQR ${iqr_cps}, n=${n}; ${total} record(s))"
