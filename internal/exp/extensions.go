@@ -3,11 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"pivot/internal/machine"
 	"pivot/internal/manager"
 	"pivot/internal/metrics"
+	"pivot/internal/profile"
 	"pivot/internal/scenario"
-	"pivot/internal/workload"
 )
 
 // The experiments in this file go beyond the paper's evaluation: they
@@ -43,74 +42,38 @@ func (ctx *Context) Hybrid() (*metrics.Table, error) {
 		Title:   "Extension (§VII): hybrid strong isolation — mean/p95/BE throughput",
 		Headers: []string{"app", "method", "mean", "mean target", "p95", "BE ipc", "MBA lvl"},
 	}
-	sc := scenario.MustBuiltin("hybrid")
-	load := sc.Tasks[0].LoadPct
-	bes := []BESpec{{App: sc.Tasks[1].App, Threads: ctx.beThreads(sc.Tasks[1].ThreadCount())}}
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		cal, err := ctx.Calib(app)
+	err := ctx.eachUnit("hybrid", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+		lc := spec.LCs[0]
+		cal, err := ctx.Calib(lc.App)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		meanTarget := 1.5 * cal.AloneMeanAt(load)
-
-		// PIVOT alone.
-		r, err := ctx.Run(RunSpec{Method: mustMethod(sc.Policy),
-			LCs: []LCSpec{{App: app, LoadPct: load}}, BEs: bes})
+		meanTarget := 1.5 * cal.AloneMeanAt(lc.LoadPct)
+		r, err := ctx.Run(spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRow(app, "PIVOT",
-			fmt.Sprintf("%.0f", r.MeanLat[0]), fmt.Sprintf("%.0f", meanTarget),
-			fmt.Sprint(r.P95[0]), fmt.Sprintf("%.4f", r.BEIPC), "100")
-
-		// PIVOT + hybrid strong isolation.
-		hr, lvl, err := ctx.runHybrid(app, load, bes, meanTarget)
+		// PIVOT + hybrid strong isolation, reporting the MBA level it ends at.
+		h := manager.NewHybrid([]float64{meanTarget})
+		hr, err := ctx.run(spec, variant{manager: h})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t.AddRow(app, "PIVOT+Hybrid",
-			fmt.Sprintf("%.0f", hr.MeanLat[0]), fmt.Sprintf("%.0f", meanTarget),
-			fmt.Sprint(hr.P95[0]), fmt.Sprintf("%.4f", hr.BEIPC), fmt.Sprint(lvl))
+		for _, row := range []struct {
+			method string
+			r      RunResult
+			lvl    int
+		}{{"PIVOT", r, 100}, {"PIVOT+Hybrid", hr, h.Level()}} {
+			t.AddRow(lc.App, row.method,
+				fmt.Sprintf("%.0f", row.r.MeanLat[0]), fmt.Sprintf("%.0f", meanTarget),
+				fmt.Sprint(row.r.P95[0]), fmt.Sprintf("%.4f", row.r.BEIPC), fmt.Sprint(row.lvl))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
-}
-
-// runHybrid builds a PIVOT machine and drives it under the hybrid manager.
-func (ctx *Context) runHybrid(app string, pct int, bes []BESpec, meanTarget float64) (RunResult, int, error) {
-	cal, err := ctx.Calib(app)
-	if err != nil {
-		return RunResult{}, 0, err
-	}
-	tasks := []machine.TaskSpec{{
-		Kind: machine.TaskLC, LC: cal.App,
-		MeanInterarrival: cal.MeanIAAt(pct),
-		Potential:        ctx.Potential(app),
-		ExpectedBW:       0.9 * cal.AloneBWAt(pct),
-		Seed:             ctx.Scale.Seed,
-	}}
-	for _, be := range bes {
-		a := ctx.beParams(be.App)
-		for i := 0; i < be.Threads && len(tasks) < ctx.Cfg.Cores; i++ {
-			tasks = append(tasks, machine.TaskSpec{Kind: machine.TaskBE, BE: a,
-				Seed: ctx.Scale.Seed + uint64(10+len(tasks))})
-		}
-	}
-	m, err := machine.New(ctx.Cfg, ctx.guard(machine.Options{Policy: machine.PolicyPIVOT}), tasks)
-	if err != nil {
-		return RunResult{}, 0, err
-	}
-	h := manager.NewHybrid([]float64{meanTarget})
-	if err := manager.RunChecked(ctx.runContext(), h, m, ctx.Scale.Warmup, ctx.Scale.Measure, ctx.Scale.Epoch); err != nil {
-		return RunResult{}, 0, err
-	}
-
-	src := m.LCTasks()[0].Source
-	var r RunResult
-	r.P95 = []uint32{m.LCp95(0)}
-	r.MeanLat = []float64{src.RecentMean(0)}
-	r.BEIPC = float64(m.BECommitted()) / float64(m.MeasuredCycles())
-	r.BWUtil = m.BWUtil()
-	return r, h.Level(), nil
 }
 
 // NoProfile — §VII: multi-tenant clouds cannot offline-profile unknown LC
@@ -123,59 +86,32 @@ func (ctx *Context) NoProfile() (*metrics.Table, error) {
 		Title:   "Extension (§VII): PIVOT without offline profiling",
 		Headers: []string{"app", "footprint", "variant", "p95/QoS", "QoS", "BE ipc"},
 	}
-	sc := scenario.MustBuiltin("noprofile")
-	load := sc.Tasks[0].LoadPct
-	beApp := sc.Tasks[1].App
-	nBE := ctx.beThreads(sc.Tasks[1].ThreadCount())
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
+	err := ctx.eachUnit("noprofile", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+		app := spec.LCs[0].App
 		cal, err := ctx.Calib(app)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		footprint := fmt.Sprint(len(workload.NewReqGen(cal.App, 0, nil).ChasePCs())+
-			cal.App.PayloadPCs) + " loads"
-
-		run := func(withProfile bool) (RunResult, error) {
-			tasks := []machine.TaskSpec{{
-				Kind: machine.TaskLC, LC: cal.App,
-				MeanInterarrival: cal.MeanIAAt(load),
-				ExpectedBW:       0.9 * cal.AloneBWAt(load),
-				Seed:             ctx.Scale.Seed,
-			}}
-			if withProfile {
-				tasks[0].Potential = ctx.Potential(app)
-			}
-			for i := 0; i < nBE && len(tasks) < ctx.Cfg.Cores; i++ {
-				tasks = append(tasks, machine.TaskSpec{Kind: machine.TaskBE,
-					BE:   ctx.beParams(beApp),
-					Seed: ctx.Scale.Seed + uint64(10+len(tasks))})
-			}
-			m, err := machine.New(ctx.Cfg, ctx.guard(machine.Options{Policy: machine.PolicyPIVOT}), tasks)
-			if err != nil {
-				return RunResult{}, err
-			}
-			if err := m.RunChecked(ctx.runContext(), ctx.Scale.Warmup, ctx.Scale.Measure); err != nil {
-				return RunResult{}, err
-			}
-			var r RunResult
-			p95 := m.LCp95(0)
-			r.P95 = []uint32{p95}
-			r.AllQoS = p95 != 0 && p95 <= cal.QoSTarget
-			r.BEIPC = float64(m.BECommitted()) / float64(m.MeasuredCycles())
-			return r, nil
-		}
-		for _, variant := range []struct {
+		footprint := fmt.Sprint(len(chasePCs(cal.App))+cal.App.PayloadPCs) + " loads"
+		for _, row := range []struct {
 			name string
-			with bool
-		}{{"two-phase (profiled)", true}, {"online-only", false}} {
-			r, err := run(variant.with)
+			v    variant
+		}{
+			{"two-phase (profiled)", variant{}},
+			{"online-only", variant{potential: func(string) profile.CriticalSet { return nil }}},
+		} {
+			r, err := ctx.run(spec, row.v)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			t.AddRow(app, footprint, variant.name,
+			t.AddRow(app, footprint, row.name,
 				fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
 				qosMark(r), fmt.Sprintf("%.4f", r.BEIPC))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -188,21 +124,24 @@ func (ctx *Context) PrefetchAblation() (*metrics.Table, error) {
 		Title:   "Ablation: explicit stride prefetcher (DESIGN.md §6.1)",
 		Headers: []string{"app", "prefetch", "p95/QoS", "BE ipc", "BW util"},
 	}
-	sc := scenario.MustBuiltin("prefetch")
-	load := sc.Tasks[0].LoadPct
-	rn := ctx.runner()
-	bes := []BESpec{{App: sc.Tasks[1].App, Threads: ctx.beThreads(sc.Tasks[1].ThreadCount())}}
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		cal := rn.calib(app)
-		for _, pf := range sc.MustAxis("options.prefetch").Bools() {
-			r := rn.run(RunSpec{Method: mustMethod(sc.Policy),
-				LCs: []LCSpec{{App: app, LoadPct: load}}, BEs: bes,
-				Opt: machine.Options{Prefetch: pf}})
-			t.AddRow(app, fmt.Sprint(pf),
-				fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
-				fmt.Sprintf("%.4f", r.BEIPC),
-				fmt.Sprintf("%.3f", r.BWUtil))
+	err := ctx.eachUnit("prefetch", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+		app := spec.LCs[0].App
+		cal, err := ctx.Calib(app)
+		if err != nil {
+			return err
 		}
+		r, err := ctx.Run(spec)
+		if err != nil {
+			return err
+		}
+		t.AddRow(app, fmt.Sprint(spec.Opt.Prefetch),
+			fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
+			fmt.Sprintf("%.4f", r.BEIPC),
+			fmt.Sprintf("%.3f", r.BWUtil))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return t, rn.err
+	return t, nil
 }

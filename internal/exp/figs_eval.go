@@ -10,89 +10,49 @@ import (
 // Fig13 — co-location of 1 LC task and iBench: max BE throughput (% of
 // 7-thread-alone) at each LC load, per method, with QoS met.
 func (ctx *Context) Fig13() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig13")
-	policies := sc.MustAxis("policy").Strings()
-	t := &metrics.Table{
-		Title:   "Figure 13: max iBench throughput (%) vs LC load, QoS met",
-		Headers: append([]string{"app", "load"}, policies...),
-	}
-	rn := ctx.runner()
-	beApp := sc.Tasks[1].App
-	n := ctx.beThreads(sc.Tasks[1].ThreadCount())
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		for _, pct := range sc.MustAxis("tasks[0].load_pct").Ints() {
-			lcs := []LCSpec{{App: app, LoadPct: pct}}
-			cells := []string{app, fmt.Sprintf("%d%%", pct)}
-			for _, pol := range policies {
-				v := rn.maxBE(mustMethod(pol), lcs, beApp, n)
-				cells = append(cells, fmt.Sprintf("%.0f", v*100))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, rn.err
+	return ctx.grid("fig13", "Figure 13: max iBench throughput (%) vs LC load, QoS met",
+		byAppLoad, byPolicy, maxBE(true))
 }
 
 // Fig13EMU — the EMU summary quoted in §VI-A1 (Default 86.1%, PARTIES
 // 116.0%, CLITE 116.3%, PIVOT 133.2% in the paper).
 func (ctx *Context) Fig13EMU() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig13emu")
-	policies := sc.MustAxis("policy").Strings()
+	policies := scenario.MustBuiltin("fig13emu").MustAxis("policy").Strings()
 	t := &metrics.Table{
 		Title:   "Figure 13 summary: average EMU (%) across apps and loads",
 		Headers: policies,
 	}
-	rn := ctx.runner()
-	beApp := sc.Tasks[1].App
-	n := ctx.beThreads(sc.Tasks[1].ThreadCount())
+	// Policy is the innermost axis, so units cycle through the columns.
 	sums := make([]float64, len(policies))
-	count := 0
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		for _, pct := range sc.MustAxis("tasks[0].load_pct").Ints() {
-			lcs := []LCSpec{{App: app, LoadPct: pct}}
-			for mi, pol := range policies {
-				v := rn.maxBE(mustMethod(pol), lcs, beApp, n)
-				emu := 0.0
-				if v > 0 {
-					emu = float64(pct) + v*100
-				}
-				sums[mi] += emu
-			}
-			count++
+	units := 0
+	err := ctx.eachUnit("fig13emu", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+		be := spec.BEs[0]
+		v, err := ctx.MaxBEThroughput(spec.Method, spec.LCs, be.App, be.Threads)
+		if err != nil {
+			return err
 		}
+		if v > 0 {
+			sums[units%len(sums)] += float64(spec.LCs[0].LoadPct) + v*100
+		}
+		units++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	cells := make([]string, len(sums))
 	for i := range sums {
-		cells[i] = fmt.Sprintf("%.1f", sums[i]/float64(count))
+		cells[i] = fmt.Sprintf("%.1f", sums[i]/float64(units/len(sums)))
 	}
 	t.AddRow(cells...)
-	return t, rn.err
+	return t, nil
 }
 
 // Fig14 — the LC tail latency behind Figure 13: normalized p95 at each load
 // with the full 7-thread iBench stressor.
 func (ctx *Context) Fig14() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig14")
-	policies := sc.MustAxis("policy").Strings()
-	t := &metrics.Table{
-		Title:   "Figure 14: normalized p95 with 7-thread iBench (<=1.00 meets QoS)",
-		Headers: append([]string{"app", "load"}, policies...),
-	}
-	rn := ctx.runner()
-	bes := []BESpec{{App: sc.Tasks[1].App, Threads: ctx.beThreads(sc.Tasks[1].ThreadCount())}}
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		cal := rn.calib(app)
-		for _, pct := range sc.MustAxis("tasks[0].load_pct").Ints() {
-			lcs := []LCSpec{{App: app, LoadPct: pct}}
-			cells := []string{app, fmt.Sprintf("%d%%", pct)}
-			for _, pol := range policies {
-				r := rn.run(RunSpec{Method: mustMethod(pol), LCs: lcs, BEs: bes})
-				cells = append(cells, fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, rn.err
+	return ctx.grid("fig14", "Figure 14: normalized p95 with 7-thread iBench (<=1.00 meets QoS)",
+		byAppLoad, byPolicy, normP95)
 }
 
 // gridLoads is the 2-D load grid used for the heatmap figures.

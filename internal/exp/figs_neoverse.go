@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"pivot/internal/machine"
 	"pivot/internal/metrics"
 	"pivot/internal/scenario"
@@ -29,27 +27,8 @@ func (ctx *Context) neoverse() *Context {
 // Fig23 — Figure 13's 1 LC + iBench sweep on the ARM Neoverse-like CPU,
 // PIVOT vs CLITE.
 func (ctx *Context) Fig23() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig23")
-	nctx := ctx.ForScenario(sc)
-	policies := sc.MustAxis("policy").Strings()
-	t := &metrics.Table{
-		Title:   "Figure 23 (Neoverse): max iBench throughput (%) vs LC load",
-		Headers: append([]string{"app", "load"}, policies...),
-	}
-	rn := nctx.runner()
-	beApp := sc.Tasks[1].App
-	n := nctx.beThreads(sc.Tasks[1].ThreadCount())
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		for _, pct := range sc.MustAxis("tasks[0].load_pct").Ints() {
-			lcs := []LCSpec{{App: app, LoadPct: pct}}
-			cells := []string{app, fmt.Sprintf("%d%%", pct)}
-			for _, pol := range policies {
-				cells = append(cells, fmt.Sprintf("%.0f", rn.maxBE(mustMethod(pol), lcs, beApp, n)*100))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, rn.err
+	return ctx.grid("fig23", "Figure 23 (Neoverse): max iBench throughput (%) vs LC load",
+		byAppLoad, byPolicy, maxBE(true))
 }
 
 // Fig24 — Figure 16's CloudSuite single-BE scenarios on Neoverse.

@@ -15,27 +15,8 @@ import (
 // when the LC task meets QoS, comparing CBP (memory controller only),
 // Binary-CBP + full path, and PIVOT.
 func (ctx *Context) Fig20() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig20")
-	policies := sc.MustAxis("policy").Strings()
-	t := &metrics.Table{
-		Title:   "Figure 20: criticality predictors — max iBench throughput (%)",
-		Headers: append([]string{"app", "load"}, policies...),
-	}
-	rn := ctx.runner()
-	beApp := sc.Tasks[1].App
-	n := ctx.beThreads(sc.Tasks[1].ThreadCount())
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		for _, pct := range sc.MustAxis("tasks[0].load_pct").Ints() {
-			lcs := []LCSpec{{App: app, LoadPct: pct}}
-			cells := []string{app, fmt.Sprintf("%d%%", pct)}
-			for _, pol := range policies {
-				v := rn.maxBE(mustMethod(pol), lcs, beApp, n)
-				cells = append(cells, fmt.Sprintf("%.0f", v*100))
-			}
-			t.AddRow(cells...)
-		}
-	}
-	return t, rn.err
+	return ctx.grid("fig20", "Figure 20: criticality predictors — max iBench throughput (%)",
+		byAppLoad, byPolicy, maxBE(true))
 }
 
 // Fig21 — IPC and p95 of each LC task at 70% max load, running alone.
@@ -118,7 +99,7 @@ func (ctx *Context) Sensitivity() ([]*metrics.Table, error) {
 	for _, mult := range []float64{0.5, 1, 2} {
 		cfg := rrbp.DefaultConfig()
 		cfg.RefreshCycles = sim.Cycle(float64(machine.ScaledRRBPRefresh) * mult)
-		v, err := ctx.avgEMUWithOpt(machine.Options{RRBP: cfg})
+		v, err := ctx.avgEMU(machine.Options{RRBP: cfg}, variant{})
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +123,10 @@ func (ctx *Context) Sensitivity() ([]*metrics.Table, error) {
 		{"rank 10%", profile.Params{MinExecFreq: 0.005, MinLLCMissRate: 0.10, TopStallFrac: 0.10}},
 		{"rank 15%", profile.Params{MinExecFreq: 0.005, MinLLCMissRate: 0.10, TopStallFrac: 0.15}},
 	} {
-		emu, err := ctx.avgEMUWithParams(v.params)
+		emu, err := ctx.avgEMU(machine.Options{}, variant{potential: func(app string) profile.CriticalSet {
+			return machine.ProfileLCWith(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads,
+				ctx.Scale.Seed, v.params, machine.ProfileCycles)
+		}})
 		if err != nil {
 			return nil, err
 		}
@@ -152,67 +136,25 @@ func (ctx *Context) Sensitivity() ([]*metrics.Table, error) {
 	return out, nil
 }
 
-// avgEMUWithOpt runs the training scenarios (the sens builtin) under the
-// scenario's policy with the given options and averages their EMU.
-func (ctx *Context) avgEMUWithOpt(opt machine.Options) (float64, error) {
-	sc := scenario.MustBuiltin("sens")
-	apps := sc.MustAxis("tasks[0].app").Strings()
-	load := sc.Tasks[0].LoadPct
-	beApp := sc.Tasks[1].App
-	n := ctx.beThreads(sc.Tasks[1].ThreadCount())
-	rn := ctx.runner()
+// avgEMU runs the training scenarios (the sens builtin) with the given
+// options as a variant run and averages their EMU.
+func (ctx *Context) avgEMU(opt machine.Options, v variant) (float64, error) {
 	var sum float64
-	for _, app := range apps {
-		lcs := []LCSpec{{App: app, LoadPct: load}}
-		r := rn.run(RunSpec{Method: mustMethod(sc.Policy), LCs: lcs,
-			BEs: []BESpec{{App: beApp, Threads: n}}, Opt: opt})
-		sum += rn.emu(lcs, beApp, n, n, r)
-	}
-	return sum / float64(len(apps)), rn.err
-}
-
-// avgEMUWithParams re-profiles every app with custom offline selection
-// parameters and averages EMU over the training scenarios.
-func (ctx *Context) avgEMUWithParams(params profile.Params) (float64, error) {
-	sc := scenario.MustBuiltin("sens")
-	apps := sc.MustAxis("tasks[0].app").Strings()
-	load := sc.Tasks[0].LoadPct
-	beApp := sc.Tasks[1].App
-	var sum float64
-	n := ctx.beThreads(sc.Tasks[1].ThreadCount())
-	for _, app := range apps {
-		pot := machine.ProfileLCWith(ctx.Cfg, ctx.lcParams(app), n,
-			ctx.Scale.Seed, params, machine.ProfileCycles)
-		cal, err := ctx.Calib(app)
+	units := 0
+	err := ctx.eachUnit("sens", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+		spec.Opt = opt
+		r, err := ctx.run(spec, v)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		tasks := []machine.TaskSpec{{
-			Kind: machine.TaskLC, LC: cal.App,
-			MeanInterarrival: cal.MeanIAAt(load),
-			Potential:        pot,
-			ExpectedBW:       0.9 * cal.AloneBWAt(load),
-			Seed:             ctx.Scale.Seed,
-		}}
-		be := ctx.beParams(beApp)
-		for i := 0; i < n && len(tasks) < ctx.Cfg.Cores; i++ {
-			tasks = append(tasks, machine.TaskSpec{Kind: machine.TaskBE, BE: be,
-				Seed: ctx.Scale.Seed + uint64(10+i)})
-		}
-		m, err := machine.New(ctx.Cfg, ctx.guard(machine.Options{Policy: machine.PolicyPIVOT}), tasks)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.RunChecked(ctx.runContext(), ctx.Scale.Warmup, ctx.Scale.Measure); err != nil {
-			return 0, err
-		}
-		r := RunResult{AllQoS: m.LCp95(0) != 0 && m.LCp95(0) <= cal.QoSTarget}
-		r.BEIPC = float64(m.BECommitted()) / float64(m.MeasuredCycles())
-		emu, err := ctx.EMU([]LCSpec{{App: app, LoadPct: load}}, beApp, n, n, r)
-		if err != nil {
-			return 0, err
-		}
+		be := spec.BEs[0]
+		emu, err := ctx.EMU(spec.LCs, be.App, be.Threads, be.Threads, r)
 		sum += emu
+		units++
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
-	return sum / float64(len(apps)), nil
+	return sum / float64(units), nil
 }

@@ -14,6 +14,7 @@ import (
 	"pivot/internal/manager"
 	"pivot/internal/mem"
 	"pivot/internal/metrics"
+	"pivot/internal/profile"
 	"pivot/internal/sim"
 )
 
@@ -119,7 +120,22 @@ type RunResult struct {
 // deadline, cycle budget), and any panic escaping the simulator, which is
 // recovered into a *machine.PanicError carrying the goroutine stack and a
 // diagnostic snapshot of the machine at the moment it died.
-func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
+func (ctx *Context) Run(spec RunSpec) (RunResult, error) { return ctx.run(spec, variant{}) }
+
+// variant is what a bespoke experiment changes about a co-location run. The
+// zero value is a plain Run; every variant still builds its tasks, runs and
+// judges QoS through run.
+type variant struct {
+	// potential, when set, replaces the method's potential set for each LC
+	// app (a cleared or re-profiled set).
+	potential func(app string) profile.CriticalSet
+	// splitFilter restricts the per-component split statistics to these PCs.
+	splitFilter map[uint64]bool
+	// manager, when set, drives a run whose method names no manager.
+	manager manager.Manager
+}
+
+func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 	var m *machine.Machine
 	defer func() {
 		if p := recover(); p != nil {
@@ -141,14 +157,19 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 
 	seed, warmup, measure := ctx.runWindows(spec)
 
+	// The one place a run's LC and BE specs become machine tasks.
 	var tasks []machine.TaskSpec
 	var targets []uint32
 	for _, lc := range spec.LCs {
 		ts := machine.TaskSpec{
-			Kind:      machine.TaskLC,
-			Potential: ctx.potentialFor(spec.Method, lc.App),
-			Seed:      seed,
-			Load:      lc.Load,
+			Kind: machine.TaskLC,
+			Seed: seed,
+			Load: lc.Load,
+		}
+		if v.potential != nil {
+			ts.Potential = v.potential(lc.App)
+		} else if spec.Method.Policy == machine.PolicyPIVOT {
+			ts.Potential = ctx.Potential(lc.App)
 		}
 		if lc.Interarrival > 0 {
 			// Explicit arrival rate: no calibration, no knee-derived target.
@@ -185,6 +206,9 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 	if err != nil {
 		return RunResult{}, err
 	}
+	if v.splitFilter != nil {
+		m.SetStatsFilter(v.splitFilter)
+	}
 	if ctx.StatsEpoch > 0 {
 		m.EnableStats(ctx.StatsEpoch, 0)
 	}
@@ -210,30 +234,34 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 	}
 
 	rc := ctx.runContext()
+	mgr := v.manager
 	switch spec.Method.Manager {
 	case "PARTIES":
-		err = manager.RunChecked(rc, manager.NewPARTIES(targets), m, warmup, measure, ctx.Scale.Epoch)
+		mgr = manager.NewPARTIES(targets)
 	case "CLITE":
-		err = manager.RunChecked(rc, manager.NewCLITE(targets), m, warmup, measure, ctx.Scale.Epoch)
-	default:
-		if dir := ctx.checkpointDir(m, spec, warmup, measure); dir != "" {
-			var resumed sim.Cycle
-			resumed, err = m.RunCheckpointed(rc, warmup, measure,
-				machine.CheckpointConfig{Dir: dir, Interval: ctx.CheckpointInterval})
-			if resumed > 0 {
-				ctx.logf("  %s: resumed from checkpoint at cycle %d", spec.Method.Name, resumed)
-				if ctx.OnResume != nil {
-					ctx.OnResume(resumed)
-				}
+		mgr = manager.NewCLITE(targets)
+	}
+	// A split-filtered run accumulates statistics a plain run of the same
+	// spec does not, so it never shares that run's checkpoints.
+	if mgr != nil {
+		err = manager.RunChecked(rc, mgr, m, warmup, measure, ctx.Scale.Epoch)
+	} else if dir := ctx.checkpointDir(m, spec, warmup, measure); dir != "" && v.splitFilter == nil {
+		var resumed sim.Cycle
+		resumed, err = m.RunCheckpointed(rc, warmup, measure,
+			machine.CheckpointConfig{Dir: dir, Interval: ctx.CheckpointInterval})
+		if resumed > 0 {
+			ctx.logf("  %s: resumed from checkpoint at cycle %d", spec.Method.Name, resumed)
+			if ctx.OnResume != nil {
+				ctx.OnResume(resumed)
 			}
-			if err == nil {
-				// The run completed; its checkpoints have nothing left to
-				// protect (the journal records the result).
-				_ = checkpoint.Remove(dir)
-			}
-		} else {
-			err = m.RunChecked(rc, warmup, measure)
 		}
+		if err == nil {
+			// The run completed; its checkpoints have nothing left to
+			// protect (the journal records the result).
+			_ = checkpoint.Remove(dir)
+		}
+	} else {
+		err = m.RunChecked(rc, warmup, measure)
 	}
 	if err != nil {
 		return RunResult{}, err
@@ -357,43 +385,41 @@ func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, meas
 	return filepath.Join(ctx.CheckpointDir, fmt.Sprintf("run-%016x", h.Sum64()))
 }
 
-// potentialFor computes the potential set only for the methods that use it.
-func (ctx *Context) potentialFor(mth Method, app string) map[uint64]bool {
-	switch mth.Policy {
-	case machine.PolicyPIVOT:
-		return ctx.Potential(app)
-	default:
-		return nil
-	}
-}
-
 // mbaLevels is the descending throttle ladder RunBestMBA searches.
 var mbaLevels = []int{100, 80, 60, 40, 20, 10, 5, 2}
 
-// RunBestMBA finds the least-throttled static MBA level that still meets
-// QoS (what an operator tuning MBA would deploy) and returns its result
-// together with the chosen level. If no level protects QoS it returns the
-// most throttled attempt.
-func (ctx *Context) RunBestMBA(lcs []LCSpec, bes []BESpec) (RunResult, int, error) {
+// RunBestMBA runs spec the way the figures declare it. An MBA method with no
+// level set searches the throttle ladder for the least-throttled level that
+// still meets QoS (what an operator tuning MBA would deploy) and returns its
+// result with the chosen level, or the most throttled attempt if no level
+// protects QoS. Any other method runs once, returning its own level.
+func (ctx *Context) RunBestMBA(spec RunSpec) (RunResult, int, error) {
+	if spec.Method.Policy != machine.PolicyMBA || spec.Method.MBALevel != 0 {
+		r, err := ctx.Run(spec)
+		return r, spec.Method.MBALevel, err
+	}
 	var last RunResult
-	lastLvl := mbaLevels[len(mbaLevels)-1]
 	for _, lvl := range mbaLevels {
-		r, err := ctx.Run(RunSpec{Method: MethodMBA(lvl), LCs: lcs, BEs: bes})
+		spec.Method = MethodMBA(lvl)
+		r, err := ctx.Run(spec)
 		if err != nil {
 			return RunResult{}, 0, err
 		}
-		last, lastLvl = r, lvl
+		last = r
 		if r.AllQoS {
-			return r, lvl, nil
+			break
 		}
 	}
-	return last, lastLvl, nil
+	return last, spec.Method.MBALevel, nil
 }
 
 // MaxBEThroughput sweeps the BE thread count downward and returns the best
 // normalised BE throughput achieved with QoS met (the Fig 3/13 metric),
-// normalising against `normThreads` threads running alone. It returns 0
-// when no thread count (including 1) meets QoS.
+// normalising against `normThreads` threads running alone. Thread counts
+// below the first that meets QoS only lose throughput, so the sweep stops
+// there; an MBA method with no level set searches the throttle ladder at
+// each count (RunBestMBA). It returns 0 when no thread count (including 1)
+// meets QoS.
 func (ctx *Context) MaxBEThroughput(mth Method, lcs []LCSpec, beApp string, normThreads int) (float64, error) {
 	base, err := ctx.BEAloneIPC(beApp, normThreads)
 	if err != nil {
@@ -406,37 +432,12 @@ func (ctx *Context) MaxBEThroughput(mth Method, lcs []LCSpec, beApp string, norm
 		if len(lcs)+n > ctx.Cfg.Cores {
 			continue
 		}
-		r, err := ctx.Run(RunSpec{Method: mth, LCs: lcs, BEs: []BESpec{{App: beApp, Threads: n}}})
+		r, _, err := ctx.RunBestMBA(RunSpec{Method: mth, LCs: lcs, BEs: []BESpec{{App: beApp, Threads: n}}})
 		if err != nil {
 			return 0, err
 		}
 		if r.AllQoS {
 			return r.BEIPC / base, nil
-		}
-	}
-	return 0, nil
-}
-
-// MaxBEThroughputMBA is MaxBEThroughput for the static-MBA method, which
-// additionally searches the throttle level at each thread count.
-func (ctx *Context) MaxBEThroughputMBA(lcs []LCSpec, beApp string, normThreads int) (float64, error) {
-	base, err := ctx.BEAloneIPC(beApp, normThreads)
-	if err != nil {
-		return 0, err
-	}
-	if base <= 0 {
-		return 0, nil
-	}
-	for n := ctx.Scale.MaxBEThreads; n >= 1; n-- {
-		if len(lcs)+n > ctx.Cfg.Cores {
-			continue
-		}
-		r, _, err := ctx.RunBestMBA(lcs, []BESpec{{App: beApp, Threads: n}})
-		if err != nil {
-			return 0, err
-		}
-		if r.AllQoS {
-			return r.BEIPC / base, nil // thread counts below n only lose throughput
 		}
 	}
 	return 0, nil
@@ -509,17 +510,6 @@ func (rn *runner) calib(app string) *AppCalib {
 	return &AppCalib{Curve: []CurvePoint{{}}}
 }
 
-func (rn *runner) bestMBA(lcs []LCSpec, bes []BESpec) (RunResult, int) {
-	if rn.err == nil {
-		r, lvl, err := rn.ctx.RunBestMBA(lcs, bes)
-		if err == nil {
-			return r, lvl
-		}
-		rn.err = err
-	}
-	return zeroResult(len(lcs)), 0
-}
-
 func (rn *runner) maxBE(mth Method, lcs []LCSpec, beApp string, normThreads int) float64 {
 	if rn.err != nil {
 		return 0
@@ -531,33 +521,11 @@ func (rn *runner) maxBE(mth Method, lcs []LCSpec, beApp string, normThreads int)
 	return v
 }
 
-func (rn *runner) maxBEMBA(lcs []LCSpec, beApp string, normThreads int) float64 {
-	if rn.err != nil {
-		return 0
-	}
-	v, err := rn.ctx.MaxBEThroughputMBA(lcs, beApp, normThreads)
-	if err != nil {
-		rn.err = err
-	}
-	return v
-}
-
 func (rn *runner) beAlone(app string, threads int) float64 {
 	if rn.err != nil {
 		return 0
 	}
 	v, err := rn.ctx.BEAloneIPC(app, threads)
-	if err != nil {
-		rn.err = err
-	}
-	return v
-}
-
-func (rn *runner) emu(lcs []LCSpec, beApp string, beThreads, normThreads int, r RunResult) float64 {
-	if rn.err != nil {
-		return 0
-	}
-	v, err := rn.ctx.EMU(lcs, beApp, beThreads, normThreads, r)
 	if err != nil {
 		rn.err = err
 	}

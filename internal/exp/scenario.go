@@ -61,16 +61,6 @@ func mustMethod(name string) Method {
 	return m
 }
 
-// methodsOf derives a figure's method list from its scenario's policy axis.
-func methodsOf(sc *scenario.Scenario) []Method {
-	names := sc.MustAxis("policy").Strings()
-	out := make([]Method, len(names))
-	for i, n := range names {
-		out[i] = mustMethod(n)
-	}
-	return out
-}
-
 // beThreads caps a scenario's declared BE thread count at the scale's bound:
 // the builtins declare the paper's 7-thread stressor, which coarser test
 // scales shrink along with everything else.

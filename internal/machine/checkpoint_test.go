@@ -374,23 +374,3 @@ func TestRestoreRejectsForeignGeometry(t *testing.T) {
 		t.Error("rejected restore still mutated the machine")
 	}
 }
-
-// TestCustomStreamNotCheckpointable: tasks whose instruction stream lives
-// outside the machine cannot be snapshotted, and say so up front.
-func TestCustomStreamNotCheckpointable(t *testing.T) {
-	stream := workload.NewBEStream(workload.BEApps()[workload.IBench], 1, sim.NewRNG(7))
-	tasks := []TaskSpec{
-		lcTask(workload.Silo, 5000),
-		{Kind: TaskBE, CustomStream: stream, Seed: 2},
-	}
-	m := MustNew(KunpengConfig(4), Options{Policy: PolicyDefault}, tasks)
-	if err := m.Checkpointable(); err == nil {
-		t.Fatal("custom-stream machine claims to be checkpointable")
-	}
-	if _, err := m.SnapshotState(); err == nil {
-		t.Fatal("custom-stream machine produced a snapshot")
-	}
-	if _, _, err := m.TryRestore(t.TempDir()); err == nil {
-		t.Fatal("custom-stream machine attempted a restore")
-	}
-}

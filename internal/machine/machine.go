@@ -16,7 +16,6 @@ import (
 	"pivot/internal/loadgen"
 	"pivot/internal/mba"
 	"pivot/internal/mem"
-	"pivot/internal/prefetch"
 	"pivot/internal/profile"
 	"pivot/internal/rrbp"
 	"pivot/internal/sim"
@@ -60,11 +59,6 @@ type TaskSpec struct {
 	// bandwidth at its operating load. Zero falls back to
 	// Options.ExpectedLCBW.
 	ExpectedBW float64
-
-	// CustomStream overrides the generated instruction stream for a BE
-	// task — used for trace replay (internal/trace) and custom workloads.
-	// Ignored for LC tasks, whose stream is the request load generator.
-	CustomStream cpu.Stream
 
 	Seed uint64
 }
@@ -110,9 +104,6 @@ type Options struct {
 	// the effective L1 miss buffers (DESIGN.md §6.1); the ablation
 	// experiment turns this on to quantify explicit prefetching.
 	Prefetch bool
-
-	// PrefetchCfg overrides the prefetcher geometry (zero value = default).
-	PrefetchCfg prefetch.Config
 
 	// WatchdogWindow enables the forward-progress watchdog: if no core
 	// commits an instruction for this many cycles, StepChecked aborts the run
@@ -296,8 +287,6 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 			hooks.IsCritical, hooks.SkipCritical = m.criticalHook(lc)
 			hooks.OnLoadRetire = m.retireHook(lc)
 			m.lcs = append(m.lcs, lc)
-		} else if spec.CustomStream != nil {
-			stream = spec.CustomStream
 		} else {
 			be := workload.NewBEStream(spec.BE, i, rng.Fork())
 			m.bes[i] = be

@@ -180,11 +180,8 @@ func newCorePort(m *Machine, id int, isLC bool) *corePort {
 		mshr: cache.NewMSHRFile(m.Cfg.L1.MSHRs),
 	}
 	if m.Opt.Prefetch {
-		cfg := m.Opt.PrefetchCfg
-		if cfg == (prefetch.Config{}) {
-			cfg = prefetch.DefaultConfig()
-			cfg.LineBytes = m.Cfg.L1.LineBytes
-		}
+		cfg := prefetch.DefaultConfig()
+		cfg.LineBytes = m.Cfg.L1.LineBytes
 		p.pf = prefetch.New(cfg)
 	}
 	return p

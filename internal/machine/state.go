@@ -113,36 +113,30 @@ type MachineState struct {
 
 // Fingerprint hashes the machine's identity — config, options and task specs
 // — so a checkpoint is only ever restored into a machine built from the same
-// inputs. CustomStream values are opaque (only their presence is hashed), but
-// custom-stream machines refuse to snapshot anyway.
+// inputs.
 func (m *Machine) Fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "cfg:%+v|policy:%d|rrbp:%+v|cbp:%+v|msc:%d|prof:%t|ebw:%g|nsg:%t|samp:%d|pf:%t|pfcfg:%+v",
+	fmt.Fprintf(h, "cfg:%+v|policy:%d|rrbp:%+v|cbp:%+v|msc:%d|prof:%t|ebw:%g|nsg:%t|samp:%d|pf:%t",
 		m.Cfg, m.Opt.Policy, m.Opt.RRBP, m.Opt.CBP, m.Opt.DisableMSC,
 		m.Opt.Profile, m.Opt.ExpectedLCBW, m.Opt.NoStarvationGuard,
-		m.Opt.SampleRequests, m.Opt.Prefetch, m.Opt.PrefetchCfg)
+		m.Opt.SampleRequests, m.Opt.Prefetch)
 	for _, t := range m.tasks {
 		// Maps format with sorted keys, so Potential hashes deterministically.
 		// Load is a pure value (slices of values, no pointers or maps), so
 		// %+v formats it deterministically too; including it keys checkpoint
 		// directories by load shape.
-		fmt.Fprintf(h, "|task:%d:%+v:%+v:%g:%g:%d:%v:%t:%+v",
+		fmt.Fprintf(h, "|task:%d:%+v:%+v:%g:%g:%d:%v:%+v",
 			t.Kind, t.LC, t.BE, t.MeanInterarrival, t.ExpectedBW, t.Seed,
-			t.Potential, t.CustomStream != nil, t.Load)
+			t.Potential, t.Load)
 	}
 	return h.Sum64()
 }
 
 // Checkpointable reports whether the machine's state can be fully captured:
-// custom instruction streams and attached fault injectors hold state outside
-// the snapshot surface, so machines using them refuse to checkpoint rather
-// than restore silently wrong.
+// attached fault injectors hold state outside the snapshot surface, so
+// machines using them refuse to checkpoint rather than restore silently
+// wrong.
 func (m *Machine) Checkpointable() error {
-	for i, t := range m.tasks {
-		if t.CustomStream != nil {
-			return fmt.Errorf("machine: task %d uses a custom stream; not checkpointable", i)
-		}
-	}
 	if m.ic.Fault != nil || m.bus.Fault != nil || m.bw.Station.Fault != nil || m.mc.Fault != nil {
 		return fmt.Errorf("machine: fault injectors attached; not checkpointable")
 	}

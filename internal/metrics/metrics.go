@@ -94,7 +94,7 @@ type Table struct {
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddRowf appends a row, formatting each value with %v and floats as %.3g.
+// AddRowf appends a row, formatting each value with %v and floats as %.3f.
 func (t *Table) AddRowf(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
