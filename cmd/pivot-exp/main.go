@@ -7,8 +7,7 @@
 //	pivot-exp [-quick] [-cores n] <experiment-id>...
 //	pivot-exp [-quick] [-cores n] all
 //	pivot-exp [-quick] [-cores n] -scenario file.json
-//	pivot-exp -scenario file.json -workers n [-cache-dir d] [-csv-out f]
-//	pivot-exp worker -connect addr
+//	pivot-exp -scenario file.json [-cache-dir d] [-csv-out f]
 //
 // Each experiment prints a text table whose rows/series mirror the paper's
 // figure; EXPERIMENTS.md records the paper-vs-measured comparison.
@@ -40,18 +39,12 @@
 // -log-format=json emits machine-readable lines, and -version prints the
 // build fingerprint stamped into reports and journal entries.
 //
-// Distributed sweeps: -workers n spawns n local worker processes and leases
-// the scenario's units to them over a private unix socket (internal/fabric);
-// -listen accepts external workers (started with `pivot-exp worker -connect`)
-// on a unix socket or TCP address instead. Leases expire on missed
-// heartbeats, lost units re-lease with bounded retries, and the dead
-// worker's newest checkpoint frame migrates to the replacement so half-done
-// runs resume mid-simulation. -cache-dir keys every unit's result on
-// (build fingerprint, unit scenario, scale, cores, dense) in a
-// content-addressed cache, so re-running an edited sweep recomputes only the
-// changed units; a cache hit/miss summary goes to stderr. Distributed and
-// cached tables are byte-identical to in-process serial runs. -csv-out also
-// writes the unit table as CSV.
+// Result cache: with -scenario, -cache-dir keys every unit's result on
+// (executable digest, unit scenario, scale, cores, dense) in a
+// content-addressed cache, so re-running an edited sweep — or the same sweep
+// after rebuilding with different code — recomputes only the changed units;
+// a cache hit/miss summary goes to stderr. Cached tables are byte-identical
+// to uncached runs. -csv-out also writes the unit table as CSV.
 //
 // Crash safety: -checkpoint-dir makes each co-location run periodically
 // write its full machine state (every -checkpoint-interval cycles) so a
@@ -68,16 +61,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 
-	"pivot/internal/buildinfo"
 	"pivot/internal/cliutil"
 	"pivot/internal/exp"
-	"pivot/internal/fabric"
 	"pivot/internal/harness"
 	"pivot/internal/machine"
 	"pivot/internal/metrics"
@@ -87,11 +76,6 @@ import (
 )
 
 func main() {
-	// The worker subcommand has its own flag set; dispatch before flag.Parse.
-	if len(os.Args) > 1 && os.Args[1] == "worker" {
-		os.Exit(workerMain(os.Args[2:]))
-	}
-
 	quick := flag.Bool("quick", false, "use the fast (coarser) simulation scale")
 	cores := flag.Int("cores", 8, "simulated core count")
 	quiet := flag.Bool("quiet", false, "suppress calibration progress notes")
@@ -110,8 +94,6 @@ func main() {
 	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
 	scenarioPath := flag.String("scenario", "", "run a user scenario file (JSON) through the harness instead of experiment ids")
-	workers := flag.Int("workers", 0, "with -scenario: spawn this many local worker processes and distribute units to them")
-	listenAddr := flag.String("listen", "", "with -scenario: coordinator address for workers (unix socket path or host:port; default a private socket when -workers > 0)")
 	cacheDir := flag.String("cache-dir", "", "with -scenario: content-addressed result cache; unchanged units replay instead of recomputing")
 	csvOut := flag.String("csv-out", "", "with -scenario: also write the unit summary table as CSV here")
 	flightOut := flag.String("flight-out", "", "record per-request span chains on every run and write the last run's tail-attribution report here (.json/.csv/text by suffix)")
@@ -136,8 +118,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if (*workers > 0 || *listenAddr != "" || *cacheDir != "" || *csvOut != "") && *scenarioPath == "" {
-		fmt.Fprintln(os.Stderr, "pivot-exp: -workers/-listen/-cache-dir/-csv-out apply to -scenario sweeps")
+	if (*cacheDir != "" || *csvOut != "") && *scenarioPath == "" {
+		fmt.Fprintln(os.Stderr, "pivot-exp: -cache-dir/-csv-out apply to -scenario sweeps")
 		os.Exit(2)
 	}
 
@@ -207,67 +189,12 @@ func main() {
 		return
 	}
 
-	// Distributed sweeps: -workers/-listen stand up a coordinator that leases
-	// scenario units to worker processes (with lease expiry, bounded retries
-	// and mid-run checkpoint migration); -cache-dir replays unchanged units
-	// from a content-addressed result cache. With neither, the sweep runs
-	// in-process exactly as before.
-	var cache *fabric.Cache
+	var cache *harness.Cache
 	if *cacheDir != "" {
-		cache, err = fabric.OpenCache(*cacheDir)
+		cache, err = harness.OpenCache(*cacheDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
 			os.Exit(1)
-		}
-	}
-	var co *fabric.Coordinator
-	var sockDir string
-	var workerCmds []*exec.Cmd
-	if *workers > 0 || *listenAddr != "" {
-		addr := *listenAddr
-		if addr == "" {
-			sockDir, err = os.MkdirTemp("", "pivot-fabric-*")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
-				os.Exit(1)
-			}
-			addr = filepath.Join(sockDir, "coordinator.sock")
-		}
-		co, err = fabric.NewCoordinator(fabric.Config{
-			Addr: addr, Build: buildinfo.Fingerprint(), Logger: logger,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
-			os.Exit(1)
-		}
-		logger.Info("fabric coordinator up", "addr", co.Addr(), "workers", *workers)
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
-			os.Exit(1)
-		}
-		for i := 1; i <= *workers; i++ {
-			cmd := exec.Command(exe, "worker",
-				"-connect", co.Addr(), "-name", fmt.Sprintf("w%d", i), "-log-format", *logFormat)
-			if !*quiet {
-				cmd.Stderr = os.Stderr
-			}
-			if err := cmd.Start(); err != nil {
-				fmt.Fprintf(os.Stderr, "pivot-exp: spawning worker: %v\n", err)
-				os.Exit(1)
-			}
-			workerCmds = append(workerCmds, cmd)
-		}
-	}
-	shutdownFabric := func() {
-		if co != nil {
-			co.Close() // workers receive done and exit
-			for _, cmd := range workerCmds {
-				_ = cmd.Wait()
-			}
-		}
-		if sockDir != "" {
-			os.RemoveAll(sockDir)
 		}
 	}
 
@@ -280,13 +207,6 @@ func main() {
 	}
 	if !*quiet {
 		hcfg.Logger = logger
-	}
-	if co != nil {
-		hcfg.Executor = co.Executor(cache)
-		// Keep every worker busy: one unit in flight per worker at minimum.
-		if hcfg.Parallel < *workers {
-			hcfg.Parallel = *workers
-		}
 	}
 	runner, err := harness.New(hcfg)
 	if err != nil {
@@ -308,11 +228,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
 			os.Exit(2)
 		}
-		if co == nil && cache != nil {
-			// No fabric: the cache still short-circuits unchanged units for the
-			// in-process path.
-			jobs = fabric.CachedJobs(cache, buildinfo.Fingerprint(), jobs)
-		}
+		jobs = harness.CachedJobs(cache, jobs)
 	} else {
 		ids := args
 		if args[0] == "all" {
@@ -329,7 +245,6 @@ func main() {
 		}
 	}
 	results := runner.RunContext(runCtx, jobs)
-	shutdownFabric()
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "pivot-exp: result cache: %d hit(s), %d miss(es)\n",
 			cache.Hits(), cache.Misses())
@@ -462,10 +377,9 @@ func usage() {
                  [-checkpoint-dir d] [-checkpoint-interval n]
                  [-stats-out f] [-timeline-out f]
                  [-flight-out f [-flight-top n] [-flight-sample n]]
-                 [-workers n] [-listen addr] [-cache-dir d] [-csv-out f]
+                 [-cache-dir d] [-csv-out f]
                  [-debug-addr a] [-log-format text|json] [-version]
                  <list | scenarios | all | experiment-id...> | -scenario file.json
-       pivot-exp worker -connect addr [-workdir d] [-name s]
 
 Regenerates the paper's figures/tables as text tables. Experiment ids:
 fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig12 fig13 fig13emu fig14 fig15 fig16
@@ -473,8 +387,6 @@ fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 sens table1 table2
 table3 storage
 
 "scenarios" lists the declarative builtin scenarios; -scenario runs a user
-scenario file through the parallel harness. -workers/-listen distribute a
-scenario sweep across worker processes with lease recovery and checkpoint
-migration; -cache-dir replays unchanged units from a content-addressed
-result cache.`)
+scenario file through the parallel harness; -cache-dir replays its
+unchanged units from a content-addressed result cache.`)
 }

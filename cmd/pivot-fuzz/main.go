@@ -2,11 +2,11 @@
 // differential oracles and replays recorded findings.
 //
 // Campaign mode generates -n random valid scenarios from -seed and checks
-// each against the oracle bank (codec round-trip, skip-ahead vs dense
-// equivalence, checkpoint kill-and-resume, flight-recorder purity, invariant
-// audit, fabric vs in-process sweep equality). Failures are shrunk to
-// minimal reproductions and recorded under
-// -corpus as replayable directories:
+// each against the six-oracle bank (codec round-trip, skip-ahead vs dense
+// equivalence, checkpoint kill-and-resume, flight-recorder purity,
+// stationary-load neutrality, invariant audit). Failures are shrunk to
+// minimal reproductions and recorded under -corpus as replayable
+// directories:
 //
 //	pivot-fuzz -seed 1 -n 200 -corpus corpus/
 //

@@ -230,12 +230,6 @@ type Context struct {
 	// 0 = machine.DefaultCheckpointInterval.
 	CheckpointInterval sim.Cycle
 
-	// OnResume, when set, is called with the resume cycle whenever a
-	// checkpointed run restores from a previous checkpoint instead of
-	// starting fresh. Purely observational (the fabric reports migrated-run
-	// resumes through it); results are identical with or without it.
-	OnResume func(sim.Cycle)
-
 	// runCtx bounds every simulation this Context executes (wall-clock
 	// deadline / cancellation); nil means context.Background().
 	runCtx context.Context

@@ -251,9 +251,6 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 			machine.CheckpointConfig{Dir: dir, Interval: ctx.CheckpointInterval})
 		if resumed > 0 {
 			ctx.logf("  %s: resumed from checkpoint at cycle %d", spec.Method.Name, resumed)
-			if ctx.OnResume != nil {
-				ctx.OnResume(resumed)
-			}
 		}
 		if err == nil {
 			// The run completed; its checkpoints have nothing left to

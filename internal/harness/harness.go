@@ -2,7 +2,9 @@
 // experiment jobs in parallel, converts panics into structured errors with a
 // machine diagnostic attached, bounds each run with a wall-clock deadline,
 // retries transient host failures with backoff, and journals completed runs
-// so an interrupted sweep resumes without recomputing.
+// so an interrupted sweep resumes without recomputing. A content-addressed
+// result cache (Cache) lets an edited scenario sweep recompute only the
+// units whose inputs changed.
 //
 // Determinism: each simulation's state lives entirely inside its own
 // machine, and the exp.Context caches are synchronised, so a sweep run with
@@ -50,25 +52,16 @@ type Config struct {
 	// Progress, when set, is fed live sweep telemetry (units done/failed and
 	// the current job label) for the /progress debug endpoint.
 	Progress *stats.Progress
-	// Executor, when set, replaces each job's Run with an alternate execution
-	// strategy (e.g. dispatch to a fabric coordinator). The executor receives
-	// the full Job, so it can inspect Payload and fall back to job.Run for
-	// jobs it cannot place elsewhere. Retry, timeout, panic capture and
-	// journaling apply to the executor exactly as they would to Run.
-	Executor Executor
 }
-
-// Executor is a pluggable job execution strategy (see Config.Executor).
-type Executor func(ctx context.Context, job Job) (any, error)
 
 // Job is one unit of work. Run receives a context carrying the per-run
 // deadline; its returned value must be JSON-marshalable for journaling.
-// Payload, when set, is a serialisable description of the work that an
-// Executor can ship to another process; the in-process path ignores it.
+// Key, when set, is the content address of the job's result (CacheKey);
+// CachedJobs serves keyed jobs from a Cache.
 type Job struct {
-	ID      string
-	Run     func(ctx context.Context) (any, error)
-	Payload any
+	ID  string
+	Run func(ctx context.Context) (any, error)
+	Key string
 }
 
 // Result is the outcome of one job, in job order.
@@ -301,8 +294,5 @@ func (r *Runner) attempt(parent context.Context, job Job) (v any, err error) {
 			v, err = nil, &machine.PanicError{Value: p, Stack: string(debug.Stack())}
 		}
 	}()
-	if r.cfg.Executor != nil {
-		return r.cfg.Executor(ctx, job)
-	}
 	return job.Run(ctx)
 }

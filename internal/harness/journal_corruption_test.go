@@ -144,8 +144,8 @@ func TestFailureEntriesReRunAndAreReported(t *testing.T) {
 
 func TestResumeReplaysForeignFingerprintEntries(t *testing.T) {
 	// An entry computed by a different build replays — Version is an audit
-	// trail for `pivot-exp`-level tooling, not a cache key. (The fabric's
-	// content-addressed cache is the layer that keys on the build.)
+	// trail for `pivot-exp`-level tooling, not a cache key. (The result
+	// cache in cache.go is the layer that keys on the build.)
 	path := journalFile(t, `{"id":"a","version":"pivot v0.0.0-archaeology","value":"old-result"}`+"\n")
 	runs := 0
 	results := resumeRun(t, path, []Job{countingJob("a", &runs)})

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -42,35 +41,13 @@ func SpecJobs(ctx *exp.Context, specs []exp.RunSpec) []Job {
 	return jobs
 }
 
-// UnitPayload is the serialisable description of one scenario run unit: the
-// canonical encoding of the unit's resolved scenario plus the execution
-// settings that shape its result. It is everything a worker process needs to
-// reproduce the run bit-identically, and everything a result cache needs to
-// key on. Fields deliberately mirror the inputs of exp.Context.Run for a
-// scenario unit; anything that can change the result must be here.
-type UnitPayload struct {
-	// Index and Label locate the unit within its sweep (display only; the
-	// cache key excludes them so duplicate units dedupe).
-	Index int    `json:"index"`
-	Label string `json:"label"`
-	// Scenario is the unit's resolved (sweep-free) scenario, canonically
-	// encoded; workers strict-parse it back.
-	Scenario json.RawMessage `json:"scenario"`
-	// Scale, Cores and Dense pin the executing context's configuration.
-	Scale exp.Scale `json:"scale"`
-	Cores int       `json:"cores"`
-	Dense bool      `json:"dense,omitempty"`
-	// CkptEvery is the checkpoint interval (simulated cycles) workers apply;
-	// 0 means the machine default.
-	CkptEvery uint64 `json:"ckpt_every,omitempty"`
-}
-
 // ScenarioJobs expands a validated scenario into one job per run unit,
 // against the context the scenario's machine stanza selects. The returned
 // labels parallel the jobs (labels[i] names jobs[i]'s unit) and feed
-// exp.ScenarioTable once the harness delivers the results. Each job also
-// carries a UnitPayload so a fabric executor can ship it to worker
-// processes instead of running it here.
+// exp.ScenarioTable once the harness delivers the results. Each job is keyed
+// for the result cache (CachedJobs) by its unit's content; when the running
+// executable cannot be read for a build key the jobs stay unkeyed, and
+// OpenCache refuses to open, so no unkeyed job ever meets a cache.
 func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
@@ -79,6 +56,7 @@ func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, err
 	if err != nil {
 		return nil, nil, err
 	}
+	build, buildErr := buildKey()
 	resolve := ctx.UnitResolver()
 	jobs := make([]Job, len(units))
 	labels := make([]string, len(units))
@@ -96,15 +74,9 @@ func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, err
 			Run: func(rc context.Context) (any, error) {
 				return rctx.WithRunContext(rc).Run(spec)
 			},
-			Payload: &UnitPayload{
-				Index:     i,
-				Label:     labels[i],
-				Scenario:  json.RawMessage(u.Scenario.MustEncode()),
-				Scale:     ctx.Scale,
-				Cores:     ctx.Cfg.Cores,
-				Dense:     ctx.Dense,
-				CkptEvery: uint64(ctx.CheckpointInterval),
-			},
+		}
+		if buildErr == nil {
+			jobs[i].Key = CacheKey(build, u.Scenario.MustEncode(), ctx.Scale, ctx.Cfg.Cores, ctx.Dense)
 		}
 	}
 	return jobs, labels, nil

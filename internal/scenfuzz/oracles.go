@@ -45,7 +45,6 @@ func Oracles() []Oracle {
 		{"flight", "the flight recorder changes nothing observable", flightCheck},
 		{"stationary", "a task without a load stanza equals one shaped by the neutral flat program", stationaryCheck},
 		{"audit", "the run completes cleanly under auditor, watchdog and cycle budget", auditCheck},
-		{"fabric", "a coordinator/worker sweep renders tables byte-identical to the in-process path", fabricCheck},
 	}
 }
 

@@ -12,10 +12,10 @@
 //     fresh machine finishes byte-identical to an uninterrupted run;
 //   - flight: attaching the per-request flight recorder changes nothing
 //     observable (state minus the recorder's own section, snapshot);
+//   - stationary: a task without a load stanza runs byte-identical to one
+//     shaped by the neutral flat load program;
 //   - audit: the run completes cleanly under the invariant auditor, the
-//     forward-progress watchdog and a cycle budget;
-//   - fabric: distributing the scenario's units across the coordinator/worker
-//     sweep fabric renders a table byte-identical to the in-process path.
+//     forward-progress watchdog and a cycle budget.
 //
 // A failing scenario is handed to a greedy shrinker (Shrink) that minimises
 // it while preserving the failing oracle, and the minimized spec plus a full

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # kill_resume_smoke.sh — end-to-end crash-recovery proof for pivot-exp.
 #
-# Runs an experiment sweep three ways:
+# Two sweeps — an experiment sweep (fig5 fig6) and a scenario sweep
+# (examples/scenarios/sweep.json) — each run three ways:
 #   1. uninterrupted, as the reference;
 #   2. with journal + checkpoints, SIGKILLed mid-sweep;
 #   3. resumed from the journal and checkpoints of (2).
-# The recovered output must be byte-identical to the reference. The kill lands wherever it lands — during calibration,
-# mid-simulation, or (on a very fast host) after completion; recovery must
-# produce identical tables in every case, so the check is deterministic even
-# though the kill point is not.
+# The recovered output must be byte-identical to the reference. The kill
+# lands wherever it lands — during calibration, mid-simulation, or (on a very
+# fast host) after completion; recovery must produce identical tables in
+# every case, so the check is deterministic even though the kill point is
+# not.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,26 +19,40 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
 go build -o "$work/pivot-exp" ./cmd/pivot-exp
-args=(-quick -cores 4 -quiet fig5 fig6)
 
-echo "== reference (uninterrupted) =="
-"$work/pivot-exp" "${args[@]}" > "$work/ref.txt"
+# kill_resume NAME KILL_AFTER_SECONDS ARGS... runs one sweep the three ways.
+kill_resume() {
+    local name=$1 delay=$2
+    shift 2
+    local dir="$work/$name"
+    mkdir -p "$dir"
 
-echo "== interrupted run (SIGKILL mid-sweep) =="
-"$work/pivot-exp" -journal "$work/journal.jsonl" -checkpoint-dir "$work/ckpt" \
-    "${args[@]}" > "$work/killed.txt" 2> "$work/killed.err" &
-pid=$!
-sleep 3
-kill -KILL "$pid" 2>/dev/null || echo "(sweep finished before the kill)"
-wait "$pid" 2>/dev/null || true
+    echo "== $name: reference (uninterrupted) =="
+    "$work/pivot-exp" "$@" > "$dir/ref.txt"
 
-echo "== resumed run =="
-"$work/pivot-exp" -journal "$work/journal.jsonl" -resume -checkpoint-dir "$work/ckpt" \
-    "${args[@]}" > "$work/resumed.txt"
+    echo "== $name: interrupted run (SIGKILL after ${delay}s) =="
+    "$work/pivot-exp" -journal "$dir/journal.jsonl" -checkpoint-dir "$dir/ckpt" \
+        "$@" > "$dir/killed.txt" 2> "$dir/killed.err" &
+    local pid=$!
+    sleep "$delay"
+    kill -KILL "$pid" 2>/dev/null || echo "(sweep finished before the kill)"
+    wait "$pid" 2>/dev/null || true
+    echo "   at the kill: $(grep -c . "$dir/journal.jsonl" 2>/dev/null || echo 0) journaled job(s)," \
+        "$(find "$dir/ckpt" -type f 2>/dev/null | wc -l) checkpoint file(s)"
 
-if ! cmp -s "$work/ref.txt" "$work/resumed.txt"; then
-    echo "FAIL: resumed output differs from the uninterrupted reference" >&2
-    diff "$work/ref.txt" "$work/resumed.txt" >&2 || true
-    exit 1
-fi
-echo "OK: resumed output is byte-identical to the uninterrupted reference"
+    echo "== $name: resumed run =="
+    "$work/pivot-exp" -journal "$dir/journal.jsonl" -resume -checkpoint-dir "$dir/ckpt" \
+        "$@" > "$dir/resumed.txt"
+
+    if ! cmp -s "$dir/ref.txt" "$dir/resumed.txt"; then
+        echo "FAIL: $name: resumed output differs from the uninterrupted reference" >&2
+        diff "$dir/ref.txt" "$dir/resumed.txt" >&2 || true
+        exit 1
+    fi
+    echo "OK: $name: resumed output is byte-identical to the uninterrupted reference"
+}
+
+kill_resume experiments 3 -quick -cores 4 -quiet fig5 fig6
+# Frequent checkpoints so the unit in flight at the kill resumes mid-run.
+kill_resume scenario 1.5 -quick -quiet -checkpoint-interval 25000 \
+    -scenario examples/scenarios/sweep.json
