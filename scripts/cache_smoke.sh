@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # cache_smoke.sh — end-to-end proof for pivot-exp's -cache-dir result cache.
 #
-# Runs examples/scenarios/sweep.json four ways:
+# Runs examples/scenarios/fleet.json four ways:
 #   1. uncached, as the reference;
 #   2. into an empty cache: byte-identical to (1), every unit a miss;
 #   3. again from the same cache: byte-identical to (1), every unit a hit;
@@ -26,7 +26,7 @@ summary() {
 }
 
 go build -o "$work/pivot-exp" ./cmd/pivot-exp
-args=(-quick -quiet -scenario examples/scenarios/sweep.json)
+args=(-quick -quiet -scenario examples/scenarios/fleet.json)
 
 echo "== reference (uncached) =="
 "$work/pivot-exp" "${args[@]}" > "$work/ref.txt"

@@ -2,7 +2,7 @@
 # kill_resume_smoke.sh — end-to-end crash-recovery proof for pivot-exp.
 #
 # Two sweeps — an experiment sweep (fig5 fig6) and a scenario sweep
-# (examples/scenarios/sweep.json) — each run three ways:
+# (examples/scenarios/fleet.json) — each run three ways:
 #   1. uninterrupted, as the reference;
 #   2. with journal + checkpoints, SIGKILLed mid-sweep;
 #   3. resumed from the journal and checkpoints of (2).
@@ -55,4 +55,4 @@ kill_resume() {
 kill_resume experiments 3 -quick -cores 4 -quiet fig5 fig6
 # Frequent checkpoints so the unit in flight at the kill resumes mid-run.
 kill_resume scenario 1.5 -quick -quiet -checkpoint-interval 25000 \
-    -scenario examples/scenarios/sweep.json
+    -scenario examples/scenarios/fleet.json
