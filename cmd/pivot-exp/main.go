@@ -371,8 +371,21 @@ func writeTimeline(ctx *exp.Context, path string) error {
 	return harness.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: pivot-exp [-quick] [-cores n] [-quiet] [-parallel n] [-timeout d]
+func usage() { fmt.Fprint(os.Stderr, usageText()) }
+
+// usageText is the help text; its experiment-id list comes from the registry.
+func usageText() string {
+	var ids, line string
+	for _, id := range exp.IDs() {
+		if line != "" && len(line)+1+len(id) > 72 {
+			ids, line = ids+line+"\n", ""
+		}
+		if line != "" {
+			line += " "
+		}
+		line += id
+	}
+	return `usage: pivot-exp [-quick] [-cores n] [-quiet] [-parallel n] [-timeout d]
                  [-journal f [-resume]] [-audit] [-watchdog n]
                  [-checkpoint-dir d] [-checkpoint-interval n]
                  [-stats-out f] [-timeline-out f]
@@ -382,11 +395,10 @@ func usage() {
                  <list | scenarios | all | experiment-id...> | -scenario file.json
 
 Regenerates the paper's figures/tables as text tables. Experiment ids:
-fig1 fig2 fig3 fig5 fig6 fig7 fig8 fig12 fig13 fig13emu fig14 fig15 fig16
-fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 sens table1 table2
-table3 storage
+` + ids + line + `
 
 "scenarios" lists the declarative builtin scenarios; -scenario runs a user
 scenario file through the parallel harness; -cache-dir replays its
-unchanged units from a content-addressed result cache.`)
+unchanged units from a content-addressed result cache.
+`
 }

@@ -7,11 +7,8 @@
 //
 //	pivotsim -lc masstree -ia 4000 -be ibench -threads 7 -policy pivot
 //
-// Scenario mode: -scenario file.json ignores the per-task flags and runs a
-// declarative scenario (see README "Scenarios" and examples/scenarios/)
-// through validation, sweep expansion and execution, printing one summary row
-// per expanded run unit. -quick selects the coarse calibration scale and
-// -quiet suppresses progress notes.
+// Declarative scenario files (see README "Scenarios" and
+// examples/scenarios/) run through `pivot-exp -scenario file.json`.
 //
 // Crash safety: with -checkpoint-dir the run periodically snapshots its full
 // machine state; rerunning the identical command resumes from the newest
@@ -33,16 +30,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"syscall"
 
 	"pivot"
 	"pivot/internal/checkpoint"
 	"pivot/internal/cliutil"
-	"pivot/internal/exp"
 	"pivot/internal/flight"
 	"pivot/internal/load"
 	"pivot/internal/machine"
@@ -65,10 +61,10 @@ var policies = map[string]pivot.Policy{
 func main() {
 	lcName := flag.String("lc", pivot.Masstree, "LC application (img-dnn|moses|xapian|silo|masstree)")
 	ia := flag.Float64("ia", 4000, "mean request inter-arrival in cycles (0 = closed loop)")
-	zipf := flag.Float64("zipf", 0, "Zipf skew theta of the LC task's reference popularity, in [0, 1) (0 = uniform; richer load shapes need -scenario)")
+	zipf := flag.Float64("zipf", 0, "Zipf skew theta of the LC task's reference popularity, in [0, 1) (0 = uniform; richer load shapes need a scenario file, run by pivot-exp -scenario)")
 	beName := flag.String("be", pivot.IBench, "BE application")
 	threads := flag.Int("threads", 7, "BE thread count")
-	policyName := flag.String("policy", "pivot", "partitioning policy: "+strings.Join(keys(), "|"))
+	policyName := flag.String("policy", "pivot", "partitioning policy: "+policyNames())
 	cores := flag.Int("cores", 8, "core count")
 	warmup := flag.Uint64("warmup", 400_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 600_000, "measured cycles")
@@ -84,10 +80,6 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the run here; an identical rerun resumes mid-simulation")
 	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario file (JSON) instead of the flag-built co-location")
-	quick := flag.Bool("quick", false, "with -scenario: use the fast (coarser) calibration scale")
-	quiet := flag.Bool("quiet", false, "with -scenario: suppress calibration progress notes")
-	csvOut := flag.String("csv-out", "", "with -scenario: also write the per-unit summary table as CSV here")
 	flightOut := flag.String("flight-out", "", "record per-request span chains and write the tail-attribution report here (.json/.csv/text by suffix)")
 	flightTop := flag.Int("flight-top", 32, "with -flight-out: keep full span chains for the N slowest requests")
 	flightSample := flag.Int("flight-sample", 0, "with -flight-out: lifecycle reservoir size (0 = default)")
@@ -116,33 +108,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("debug server up", "pprof", "http://"+addr+"/debug/pprof/", "progress", "http://"+addr+"/progress")
-	}
-
-	if *csvOut != "" && *scenarioPath == "" {
-		fmt.Fprintln(os.Stderr, "pivotsim: -csv-out requires -scenario (the flag-built run has no unit table)")
-		os.Exit(2)
-	}
-
-	if *scenarioPath != "" {
-		scale := exp.Full()
-		if *quick {
-			scale = exp.Quick()
-		}
-		progress := io.Writer(os.Stderr)
-		if *quiet {
-			progress = nil
-		}
-		opts := scenarioOpts{
-			cores: *cores, scale: scale, dense: *dense,
-			flightOut: *flightOut, flightTop: *flightTop, flightSample: *flightSample,
-			progress: liveProgress,
-			csvOut:   *csvOut,
-		}
-		if err := runScenario(os.Stdout, progress, *scenarioPath, opts); err != nil {
-			fmt.Fprintf(os.Stderr, "pivotsim: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	pol, ok := policies[*policyName]
@@ -342,10 +307,12 @@ func flightReport(m *pivot.Machine, policy, lc string) *flight.Report {
 	return rep
 }
 
-func keys() []string {
+// policyNames lists the -policy values, sorted so the help text is stable.
+func policyNames() string {
 	out := make([]string, 0, len(policies))
 	for k := range policies {
 		out = append(out, k)
 	}
-	return out
+	sort.Strings(out)
+	return strings.Join(out, "|")
 }

@@ -72,7 +72,7 @@ func TestCheckpointDirGating(t *testing.T) {
 	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodPARTIES()}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
 		t.Error("manager run granted a checkpoint dir")
 	}
-	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault(), Faults: &faultinject.Config{}}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
+	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault(), FaultPlan: &faultinject.Plan{}}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
 		t.Error("fault-injected run granted a checkpoint dir")
 	}
 	a := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, ctx.Scale.Warmup, ctx.Scale.Measure)

@@ -147,7 +147,7 @@ type shared struct {
 	logMu sync.Mutex
 
 	// cap is shared with sibling contexts (other machine configs derived via
-	// ForScenario): the caches above are per-config, but the most recent
+	// UnitResolver): the caches above are per-config, but the most recent
 	// instrumented run's artifacts must stay visible from the context the CLI
 	// holds, whichever config actually executed.
 	cap *capture

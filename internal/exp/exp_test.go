@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -187,13 +190,74 @@ func TestRegistryComplete(t *testing.T) {
 func TestMaxSecondLoadMonotoneGate(t *testing.T) {
 	ctx := tinyCtx()
 	// With PIVOT, two light LC tasks co-locate: the frontier must be > 0.
-	rn := ctx.runner()
-	got := rn.maxSecondLoad(MethodPIVOT(), workload.Silo, 30, workload.Xapian)
-	if rn.err != nil {
-		t.Fatal(rn.err)
+	got, err := frontier(ctx, RunSpec{Method: MethodPIVOT(),
+		LCs: []LCSpec{{App: workload.Silo, LoadPct: 30}, {App: workload.Xapian}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got == 0 {
+	if got == "0" {
 		t.Fatal("PIVOT frontier empty even at light load")
+	}
+}
+
+// TestCloudSuiteFreeCores pins the CloudSuite figures' free-core rule on a
+// machine smaller than the goldens' 8 cores: the BE tasks split the cores the
+// two LC tasks leave free, whatever the builtin declares (6 threads for
+// fig16, 3+3 for fig17), and the BE-alone baselines use the same counts.
+func TestCloudSuiteFreeCores(t *testing.T) {
+	for _, tc := range []struct {
+		id  string
+		per int // BE threads per task on 4 cores
+	}{{"fig16", 2}, {"fig17", 1}} {
+		t.Run(tc.id, func(t *testing.T) {
+			ctx := tinyCtx()
+			// One unit: the first app mix under Default.
+			sc := ctx.builtin(tc.id)
+			sc.Policy = "Default"
+			sc.Sweep = sc.Sweep[:1]
+			sc.Sweep[0].Values = sc.Sweep[0].Values[:1]
+			tbl, err := ctx.cloudSuite(sc, tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Rerun the unit with the expected thread counts: the row must
+			// match it cell for cell.
+			units := sc.MustExpand()
+			spec, err := ctx.SpecForUnit(units[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []string
+			var base float64
+			for i := range spec.BEs {
+				spec.BEs[i].Threads = tc.per
+				keys = append(keys, fmt.Sprintf("%s/%d", spec.BEs[i].App, tc.per))
+				alone, err := ctx.BEAloneIPC(spec.BEs[i].App, tc.per)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base += alone
+			}
+			r := tRun(t, ctx, spec)
+			row := tbl.Rows[0]
+			if want := fmt.Sprintf("%.2f", r.BEIPC/base); row[2] != want {
+				t.Errorf("BE tput = %s, want %s", row[2], want)
+			}
+			if want := fmt.Sprintf("%.3f", r.BWUtil); row[3] != want {
+				t.Errorf("BW util = %s, want %s", row[3], want)
+			}
+			// The projection computed no baseline at any other count.
+			sort.Strings(keys)
+			var got []string
+			for k := range ctx.sh.beAlone {
+				got = append(got, k)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, keys) {
+				t.Errorf("BE-alone baselines %v, want %v", got, keys)
+			}
+		})
 	}
 }
 

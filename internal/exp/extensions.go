@@ -38,42 +38,37 @@ func (c *AppCalib) AloneMeanAt(pct int) float64 {
 // when a mean-latency target is at risk. Reports mean and p95 latency and BE
 // throughput for PIVOT alone vs PIVOT+Hybrid.
 func (ctx *Context) Hybrid() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Extension (§VII): hybrid strong isolation — mean/p95/BE throughput",
-		Headers: []string{"app", "method", "mean", "mean target", "p95", "BE ipc", "MBA lvl"},
-	}
-	err := ctx.eachUnit("hybrid", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
-		lc := spec.LCs[0]
-		cal, err := ctx.Calib(lc.App)
-		if err != nil {
-			return err
-		}
-		meanTarget := 1.5 * cal.AloneMeanAt(lc.LoadPct)
-		r, err := ctx.Run(spec)
-		if err != nil {
-			return err
-		}
-		// PIVOT + hybrid strong isolation, reporting the MBA level it ends at.
-		h := manager.NewHybrid([]float64{meanTarget})
-		hr, err := ctx.run(spec, variant{manager: h})
-		if err != nil {
-			return err
-		}
-		for _, row := range []struct {
-			method string
-			r      RunResult
-			lvl    int
-		}{{"PIVOT", r, 100}, {"PIVOT+Hybrid", hr, h.Level()}} {
-			t.AddRow(lc.App, row.method,
-				fmt.Sprintf("%.0f", row.r.MeanLat[0]), fmt.Sprintf("%.0f", meanTarget),
-				fmt.Sprint(row.r.P95[0]), fmt.Sprintf("%.4f", row.r.BEIPC), fmt.Sprint(row.lvl))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return ctx.list(ctx.builtin("hybrid"), "Extension (§VII): hybrid strong isolation — mean/p95/BE throughput",
+		[]string{"app", "method", "mean", "mean target", "p95", "BE ipc", "MBA lvl"},
+		func(ctx *Context, _ *scenario.Scenario, spec RunSpec) ([][]string, error) {
+			lc := spec.LCs[0]
+			cal, err := ctx.Calib(lc.App)
+			if err != nil {
+				return nil, err
+			}
+			meanTarget := 1.5 * cal.AloneMeanAt(lc.LoadPct)
+			r, err := ctx.Run(spec)
+			if err != nil {
+				return nil, err
+			}
+			// PIVOT + hybrid strong isolation, reporting the MBA level it ends at.
+			h := manager.NewHybrid([]float64{meanTarget})
+			hr, err := ctx.run(spec, variant{manager: h})
+			if err != nil {
+				return nil, err
+			}
+			var rows [][]string
+			for _, row := range []struct {
+				method string
+				r      RunResult
+				lvl    int
+			}{{"PIVOT", r, 100}, {"PIVOT+Hybrid", hr, h.Level()}} {
+				rows = append(rows, []string{lc.App, row.method,
+					fmt.Sprintf("%.0f", row.r.MeanLat[0]), fmt.Sprintf("%.0f", meanTarget),
+					fmt.Sprint(row.r.P95[0]), fmt.Sprintf("%.4f", row.r.BEIPC), fmt.Sprint(row.lvl)})
+			}
+			return rows, nil
+		})
 }
 
 // NoProfile — §VII: multi-tenant clouds cannot offline-profile unknown LC
@@ -82,66 +77,54 @@ func (ctx *Context) Hybrid() (*metrics.Table, error) {
 // data-center-size footprints, where unfiltered loads alias destructively in
 // the 64-entry RRBP.
 func (ctx *Context) NoProfile() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Extension (§VII): PIVOT without offline profiling",
-		Headers: []string{"app", "footprint", "variant", "p95/QoS", "QoS", "BE ipc"},
-	}
-	err := ctx.eachUnit("noprofile", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
-		app := spec.LCs[0].App
-		cal, err := ctx.Calib(app)
-		if err != nil {
-			return err
-		}
-		footprint := fmt.Sprint(len(chasePCs(cal.App))+cal.App.PayloadPCs) + " loads"
-		for _, row := range []struct {
-			name string
-			v    variant
-		}{
-			{"two-phase (profiled)", variant{}},
-			{"online-only", variant{potential: func(string) profile.CriticalSet { return nil }}},
-		} {
-			r, err := ctx.run(spec, row.v)
+	return ctx.list(ctx.builtin("noprofile"), "Extension (§VII): PIVOT without offline profiling",
+		[]string{"app", "footprint", "variant", "p95/QoS", "QoS", "BE ipc"},
+		func(ctx *Context, _ *scenario.Scenario, spec RunSpec) ([][]string, error) {
+			app := spec.LCs[0].App
+			cal, err := ctx.Calib(app)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			t.AddRow(app, footprint, row.name,
-				fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
-				qosMark(r), fmt.Sprintf("%.4f", r.BEIPC))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+			footprint := fmt.Sprint(len(chasePCs(cal.App))+cal.App.PayloadPCs) + " loads"
+			var rows [][]string
+			for _, row := range []struct {
+				name string
+				v    variant
+			}{
+				{"two-phase (profiled)", variant{}},
+				{"online-only", variant{potential: func(string) profile.CriticalSet { return nil }}},
+			} {
+				r, err := ctx.run(spec, row.v)
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, []string{app, footprint, row.name,
+					fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
+					qosMark(r), fmt.Sprintf("%.4f", r.BEIPC)})
+			}
+			return rows, nil
+		})
 }
 
 // PrefetchAblation — DESIGN.md §6.1 folds hardware-prefetch concurrency into
 // the L1 miss buffers; this ablation turns the explicit stride prefetcher on
 // and reports what it changes for a streaming-payload LC task under PIVOT.
 func (ctx *Context) PrefetchAblation() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Ablation: explicit stride prefetcher (DESIGN.md §6.1)",
-		Headers: []string{"app", "prefetch", "p95/QoS", "BE ipc", "BW util"},
-	}
-	err := ctx.eachUnit("prefetch", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
-		app := spec.LCs[0].App
-		cal, err := ctx.Calib(app)
-		if err != nil {
-			return err
-		}
-		r, err := ctx.Run(spec)
-		if err != nil {
-			return err
-		}
-		t.AddRow(app, fmt.Sprint(spec.Opt.Prefetch),
-			fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
-			fmt.Sprintf("%.4f", r.BEIPC),
-			fmt.Sprintf("%.3f", r.BWUtil))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	return ctx.list(ctx.builtin("prefetch"), "Ablation: explicit stride prefetcher (DESIGN.md §6.1)",
+		[]string{"app", "prefetch", "p95/QoS", "BE ipc", "BW util"},
+		func(ctx *Context, _ *scenario.Scenario, spec RunSpec) ([][]string, error) {
+			app := spec.LCs[0].App
+			cal, err := ctx.Calib(app)
+			if err != nil {
+				return nil, err
+			}
+			r, err := ctx.Run(spec)
+			if err != nil {
+				return nil, err
+			}
+			return [][]string{{app, fmt.Sprint(spec.Opt.Prefetch),
+				fmt.Sprintf("%.2f", float64(r.P95[0])/float64(cal.QoSTarget)),
+				fmt.Sprintf("%.4f", r.BEIPC),
+				fmt.Sprintf("%.3f", r.BWUtil)}}, nil
+		})
 }

@@ -14,21 +14,21 @@ import (
 // MBA and MPAM (a value above 1.0 on the QoS-normalised scale is a
 // violation). Shows MPAM failing to enforce QoS and MBA succeeding.
 func (ctx *Context) Fig01() (*metrics.Table, error) {
-	return ctx.grid("fig1", "Figure 1: normalized p95 latency vs QoS (>1.00 violates)",
+	return ctx.grid(ctx.builtin("fig1"), "Figure 1: normalized p95 latency vs QoS (>1.00 violates)",
 		byApp, byPolicy, normP95)
 }
 
 // Fig02 — memory bandwidth utilisation of MBA, MPAM, FullPath and PIVOT in
 // the same scenario. Shows the utilisation ordering MBA < FullPath < PIVOT.
 func (ctx *Context) Fig02() (*metrics.Table, error) {
-	return ctx.grid("fig2", "Figure 2: memory bandwidth utilisation (fraction of peak)",
+	return ctx.grid(ctx.builtin("fig2"), "Figure 2: memory bandwidth utilisation (fraction of peak)",
 		byApp, byPolicy, bwUtil)
 }
 
 // Fig03 — maximum normalised iBench throughput with no QoS violation
 // (normalised to 7-thread iBench running alone).
 func (ctx *Context) Fig03() (*metrics.Table, error) {
-	return ctx.grid("fig3", "Figure 3: max iBench throughput under QoS (vs 7-thread alone)",
+	return ctx.grid(ctx.builtin("fig3"), "Figure 3: max iBench throughput under QoS (vs 7-thread alone)",
 		byApp, byPolicy, maxBE(false))
 }
 
@@ -36,41 +36,34 @@ func (ctx *Context) Fig03() (*metrics.Table, error) {
 // per-component cycles of chase-load memory requests under Run Alone,
 // Co-location (Default) and Full Path.
 func (ctx *Context) Fig05() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title: "Figure 5: cycle split of Masstree critical loads per component",
-		Headers: []string{"scenario", "L2", "Interconnect", "LLC", "Bus",
-			"BWCtrl", "MemCtrl", "DRAM", "Resp", "total"},
-	}
-	err := ctx.eachUnit("fig5", func(ctx *Context, _ *scenario.Scenario, colo RunSpec) error {
-		// Only the chase loads count toward the split.
-		split := variant{splitFilter: chasePCs(ctx.lcParams(colo.LCs[0].App))}
-		alone, full := colo, colo
-		alone.BEs = nil
-		full.Method = MethodFullPath()
-		for _, row := range []struct {
-			name string
-			spec RunSpec
-		}{{"Run Alone", alone}, {"Co-location", colo}, {"Full Path", full}} {
-			r, err := ctx.run(row.spec, split)
-			if err != nil {
-				return err
+	return ctx.list(ctx.builtin("fig5"), "Figure 5: cycle split of Masstree critical loads per component",
+		[]string{"scenario", "L2", "Interconnect", "LLC", "Bus", "BWCtrl", "MemCtrl", "DRAM", "Resp", "total"},
+		func(ctx *Context, _ *scenario.Scenario, colo RunSpec) ([][]string, error) {
+			// Only the chase loads count toward the split.
+			split := variant{splitFilter: chasePCs(ctx.lcParams(colo.LCs[0].App))}
+			alone, full := colo, colo
+			alone.BEs = nil
+			full.Method = MethodFullPath()
+			var rows [][]string
+			for _, row := range []struct {
+				name string
+				spec RunSpec
+			}{{"Run Alone", alone}, {"Co-location", colo}, {"Full Path", full}} {
+				r, err := ctx.run(row.spec, split)
+				if err != nil {
+					return nil, err
+				}
+				cells := []string{row.name}
+				var total float64
+				for _, c := range []mem.Component{mem.CompL2, mem.CompInterconnect, mem.CompLLC,
+					mem.CompBus, mem.CompBWCtrl, mem.CompMemCtrl, mem.CompDRAM, mem.CompResp} {
+					cells = append(cells, fmt.Sprintf("%.0f", r.Split[c]))
+					total += r.Split[c]
+				}
+				rows = append(rows, append(cells, fmt.Sprintf("%.0f", total)))
 			}
-			cells := []string{row.name}
-			var total float64
-			for _, c := range []mem.Component{mem.CompL2, mem.CompInterconnect, mem.CompLLC,
-				mem.CompBus, mem.CompBWCtrl, mem.CompMemCtrl, mem.CompDRAM, mem.CompResp} {
-				cells = append(cells, fmt.Sprintf("%.0f", r.Split[c]))
-				total += r.Split[c]
-			}
-			cells = append(cells, fmt.Sprintf("%.0f", total))
-			t.AddRow(cells...)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+			return rows, nil
+		})
 }
 
 // chasePCs returns the chase-load PCs of an LC app's request generator. The
@@ -88,7 +81,7 @@ func chasePCs(app workload.LCParams) map[uint64]bool {
 // full-path prioritisation keeps every LC task within QoS even at the
 // highest contention.
 func (ctx *Context) Fig06() (*metrics.Table, error) {
-	return ctx.grid("fig6", "Figure 6: normalized p95 under FullPath vs #iBench threads",
+	return ctx.grid(ctx.builtin("fig6"), "Figure 6: normalized p95 under FullPath vs #iBench threads",
 		byApp, func(u *scenario.Scenario) string { return fmt.Sprintf("%d thr", u.Tasks[1].Threads) },
 		normP95)
 }
@@ -96,7 +89,7 @@ func (ctx *Context) Fig06() (*metrics.Table, error) {
 // Fig07 — leave-one-out: normalized p95 when one MSC does not enforce
 // priority. QoS violations appear whenever any single component opts out.
 func (ctx *Context) Fig07() (*metrics.Table, error) {
-	return ctx.grid("fig7", "Figure 7: normalized p95 with one MSC not enforcing priority",
+	return ctx.grid(ctx.builtin("fig7"), "Figure 7: normalized p95 with one MSC not enforcing priority",
 		byApp, func(u *scenario.Scenario) string {
 			if u.Options.DisableMSC == "" {
 				return "all MSCs"

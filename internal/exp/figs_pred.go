@@ -15,72 +15,73 @@ import (
 // when the LC task meets QoS, comparing CBP (memory controller only),
 // Binary-CBP + full path, and PIVOT.
 func (ctx *Context) Fig20() (*metrics.Table, error) {
-	return ctx.grid("fig20", "Figure 20: criticality predictors — max iBench throughput (%)",
+	return ctx.grid(ctx.builtin("fig20"), "Figure 20: criticality predictors — max iBench throughput (%)",
 		byAppLoad, byPolicy, maxBE(true))
 }
 
 // Fig21 — IPC and p95 of each LC task at 70% max load, running alone.
 func (ctx *Context) Fig21() (*metrics.Table, error) {
-	t := &metrics.Table{
-		Title:   "Figure 21: run-alone IPC and p95 at 70% max load",
-		Headers: []string{"app", "IPC", "p95 (cycles)", "QoS target"},
-	}
-	sc := scenario.MustBuiltin("fig21")
-	rn := ctx.runner()
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		r := rn.run(RunSpec{Method: mustMethod(sc.Policy),
-			LCs: []LCSpec{{App: app, LoadPct: sc.Tasks[0].LoadPct}}})
-		t.AddRow(app,
-			fmt.Sprintf("%.3f", r.LCIPC[0]),
-			fmt.Sprint(r.P95[0]),
-			fmt.Sprint(rn.calib(app).QoSTarget))
-	}
-	return t, rn.err
+	return ctx.list(ctx.builtin("fig21"), "Figure 21: run-alone IPC and p95 at 70% max load",
+		[]string{"app", "IPC", "p95 (cycles)", "QoS target"},
+		func(ctx *Context, _ *scenario.Scenario, spec RunSpec) ([][]string, error) {
+			app := spec.LCs[0].App
+			r, err := ctx.Run(spec)
+			if err != nil {
+				return nil, err
+			}
+			cal, err := ctx.Calib(app)
+			if err != nil {
+				return nil, err
+			}
+			return [][]string{{app, fmt.Sprintf("%.3f", r.LCIPC[0]), fmt.Sprint(r.P95[0]),
+				fmt.Sprint(cal.QoSTarget)}}, nil
+		})
 }
 
 // Fig22 — RRBP table-size sensitivity: BE throughput under PIVOT with 16,
 // 32, 64 and 128 entries, normalised to an unlimited (fully associative)
-// table, each LC at 70% load with the 7-thread iBench stressor.
+// table, each LC at 70% load with the 7-thread iBench stressor. Each app's
+// row opens with its rrbp_entries = -1 unit, the unlimited baseline, and
+// closes with whether every table size met QoS.
 func (ctx *Context) Fig22() (*metrics.Table, error) {
-	sc := scenario.MustBuiltin("fig22")
-	entries := sc.MustAxis("options.rrbp_entries").Ints() // -1 = unlimited baseline
-	var sized []int
-	headers := []string{"app"}
-	for _, n := range entries {
-		if n > 0 {
-			sized = append(sized, n)
-			headers = append(headers, fmt.Sprint(n))
-		}
-	}
-	headers = append(headers, "QoS all")
+	sc := ctx.builtin("fig22")
+	width := len(sc.MustAxis("options.rrbp_entries").Values)
 	t := &metrics.Table{
 		Title:   "Figure 22: BE throughput vs unlimited RRBP (1.00 = unlimited)",
-		Headers: headers,
+		Headers: []string{"app"},
 	}
-	rn := ctx.runner()
-	bes := []BESpec{{App: sc.Tasks[1].App, Threads: ctx.beThreads(sc.Tasks[1].ThreadCount())}}
-	for _, app := range sc.MustAxis("tasks[0].app").Strings() {
-		lcs := []LCSpec{{App: app, LoadPct: sc.Tasks[0].LoadPct}}
-		runWith := func(entries int) RunResult {
-			return rn.run(RunSpec{Method: mustMethod(sc.Policy), LCs: lcs, BEs: bes,
-				Opt: machine.Options{RRBP: rrbpSized(entries)}})
+	var unl RunResult
+	var row []string
+	err := ctx.eachUnit(sc, func(ctx *Context, u *scenario.Scenario, spec RunSpec) error {
+		r, err := ctx.Run(spec)
+		if err != nil {
+			return err
 		}
-		unl := runWith(-1)
-		cells := []string{app}
-		allQoS := unl.AllQoS
-		for _, n := range sized {
-			r := runWith(n)
-			ratio := 0.0
-			if unl.BEIPC > 0 {
-				ratio = r.BEIPC / unl.BEIPC
+		if u.Options.RRBPEntries < 0 {
+			unl, row = r, []string{u.Tasks[0].App}
+			return nil
+		}
+		if len(t.Rows) == 0 {
+			t.Headers = append(t.Headers, fmt.Sprint(u.Options.RRBPEntries))
+		}
+		ratio := 0.0
+		if unl.BEIPC > 0 {
+			ratio = r.BEIPC / unl.BEIPC
+		}
+		row = append(row, fmt.Sprintf("%.3f", ratio))
+		unl.AllQoS = unl.AllQoS && r.AllQoS
+		if len(row) == width { // the app label, then one ratio per sized table
+			if len(t.Rows) == 0 {
+				t.Headers = append(t.Headers, "QoS all")
 			}
-			cells = append(cells, fmt.Sprintf("%.3f", ratio))
-			allQoS = allQoS && r.AllQoS
+			t.AddRow(append(row, fmt.Sprint(unl.AllQoS))...)
 		}
-		cells = append(cells, fmt.Sprint(allQoS))
-		t.AddRow(cells...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return t, rn.err
+	return t, nil
 }
 
 // Sensitivity — the §VI-C text numbers: RRBP refresh interval, offline LLC
@@ -141,7 +142,7 @@ func (ctx *Context) Sensitivity() ([]*metrics.Table, error) {
 func (ctx *Context) avgEMU(opt machine.Options, v variant) (float64, error) {
 	var sum float64
 	units := 0
-	err := ctx.eachUnit("sens", func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
+	err := ctx.eachUnit(ctx.builtin("sens"), func(ctx *Context, _ *scenario.Scenario, spec RunSpec) error {
 		spec.Opt = opt
 		r, err := ctx.run(spec, v)
 		if err != nil {

@@ -104,7 +104,7 @@ func (ctx *Context) Table2() (*metrics.Table, error) {
 
 // Table3 — the Neoverse-like configuration actually instantiated.
 func (ctx *Context) Table3() (*metrics.Table, error) {
-	return configTable("Table III (Neoverse-like)", ctx.neoverse().Cfg), nil
+	return configTable("Table III (Neoverse-like)", machine.NeoverseConfig(ctx.Cfg.Cores)), nil
 }
 
 func configTable(title string, cfg machine.Config) *metrics.Table {

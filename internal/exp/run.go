@@ -88,14 +88,10 @@ type RunSpec struct {
 	Seed            uint64
 	Warmup, Measure sim.Cycle
 
-	// Faults, when non-nil, attaches seed-derived fault injectors to the four
-	// MSC stations before the run (see internal/faultinject). Used by
-	// resilience tests; production sweeps leave it nil.
-	Faults *faultinject.Config
-
-	// FaultPlan, when non-nil, attaches a per-station fault campaign instead
-	// (the execution form of a scenario's `faults` stanza; see FaultPlanFor).
-	// Like Faults, it excludes the run from checkpointing.
+	// FaultPlan, when non-nil, attaches a per-station fault campaign (the
+	// execution form of a scenario's `faults` stanza; see FaultPlanFor) before
+	// the run. It excludes the run from checkpointing: the injectors' state
+	// lives outside the machine snapshot.
 	FaultPlan *faultinject.Plan
 }
 
@@ -225,9 +221,6 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 				m.MBA().SetLevel(mem.PartID(i), spec.Method.MBALevel)
 			}
 		}
-	}
-	if spec.Faults != nil {
-		faultinject.Attach(m, *spec.Faults)
 	}
 	if spec.FaultPlan != nil {
 		faultinject.AttachPlan(m, *spec.FaultPlan)
@@ -367,7 +360,7 @@ func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 // re-invocation resumes its own checkpoints and different specs never
 // collide — even when several harness workers checkpoint concurrently.
 func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, measure sim.Cycle) string {
-	if ctx.CheckpointDir == "" || spec.Method.Manager != "" || spec.Faults != nil || spec.FaultPlan != nil {
+	if ctx.CheckpointDir == "" || spec.Method.Manager != "" || spec.FaultPlan != nil {
 		return ""
 	}
 	if m.Checkpointable() != nil {
@@ -460,71 +453,4 @@ func (ctx *Context) EMU(lcs []LCSpec, beApp string, beThreads, normThreads int, 
 		}
 	}
 	return sum * 100, nil
-}
-
-// runner is a sticky-error view of a Context for figure bodies: the first
-// failure latches and every subsequent call becomes a cheap no-op returning
-// zero values, so sweep loops stay expression-shaped (like bufio.Scanner)
-// and each figure ends with `return t, rn.err`.
-type runner struct {
-	ctx *Context
-	err error
-}
-
-func (ctx *Context) runner() *runner { return &runner{ctx: ctx} }
-
-// zeroResult pads the per-LC slices so figure code indexing r.P95[i] after a
-// latched error reads zeros instead of panicking.
-func zeroResult(nLC int) RunResult {
-	return RunResult{
-		P50: make([]uint32, nLC), P95: make([]uint32, nLC), P99: make([]uint32, nLC),
-		QoSMet: make([]bool, nLC), MeanLat: make([]float64, nLC), LCIPC: make([]float64, nLC),
-	}
-}
-
-func (rn *runner) run(spec RunSpec) RunResult {
-	if rn.err != nil {
-		return zeroResult(len(spec.LCs))
-	}
-	r, err := rn.ctx.Run(spec)
-	if err != nil {
-		rn.err = err
-		return zeroResult(len(spec.LCs))
-	}
-	return r
-}
-
-func (rn *runner) calib(app string) *AppCalib {
-	if rn.err == nil {
-		if c, err := rn.ctx.Calib(app); err == nil {
-			return c
-		} else {
-			rn.err = err
-		}
-	}
-	// Zero-valued stand-in: the figure's arithmetic on it is discarded once
-	// the latched error is returned.
-	return &AppCalib{Curve: []CurvePoint{{}}}
-}
-
-func (rn *runner) maxBE(mth Method, lcs []LCSpec, beApp string, normThreads int) float64 {
-	if rn.err != nil {
-		return 0
-	}
-	v, err := rn.ctx.MaxBEThroughput(mth, lcs, beApp, normThreads)
-	if err != nil {
-		rn.err = err
-	}
-	return v
-}
-
-func (rn *runner) beAlone(app string, threads int) float64 {
-	if rn.err != nil {
-		return 0
-	}
-	v, err := rn.ctx.BEAloneIPC(app, threads)
-	if err != nil {
-		rn.err = err
-	}
-	return v
 }

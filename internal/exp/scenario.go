@@ -17,9 +17,9 @@ import (
 
 // This file bridges the declarative scenario layer (internal/scenario) to
 // the execution layer: policy names become Methods, scenario options become
-// machine options, expanded run units become RunSpecs, and a whole user
-// scenario runs end to end. The builtin figure scenarios feed the figure
-// harnesses through the same translations.
+// machine options, and expanded run units become RunSpecs on the contexts
+// their machines resolve to. User scenarios (through the harness) and the
+// builtin figure scenarios run through the same translations.
 
 // Named method constructors for the CBP predictor comparison (§VI-B).
 func MethodCBP() Method { return Method{Name: "CBP", Policy: machine.PolicyCBP} }
@@ -52,15 +52,6 @@ func MethodByName(name string) (Method, bool) {
 	return Method{}, false
 }
 
-// mustMethod resolves a policy name a validated scenario carries.
-func mustMethod(name string) Method {
-	m, ok := MethodByName(name)
-	if !ok {
-		panic("exp: unknown policy " + name)
-	}
-	return m
-}
-
 // beThreads caps a scenario's declared BE thread count at the scale's bound:
 // the builtins declare the paper's 7-thread stressor, which coarser test
 // scales shrink along with everything else.
@@ -88,20 +79,6 @@ func ConfigFor(m scenario.Machine, defaultCores int) machine.Config {
 		cfg.BEWays = m.BEWays
 	}
 	return cfg
-}
-
-// ForScenario returns the context a scenario runs on: ctx itself when the
-// scenario keeps ctx's machine, otherwise a sibling context over the
-// requested configuration (sharing scale, robustness settings and run
-// context, recalibrating from scratch). Either way the scenario's inline
-// custom applications become resolvable by name on the returned context.
-func (ctx *Context) ForScenario(sc *scenario.Scenario) *Context {
-	out := ctx
-	if cfg := ConfigFor(sc.Machine, ctx.Cfg.Cores); cfg != ctx.Cfg {
-		out = ctx.sibling(cfg)
-	}
-	out.RegisterScenarioApps(sc)
-	return out
 }
 
 // RegisterScenarioApps makes a scenario's inline custom applications
@@ -146,13 +123,7 @@ func (ctx *Context) beParams(app string) workload.BEParams {
 
 // OptionsFor translates scenario options into machine options. Zero scenario
 // values stay zero here; machine.Options.normalize applies the defaults.
-// Exported for executors that build machines from scenarios without the
-// harness (the scenario fuzzer).
-func OptionsFor(o scenario.Options) machine.Options { return optionsFor(o) }
-
-// optionsFor translates scenario options into machine options. Zero scenario
-// values stay zero here; machine.Options.normalize applies the defaults.
-func optionsFor(o scenario.Options) machine.Options {
+func OptionsFor(o scenario.Options) machine.Options {
 	opt := machine.Options{
 		ExpectedLCBW:      o.ExpectedLCBW,
 		Prefetch:          o.Prefetch,
@@ -208,7 +179,8 @@ func rrbpSized(n int) rrbp.Config {
 
 // SpecForUnit converts one expanded scenario run unit into the harness's
 // execution form. Declared BE thread counts are honoured as-is (the core
-// budget was validated); run ForScenario first so inline custom apps resolve.
+// budget was validated). ctx must have the unit's inline custom apps registered
+// (UnitResolver does that).
 func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 	sc := u.Scenario
 	mth, ok := MethodByName(sc.Policy)
@@ -220,7 +192,7 @@ func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 	}
 	spec := RunSpec{
 		Method:    mth,
-		Opt:       optionsFor(sc.Options),
+		Opt:       OptionsFor(sc.Options),
 		Seed:      sc.Seed,
 		Warmup:    sim.Cycle(sc.Warmup),
 		Measure:   sim.Cycle(sc.Measure),
@@ -241,6 +213,19 @@ func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// sibling builds a context over another machine configuration: every knob
+// (scale, robustness, observability, checkpointing, run context) carries
+// over, but the calibration caches start empty, since knees shift with the
+// machine. The capture of the most recent instrumented run is
+// shared, so LastStats/LastTimeline/LastFlight on the original context see
+// runs executed on the sibling.
+func (ctx *Context) sibling(cfg machine.Config) *Context {
+	out := *ctx
+	out.Cfg = cfg
+	out.sh = newShared(ctx.sh.cap)
+	return &out
 }
 
 // UnitResolver returns a function resolving the context each run unit of a
@@ -266,37 +251,6 @@ func (ctx *Context) UnitResolver() func(scenario.RunUnit) *Context {
 		out.RegisterScenarioApps(sc)
 		return out
 	}
-}
-
-// RunScenario validates, expands and executes a user-authored scenario
-// serially, one row per run unit. cmd/pivot-exp runs the same units through
-// the parallel harness instead (harness.ScenarioJobs) and renders the rows
-// with ScenarioTable.
-func (ctx *Context) RunScenario(sc *scenario.Scenario) (*metrics.Table, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	units, err := sc.Expand()
-	if err != nil {
-		return nil, err
-	}
-	resolve := ctx.UnitResolver()
-	labels := make([]string, len(units))
-	results := make([]RunResult, len(units))
-	for i, u := range units {
-		rctx := resolve(u)
-		spec, err := rctx.SpecForUnit(u)
-		if err != nil {
-			return nil, err
-		}
-		labels[i] = UnitLabel(sc, u)
-		r, err := rctx.Run(spec)
-		if err != nil {
-			return nil, fmt.Errorf("exp: scenario %s, unit %q: %w", sc.Name, labels[i], err)
-		}
-		results[i] = r
-	}
-	return ScenarioTable(sc, labels, results), nil
 }
 
 // UnitLabel names a run unit in tables and job IDs; a sweep-free scenario's

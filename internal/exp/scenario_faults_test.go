@@ -108,9 +108,10 @@ func TestScenarioFaultsRun(t *testing.T) {
 	}
 }
 
-// TestScenarioMachineAxis runs a machine.cores sweep end to end through
-// RunScenario: per-unit sibling contexts build differently sized machines
-// and the summary table carries one row per geometry.
+// TestScenarioMachineAxis runs a machine.cores sweep end to end through the
+// harness's unit path (UnitResolver, SpecForUnit, Run, ScenarioTable):
+// per-unit sibling contexts build differently sized machines and the summary
+// table carries one row per geometry.
 func TestScenarioMachineAxis(t *testing.T) {
 	sc := &scenario.Scenario{
 		Version: scenario.Version,
@@ -126,6 +127,9 @@ func TestScenarioMachineAxis(t *testing.T) {
 		{Kind: scenario.KindLC, App: "masstree", Interarrival: 3_000},
 		{Kind: scenario.KindBE, App: "ibench", Threads: 1},
 	}
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	ctx := NewContext(machine.KunpengConfig(2), tinyScale())
 
 	// The axis must reach the built machine, not just the row label: each
@@ -136,20 +140,26 @@ func TestScenarioMachineAxis(t *testing.T) {
 		t.Fatalf("Expand: %v", err)
 	}
 	resolve := ctx.UnitResolver()
+	var labels []string
+	var results []RunResult
 	for i, wantCores := range []int{2, 4} {
-		cfg := resolve(units[i]).Cfg
+		uctx := resolve(units[i])
+		cfg := uctx.Cfg
 		if cfg.Cores != wantCores {
 			t.Errorf("unit %d resolved to %d cores, want %d", i, cfg.Cores, wantCores)
 		}
 		if want := wantCores * (2 << 20); cfg.LLC.SizeBytes != want {
 			t.Errorf("unit %d LLC is %d bytes, want %d", i, cfg.LLC.SizeBytes, want)
 		}
+		spec, err := uctx.SpecForUnit(units[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = append(labels, UnitLabel(sc, units[i]))
+		results = append(results, tRun(t, uctx, spec))
 	}
 
-	tbl, err := ctx.RunScenario(sc)
-	if err != nil {
-		t.Fatalf("RunScenario: %v", err)
-	}
+	tbl := ScenarioTable(sc, labels, results)
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("table has %d rows, want 2", len(tbl.Rows))
 	}

@@ -15,6 +15,7 @@ import (
 	"pivot/internal/exp"
 	"pivot/internal/faultinject"
 	"pivot/internal/machine"
+	"pivot/internal/mem"
 	"pivot/internal/workload"
 )
 
@@ -189,17 +190,17 @@ func sweepSpecs() []exp.RunSpec {
 			Method: methods[i%len(methods)],
 			LCs:    []exp.LCSpec{{App: workload.Masstree, LoadPct: 40 + 10*(i%3)}},
 			BEs:    []exp.BESpec{{App: workload.IBench, Threads: 1 + i%2}},
-			Faults: &faultinject.Config{
-				Seed:        uint64(100 + i),
-				DropProb:    0.005,
-				SpikeProb:   0.01,
-				SpikeCycles: 30,
-			},
 		}
+		cfg := faultinject.Config{DropProb: 0.005, SpikeProb: 0.01, SpikeCycles: 30}
 		if i == 4 {
 			// Rigged run: enough injected events to trip the panic mid-sweep.
-			spec.Faults.SpikeProb = 0.5
-			spec.Faults.PanicAfter = 200
+			cfg.SpikeProb = 0.5
+			cfg.PanicAfter = 200
+		}
+		// The same rates at all four stations.
+		spec.FaultPlan = &faultinject.Plan{Seed: uint64(100 + i), Stations: map[mem.Component]faultinject.Config{}}
+		for _, comp := range mem.MSCs {
+			spec.FaultPlan.Stations[comp] = cfg
 		}
 		specs = append(specs, spec)
 	}

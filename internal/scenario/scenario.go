@@ -271,20 +271,8 @@ type Axis struct {
 // Strings decodes a scalar axis's values as strings. It panics on type
 // mismatch; Validate has already type-checked every axis of a parsed or
 // builtin scenario.
-func (a Axis) Strings() []string { return decodeAll[string](a) }
-
-// Ints decodes a scalar axis's values as integers.
-func (a Axis) Ints() []int { return decodeAll[int](a) }
-
-// Bools decodes a scalar axis's values as booleans.
-func (a Axis) Bools() []bool { return decodeAll[bool](a) }
-
-// Tuples decodes a tuple axis's values as string tuples (the only tuple
-// element type the builtin figures sweep).
-func (a Axis) Tuples() [][]string { return decodeAll[[]string](a) }
-
-func decodeAll[T any](a Axis) []T {
-	out := make([]T, len(a.Values))
+func (a Axis) Strings() []string {
+	out := make([]string, len(a.Values))
 	for i, raw := range a.Values {
 		if err := json.Unmarshal(raw, &out[i]); err != nil {
 			panic(fmt.Sprintf("scenario: axis %s value %d: %v", a.name(), i, err))
@@ -326,24 +314,6 @@ func (s *Scenario) MustAxis(param string) Axis {
 		panic(fmt.Sprintf("scenario %s: no sweep axis %q", s.Name, param))
 	}
 	return a
-}
-
-// MustTupleAxis returns the scenario's single tuple axis, panicking when
-// there is not exactly one.
-func (s *Scenario) MustTupleAxis() Axis {
-	var found *Axis
-	for i := range s.Sweep {
-		if len(s.Sweep[i].Params) > 0 {
-			if found != nil {
-				panic(fmt.Sprintf("scenario %s: multiple tuple axes", s.Name))
-			}
-			found = &s.Sweep[i]
-		}
-	}
-	if found == nil {
-		panic(fmt.Sprintf("scenario %s: no tuple axis", s.Name))
-	}
-	return *found
 }
 
 // LCParams mirrors workload.LCParams with a stable snake_case JSON surface.

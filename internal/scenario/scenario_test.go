@@ -637,23 +637,11 @@ func TestExpandCombinationOverBudget(t *testing.T) {
 	}
 }
 
-// TestAxisAccessors checks the typed value decoders.
+// TestAxisAccessors checks the string value decoder.
 func TestAxisAccessors(t *testing.T) {
 	sa := strAxis("policy", "Default", "PIVOT")
 	if got := sa.Strings(); got[0] != "Default" || got[1] != "PIVOT" {
 		t.Errorf("Strings = %v", got)
-	}
-	ia := intAxis("tasks[0].load_pct", 10, 30)
-	if got := ia.Ints(); got[0] != 10 || got[1] != 30 {
-		t.Errorf("Ints = %v", got)
-	}
-	ba := boolAxis("options.prefetch", false, true)
-	if got := ba.Bools(); got[0] || !got[1] {
-		t.Errorf("Bools = %v", got)
-	}
-	ta := tupleAxis([]string{"a", "b"}, []string{"x", "y"})
-	if got := ta.Tuples(); got[0][0] != "x" || got[0][1] != "y" {
-		t.Errorf("Tuples = %v", got)
 	}
 }
 
@@ -717,11 +705,7 @@ func TestMustHelpers(t *testing.T) {
 	mustPanic("MustBuiltin", func() { MustBuiltin("fig99") })
 	s := MustBuiltin("fig1")
 	mustPanic("MustAxis", func() { s.MustAxis("tasks[9].app") })
-	mustPanic("MustTupleAxis", func() { s.MustTupleAxis() })
 	if a := s.MustAxis("policy"); len(a.Strings()) != 4 {
 		t.Errorf("fig1 policy axis has %d values", len(a.Strings()))
-	}
-	if a := MustBuiltin("fig15").MustTupleAxis(); len(a.Tuples()) != 2 {
-		t.Errorf("fig15 tuple axis has %d values", len(a.Tuples()))
 	}
 }
