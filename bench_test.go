@@ -105,13 +105,25 @@ func BenchmarkStorageBudget(b *testing.B) {
 // --- Micro-benchmarks of the hot simulation paths ---------------------------
 
 func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
+	benchCyclesPerSecond(b, machine.PolicyDefault)
+}
+
+// BenchmarkSimulatorCyclesPerSecondPIVOT runs the same mix under PIVOT, so
+// the MPAM-ranked scheduling at every MSC (and its memos) is on the clock.
+func BenchmarkSimulatorCyclesPerSecondPIVOT(b *testing.B) {
+	benchCyclesPerSecond(b, machine.PolicyPIVOT)
+}
+
+// benchCyclesPerSecond steps the Fig-1 mix (1 LC Silo + 3 BE iBench on the
+// 4-core Kunpeng config) under policy in 10,000-cycle granules.
+func benchCyclesPerSecond(b *testing.B, policy machine.Policy) {
 	tasks := []machine.TaskSpec{
 		{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 11},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 12},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 13},
 	}
-	m := machine.MustNew(machine.KunpengConfig(4), machine.Options{Policy: machine.PolicyDefault}, tasks)
+	m := machine.MustNew(machine.KunpengConfig(4), machine.Options{Policy: policy}, tasks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Engine.Step(10_000)

@@ -51,7 +51,8 @@ type Controller struct {
 	cfg Config
 
 	// MPAMEnabled turns class-based selection on (MPAM, FullPath, PIVOT all
-	// keep MPAM at this component; Default and MBA do not).
+	// keep MPAM at this component; Default and MBA do not). It is wiring:
+	// set it before the first Tick, since Rank caches depend on it.
 	MPAMEnabled bool
 
 	alloc   [8]Allocation
@@ -61,6 +62,11 @@ type Controller struct {
 
 	windowStart sim.Cycle
 	windowsDone uint64
+
+	// gen is the class generation RankGen reports: bumped whenever a window
+	// roll changes any class and on every RestoreState. Derived state, never
+	// serialised — consumers only compare it for equality.
+	gen uint64
 }
 
 // New wires a controller that forwards into down.
@@ -75,7 +81,7 @@ func New(cfg Config, down interconnect.Acceptor) *Controller {
 	for i := range c.class {
 		c.class[i] = ClassMedium
 	}
-	c.Station.Classify = c.classify
+	c.Station.Ranker = c
 	return c
 }
 
@@ -111,12 +117,19 @@ func (c *Controller) ClassOf(p mem.PartID) Class {
 	return ClassMedium
 }
 
-func (c *Controller) classify(r *mem.Req) int {
+// Rank implements mem.Ranker: a request's MPAM class, or 0 for every request
+// while MPAM is off. The controller's own station and, under PIVOT and
+// FullPath, every other MSC schedule by it.
+func (c *Controller) Rank(r *mem.Req) int {
 	if !c.MPAMEnabled {
 		return 0
 	}
 	return int(c.ClassOf(r.Part))
 }
+
+// RankGen implements mem.Ranker: the class generation, which changes only
+// when a window roll moves some partition's class or a snapshot is restored.
+func (c *Controller) RankGen() uint64 { return c.gen }
 
 // Accept counts the request against its partition's monitor, then enqueues.
 func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
@@ -184,6 +197,7 @@ func (c *Controller) rollWindow() {
 	if peak <= 0 {
 		peak = 1
 	}
+	prev := c.class
 	for p := range c.counted {
 		u := float64(c.counted[p]) / peak
 		c.usage[p] = u
@@ -199,5 +213,8 @@ func (c *Controller) rollWindow() {
 		default:
 			c.class[p] = ClassMedium
 		}
+	}
+	if c.class != prev {
+		c.gen++
 	}
 }

@@ -41,4 +41,5 @@ func (c *Controller) RestoreState(s ControllerState) {
 	c.class = s.Class
 	c.windowStart = s.WindowStart
 	c.windowsDone = s.WindowsDone
+	c.gen++ // classes may have changed under every cached rank
 }

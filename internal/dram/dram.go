@@ -76,6 +76,9 @@ type entry struct {
 	// ready is the earliest cycle the entry may be served (enq, plus any
 	// injected latency spike).
 	ready sim.Cycle
+	// rank is the Ranker's rank for req as of the controller's rankGen
+	// (normal queue only; 0 when unranked).
+	rank int
 }
 
 // Stats captures controller activity for the bandwidth-utilisation figures.
@@ -106,11 +109,15 @@ type Controller struct {
 	// PriorityEnabled routes critical requests to the dedicated queue.
 	PriorityEnabled bool
 
-	// Classify, when non-nil, ranks row-open normal-queue candidates
-	// (lower = served first; FCFS within a rank). PIVOT and FullPath hook
-	// MPAM's class function here so LC tasks' non-critical requests are
-	// ordered ahead of BE traffic inside the normal queue (§IV-D).
-	Classify func(r *mem.Req) int
+	// Ranker, when non-nil, ranks row-open normal-queue candidates
+	// (lower = served first; FCFS within a rank), and rank-0 entries claim
+	// their banks ahead of the rest. PIVOT and FullPath hook MPAM's classes
+	// here so LC tasks' non-critical requests are ordered ahead of BE
+	// traffic inside the normal queue (§IV-D).
+	Ranker mem.Ranker
+	// rankGen is the Ranker generation the cached entry ranks belong to.
+	// Derived state: never serialised; restore re-ranks.
+	rankGen uint64
 
 	busFreeAt []sim.Cycle // per channel
 
@@ -148,20 +155,21 @@ type Controller struct {
 	bankCh     []int32
 
 	// actSettled memoises startActivates: the earliest cycle at which another
-	// run could change any bank's state, valid only while the queues, banks
-	// and refresh clock stay untouched (every mutation invalidates it). Only
-	// used on the unranked, fault-free path — Classify reads MPAM classes
-	// that mutate outside the controller, and fault injectors perturb grant
-	// timing. Derived state: never serialised; restore invalidates it.
+	// run could change any bank's state, valid only while the queues, banks,
+	// refresh clock and ranks stay untouched (every mutation invalidates it;
+	// ranks change only with the Ranker generation, which Tick checks). Only
+	// used on the fault-free path — fault injectors perturb grant timing.
+	// Derived state: never serialised; restore invalidates it.
 	actSettled sim.Cycle
 
-	// pendClaimN holds normal-queue indices of entries accepted since the
-	// last full startActivates run while its memo stayed valid. An append is
-	// the one queue mutation a full re-scan handles incrementally: every
-	// older entry's claim is a no-op by the memo's own guarantee, so the next
-	// Tick claims just these tail entries instead of re-walking both queues.
-	// Any other mutation (serve, refresh, restore, priority accept) discards
-	// memo and list.
+	// pendClaimN holds normal-queue indices of entries whose claims a full
+	// startActivates run would make but the memo has not run yet, in the
+	// full scan's order (see claimsBefore): tail entries accepted while the
+	// memo stayed valid — every older entry's claim is a no-op by the memo's
+	// own guarantee — and a served entry's bank successor (repairAfterServe).
+	// The next Tick claims just these instead of re-walking both queues. Any
+	// other mutation (refresh, restore, priority traffic, a rank-0 append
+	// under a Ranker, a generation change) discards memo and list.
 	pendClaimN []int32
 
 	Stats Stats
@@ -276,6 +284,9 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	}
 	bank, row := c.decode(r.Addr)
 	e := entry{req: r, enq: now, bank: bank, row: row, ready: ready}
+	if !usePrio && c.Ranker != nil {
+		e.rank = c.Ranker.Rank(r)
+	}
 	r.Enter(mem.CompMemCtrl, now)
 	if usePrio {
 		c.prio = append(c.prio, e)
@@ -283,15 +294,17 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 		c.normal = append(c.normal, e)
 	}
 	// A new normal-queue tail may claim a previously idle bank. While the
-	// activation memo is valid (fault-free, unranked), the next Tick only
-	// needs to run claim for this tail entry — every older entry's claim is a
-	// no-op by the memo's own guarantee, and the tail gates on the same
-	// claimed-bank set a full re-scan would have built by the time it reached
-	// it. A priority accept cannot reuse the retained set: priority entries
-	// claim ahead of normal traffic, so a bank owned by a normal claimant
-	// must not gate them — fall back to a full re-scan for those (and for
-	// the never-memoised ranked/faulted paths).
-	if !usePrio && c.actSettled != 0 && now < c.actSettled && c.Fault == nil && c.Classify == nil {
+	// activation memo is valid (fault-free), the next Tick only needs to run
+	// claim for this tail entry — every older entry's claim is a no-op by the
+	// memo's own guarantee, and the tail gates on the same claimed-bank set a
+	// full re-scan would have built by the time it reached it. That holds
+	// only for an entry the full scan visits last. A priority entry claims
+	// ahead of normal traffic, and under a Ranker a rank-0 entry claims ahead
+	// of every other-rank one, so a bank such a claimant already owns must
+	// not gate it — fall back to a full re-scan for those (and for the
+	// never-memoised faulted path).
+	lastInScan := !usePrio && (c.Ranker == nil || e.rank != 0)
+	if lastInScan && c.actSettled != 0 && now < c.actSettled && c.Fault == nil {
 		c.pendClaimN = append(c.pendClaimN, int32(len(c.normal)-1))
 		if c.cfg.MaxWait > 0 && len(c.normal) == 1 {
 			// New head: the scan order changes when it starves.
@@ -313,17 +326,17 @@ func (c *Controller) invalidateAct() {
 }
 
 // repairAfterServe keeps the activation memo alive across a normal-queue
-// serve — the hottest invalidation by far — on the unranked, fault-free,
+// serve — the hottest invalidation by far — on the fault-free,
 // priority-empty path. Removing entry i changes exactly two things a full
-// re-scan would see: its bank may now belong to the queue-order-first entry
+// re-scan would see: its bank may now belong to the scan-order-first entry
 // still targeting it, and the queue may have a new head whose starvation
 // cycle reorders the scan. Both are folded into the memo: the new bank
 // winner is queued as a pending claim for the next Tick (the cycle a full
 // re-scan would have claimed it), and the head's starve cycle lowers the
 // memo. Everything else is untouched by construction — removal reorders no
-// surviving entry, so every other bank keeps its queue-order-first winner.
+// surviving entry, so every other bank keeps its scan-order-first winner.
 func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
-	if c.actSettled == 0 || c.Fault != nil || c.Classify != nil || len(c.prio) > 0 {
+	if c.actSettled == 0 || c.Fault != nil || len(c.prio) > 0 {
 		c.invalidateAct()
 		return
 	}
@@ -341,11 +354,22 @@ func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
 	}
 	c.pendClaimN = keep
 	c.claimed[bank] = false
+	// The scan-order-first claimant: the first rank-0 entry on the bank,
+	// else the first entry of any rank (all ranks are 0 when unranked).
+	winner := -1
 	for j := range c.normal {
 		if c.normal[j].bank == bank {
-			c.insertPendClaim(int32(j))
-			break
+			if c.normal[j].rank == 0 {
+				winner = j
+				break
+			}
+			if winner < 0 {
+				winner = j
+			}
 		}
+	}
+	if winner >= 0 {
+		c.insertPendClaim(int32(winner))
 	}
 	if c.cfg.MaxWait > 0 && len(c.normal) > 0 {
 		starveAt := c.normal[0].enq + c.cfg.MaxWait + 1
@@ -360,21 +384,41 @@ func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
 }
 
 // insertPendClaim adds a queue index to the pending-claim list, keeping it
-// ascending: pending claims must run in queue (FCFS scan) order so that two
-// claimants of the same bank resolve exactly as a full re-scan would.
+// in full-scan order so that two claimants of the same bank resolve exactly
+// as a full re-scan would.
 func (c *Controller) insertPendClaim(idx int32) {
 	c.pendClaimN = append(c.pendClaimN, idx)
 	j := len(c.pendClaimN) - 1
-	for j > 0 && c.pendClaimN[j-1] > idx {
+	for j > 0 && c.claimsBefore(idx, c.pendClaimN[j-1]) {
 		c.pendClaimN[j] = c.pendClaimN[j-1]
 		j--
 	}
 	c.pendClaimN[j] = idx
 }
 
-// runPendingClaims claims banks for normal entries appended since the last
-// full startActivates run, in FCFS append order (the full scan's order),
-// lowering the memo when a new winner is blocked on a busy bank.
+// claimsBefore reports whether normal entry a precedes b in startActivates'
+// scan: rank-0 entries first, then the rest, each in queue (FCFS) order.
+func (c *Controller) claimsBefore(a, b int32) bool {
+	ra, rb := c.normal[a].rank == 0, c.normal[b].rank == 0
+	if ra != rb {
+		return ra
+	}
+	return a < b
+}
+
+// rerank refreshes every cached normal-queue rank for generation g and
+// drops the activation memo, whose scan order the ranks define.
+func (c *Controller) rerank(g uint64) {
+	for i := range c.normal {
+		c.normal[i].rank = c.Ranker.Rank(c.normal[i].req)
+	}
+	c.rankGen = g
+	c.invalidateAct()
+}
+
+// runPendingClaims claims banks for the pending normal entries in the full
+// scan's order, lowering the memo when a new winner is blocked on a busy
+// bank.
 func (c *Controller) runPendingClaims(now sim.Cycle) {
 	next := c.actSettled
 	for _, i := range c.pendClaimN {
@@ -387,7 +431,8 @@ func (c *Controller) runPendingClaims(now sim.Cycle) {
 // QueueLen reports queue occupancy (normal, priority).
 func (c *Controller) QueueLen() (int, int) { return len(c.normal), len(c.prio) }
 
-// pendingFor reports whether any queued request targets bank b's pending row.
+// rowOpenFor reports whether e may be served now: its injected latency has
+// elapsed and its bank holds its row, open and ready.
 func (c *Controller) rowOpenFor(e *entry, now sim.Cycle) bool {
 	if e.ready > now {
 		return false // injected latency spike still elapsing
@@ -440,14 +485,14 @@ func (c *Controller) startActivates(now sim.Cycle) sim.Cycle {
 			nClaimed++
 		}
 	}
-	if c.Classify != nil {
+	if c.Ranker != nil {
 		// Class-ordered activation: high-class (LC) normal requests claim
 		// their banks ahead of best-effort traffic.
 		for i := range c.normal {
 			if nClaimed >= nb {
 				break
 			}
-			if c.Classify(c.normal[i].req) == 0 {
+			if c.normal[i].rank == 0 {
 				if c.claim(&c.normal[i], now, &next) {
 					nClaimed++
 				}
@@ -534,10 +579,10 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
 			// prioritises the LC task's whole stream, leaving nothing to
 			// slip) without making PIVOT idle the bus when co-located LC
 			// tasks' non-critical traffic could use it.
-			if c.Classify != nil {
+			if c.Ranker != nil {
 				for i := range c.normal {
 					if c.channelOf(c.normal[i].bank) == ch &&
-						c.Classify(c.normal[i].req) == 0 && c.rowOpenFor(&c.normal[i], now) {
+						c.normal[i].rank == 0 && c.rowOpenFor(&c.normal[i], now) {
 						return &c.normal, i
 					}
 				}
@@ -545,16 +590,17 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
 			return nil, -1 // this channel idles while its priority rows activate
 		}
 	}
+	// FR-FCFS within a rank. Ranks are non-negative, so the first row-open
+	// rank-0 entry wins outright (every entry is rank 0 when unranked).
 	best, bestRank := -1, int(^uint(0)>>1)
 	for i := range c.normal {
-		if c.channelOf(c.normal[i].bank) != ch || !c.rowOpenFor(&c.normal[i], now) {
+		e := &c.normal[i]
+		if e.rank >= bestRank || c.channelOf(e.bank) != ch || !c.rowOpenFor(e, now) {
 			continue
 		}
-		if c.Classify == nil {
-			return &c.normal, i // plain FR-FCFS: first ready in age order
-		}
-		if r := c.Classify(c.normal[i].req); r < bestRank {
-			best, bestRank = i, r
+		best, bestRank = i, e.rank
+		if bestRank == 0 {
+			break
 		}
 	}
 	if best >= 0 {
@@ -616,15 +662,19 @@ func (c *Controller) Tick(now sim.Cycle) {
 	}
 
 	c.maybeRefresh(now)
+	if c.Ranker != nil {
+		// Ranks move only with the generation (MPAM classes change at a
+		// bwctrl window roll or a restore), so the activation memo and the
+		// cached ranks stay exact until it changes.
+		if g := c.Ranker.RankGen(); g != c.rankGen {
+			c.rerank(g)
+		}
+	}
 	if c.Fault != nil {
 		if c.Fault.HoldGrant(now) {
 			return // injected scheduler stall: no activates or grants this cycle
 		}
 		c.invalidateAct() // grant holds perturb timing; don't trust the memo
-		c.startActivates(now)
-	} else if c.Classify != nil {
-		// Ranked activation reads MPAM classes that mutate outside the
-		// controller, so the settled memo cannot be trusted across cycles.
 		c.startActivates(now)
 	} else if now >= c.actSettled {
 		c.pendClaimN = c.pendClaimN[:0]

@@ -180,7 +180,7 @@ func TestQueueCapacityRefusal(t *testing.T) {
 
 func TestClassifyOrdersNormalQueue(t *testing.T) {
 	c, done := newCtl()
-	c.Classify = func(r *mem.Req) int { return int(r.Part) }
+	c.Ranker = &classRanker{class: [4]int{0, 1, 2, 3}}
 	// Open the row for both first so ordering is purely class-driven.
 	be := &mem.Req{Addr: lineAddr(0, 0, 0), Part: 1}
 	lc := &mem.Req{Addr: lineAddr(0, 0, 1), Part: 0}

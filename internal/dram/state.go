@@ -103,4 +103,7 @@ func (c *Controller) RestoreState(s ControllerState) {
 	c.nextRefresh = s.NextRefresh
 	c.Stats = s.Stats
 	c.invalidateAct() // derived memo; rebuild from the restored queues
+	if c.Ranker != nil {
+		c.rerank(c.Ranker.RankGen())
+	}
 }

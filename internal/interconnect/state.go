@@ -15,8 +15,8 @@ type EntryState struct {
 
 // StationState is the serialisable form of a Station: both queues (with the
 // requests they own, by value) and the traffic counters. Wiring (downstream,
-// Classify, Fault, PriorityEnabled) is configuration, reapplied by rebuilding
-// the machine.
+// Ranker, Fault, PriorityEnabled) is configuration, reapplied by rebuilding
+// the machine; cached ranks and the scan memo are rebuilt on restore.
 type StationState struct {
 	Normal []EntryState
 	Prio   []EntryState
@@ -54,4 +54,8 @@ func (s *Station) RestoreState(st StationState) {
 	restoreQueue(&s.normal, st.Normal)
 	restoreQueue(&s.prio, st.Prio)
 	s.Stats = st.Stats
+	if s.Ranker != nil {
+		s.rerank(s.Ranker.RankGen())
+	}
+	s.resetScan()
 }

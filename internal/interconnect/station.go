@@ -35,6 +35,7 @@ type entry struct {
 	req   *mem.Req
 	ready sim.Cycle // enqueue time + latency: earliest forwarding cycle
 	enq   sim.Cycle
+	rank  int // Ranker's rank for req as of rankGen (normal queue only)
 }
 
 // Config sets a Station's geometry and timing.
@@ -76,11 +77,10 @@ type Station struct {
 	// dedicated priority queue (PIVOT / FullPath) or share the normal queue.
 	PriorityEnabled bool
 
-	// Classify, when non-nil, ranks normal-queue requests for selection
-	// (lower rank = served first). The MPAM bandwidth controller uses this
-	// to implement its high/medium/low classes. Requests of equal rank are
-	// served FCFS.
-	Classify func(r *mem.Req) int
+	// Ranker, when non-nil, ranks normal-queue requests for selection
+	// (lower rank = served first, FCFS within a rank). The MPAM bandwidth
+	// controller ranks by its high/medium/low classes.
+	Ranker mem.Ranker
 
 	// Fault, when non-nil, injects admission refusals, latency spikes and
 	// grant delays (see mem.Fault). Only tests and fault-injection campaigns
@@ -92,6 +92,18 @@ type Station struct {
 	// still be queued the station reports itself active. Derived advisory
 	// state: never serialised (checkpoints refuse faulted machines anyway).
 	sawSpike bool
+
+	// Ranked-pick memo, derived and never serialised. Each normal entry's
+	// rank is cached as of generation rankGen. The scan memo records that
+	// the first scanned normal entries have been examined and that best
+	// (rank bestRank, -1 when none) is their FCFS-first minimum: within one
+	// generation no rank changes, and until a normal entry leaves the
+	// queue the ready prefix only grows, so pickNormal resumes the scan
+	// where it last stopped instead of re-walking the queue every grant.
+	rankGen  uint64
+	scanned  int
+	best     int
+	bestRank int
 
 	Stats Stats
 }
@@ -107,12 +119,14 @@ func New(cfg Config, down Acceptor) *Station {
 	if cfg.CapPrio <= 0 {
 		cfg.CapPrio = cfg.CapNormal
 	}
-	return &Station{
+	s := &Station{
 		cfg:    cfg,
 		down:   down,
 		normal: ring.New[entry](cfg.CapNormal),
 		prio:   ring.New[entry](cfg.CapPrio),
 	}
+	s.resetScan()
+	return s
 }
 
 // Config returns the station's configuration.
@@ -155,65 +169,63 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 		s.Stats.Refused++
 		return false
 	}
-	s.normal.Push(entry{req: r, ready: now + s.cfg.Latency + spike, enq: now})
+	e := entry{req: r, ready: now + s.cfg.Latency + spike, enq: now}
+	if s.Ranker != nil {
+		e.rank = s.Ranker.Rank(r)
+	}
+	s.normal.Push(e)
 	r.Enter(s.cfg.Component, now)
 	s.Stats.Accepted++
 	return true
 }
 
 // pickNormal returns the index of the next normal-queue entry to serve under
-// the Classify ranking (FCFS within a rank), or -1 when nothing is ready.
-// Ranks are non-negative (MPAM classes), so the scan stops at the first
-// ready rank-0 entry — no later entry can beat it, and FCFS breaks the tie
-// in its favour. Absent injected latency spikes, ready order follows queue
-// order, so the scan also stops at the first not-yet-ready entry.
+// the Ranker's ranking (FCFS within a rank; every rank is 0 without a
+// Ranker), or -1 when nothing is ready. Ranks are non-negative (MPAM
+// classes), so the scan stops at the first ready rank-0 entry — no later
+// entry can beat it, and FCFS breaks the tie in its favour. Absent injected
+// latency spikes, ready order follows queue order, so the scan also stops at
+// the first not-yet-ready entry and the next call resumes there (see the
+// scan memo on Station).
 func (s *Station) pickNormal(now sim.Cycle) int {
-	n := s.normal.Len()
-	if n == 0 {
-		return -1
-	}
-	if s.Classify == nil {
-		// Every rank is 0: the first ready entry wins outright.
-		if s.normal.At(0).ready <= now {
-			return 0
-		}
-		if !s.sawSpike {
-			return -1
-		}
-		for i := 1; i < n; i++ {
-			if s.normal.At(i).ready <= now {
-				return i
-			}
-		}
-		return -1
-	}
-	// Ranked scan over the whole queue; iterate the ring's contiguous
-	// segments directly — this scan runs every grant under saturation.
-	best := -1
-	bestRank := int(^uint(0) >> 1)
-	a, b := s.normal.Slices()
-	i := 0
-scan:
-	for _, seg := range [2][]entry{a, b} {
-		for k := range seg {
-			e := &seg[k]
-			if e.ready > now {
-				if !s.sawSpike {
-					break scan
-				}
-				i++
-				continue
-			}
-			if rank := s.Classify(e.req); rank < bestRank {
-				best, bestRank = i, rank
-				if rank <= 0 {
-					break scan
-				}
-			}
-			i++
+	if s.Ranker != nil {
+		if g := s.Ranker.RankGen(); g != s.rankGen {
+			s.rerank(g)
 		}
 	}
-	return best
+	if s.sawSpike {
+		// A spiked entry may turn ready behind ones already passed over:
+		// the prefix argument fails, so scan the whole queue afresh.
+		s.resetScan()
+	}
+	for n := s.normal.Len(); s.scanned < n && s.bestRank > 0; s.scanned++ {
+		e := s.normal.At(s.scanned)
+		if e.ready > now {
+			if !s.sawSpike {
+				break
+			}
+			continue
+		}
+		if e.rank < s.bestRank {
+			s.best, s.bestRank = s.scanned, e.rank
+		}
+	}
+	return s.best
+}
+
+// resetScan discards the scan memo; the next ranked pick scans from the head.
+func (s *Station) resetScan() {
+	s.scanned, s.best, s.bestRank = 0, -1, int(^uint(0)>>1)
+}
+
+// rerank refreshes every cached normal-queue rank for generation g.
+func (s *Station) rerank(g uint64) {
+	for i, n := 0, s.normal.Len(); i < n; i++ {
+		e := s.normal.At(i)
+		e.rank = s.Ranker.Rank(e.req)
+	}
+	s.rankGen = g
+	s.resetScan()
 }
 
 // Tick forwards up to Bandwidth ready requests into the downstream acceptor.
@@ -250,7 +262,7 @@ func (s *Station) Tick(now sim.Cycle) {
 			}
 		}
 		if e == nil {
-			if s.Classify == nil && !s.sawSpike {
+			if s.Ranker == nil && !s.sawSpike {
 				// Every rank is 0 and ready order follows queue order: the
 				// head is the only candidate.
 				if hn != nil && hn.ready <= now {
@@ -278,10 +290,13 @@ func (s *Station) Tick(now sim.Cycle) {
 		s.Stats.WaitCycles += uint64(now - enq)
 		if fromPrio {
 			s.prio.PopHead()
-		} else if idx == 0 {
-			s.normal.PopHead()
 		} else {
-			s.normal.RemoveAt(idx)
+			if idx == 0 {
+				s.normal.PopHead()
+			} else {
+				s.normal.RemoveAt(idx)
+			}
+			s.resetScan()
 		}
 		s.Stats.Forwarded++
 	}

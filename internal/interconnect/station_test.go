@@ -166,7 +166,7 @@ func TestStationClassify(t *testing.T) {
 	s := New(cfg(), dn)
 	low := &mem.Req{Part: 1}
 	high := &mem.Req{Part: 0}
-	s.Classify = func(r *mem.Req) int { return int(r.Part) }
+	s.Ranker = &classRanker{class: [4]int{0, 1, 2, 3}}
 	s.Accept(low, 0)
 	s.Accept(high, 0)
 	for now := sim.Cycle(0); now < 10; now++ {

@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pivot/internal/bwctrl"
 	"pivot/internal/checkpoint"
+	"pivot/internal/mem"
 	"pivot/internal/profile"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
@@ -215,6 +217,72 @@ func TestRestoreThenStepIsBitIdentical(t *testing.T) {
 				t.Error("states diverged after stepping the restored machine")
 			}
 		})
+	}
+}
+
+// TestResumeAcrossMPAMClassFlips checkpoints the PIVOT case mid-window and
+// resumes it across bwctrl monitor-window rolls (every 100k cycles) that
+// change BE classes, so restored ranked schedulers must re-rank against the
+// restored classes and then follow a later flip exactly. The BE partitions
+// fall from medium to low at the 100k roll; a resource-manager style
+// reprogramming at 150k lifts one BE partition back to medium at the 200k
+// roll. The run hops through a fresh machine at every checkpoint — all
+// mid-window, on both sides of each flip — and must finish byte-identical
+// to an uninterrupted run.
+func TestResumeAcrossMPAMClassFlips(t *testing.T) {
+	tc := ckptCases()[1]
+	ctx := context.Background()
+	const (
+		reprogramAt sim.Cycle = 150_000
+		end         sim.Cycle = 330_000
+	)
+	lifted := mem.PartID(len(tc.tasks) - 1) // a BE partition
+	// stepTo runs m to cycle `to`, reprogramming the lifted partition's
+	// allocation when it passes reprogramAt.
+	stepTo := func(m *Machine, to sim.Cycle) {
+		t.Helper()
+		for _, stop := range []sim.Cycle{reprogramAt, to} {
+			if now := m.Engine.Now(); now < stop && stop <= to {
+				if err := m.StepChecked(ctx, stop-now); err != nil {
+					t.Fatalf("step to %d: %v", stop, err)
+				}
+			}
+			if m.Engine.Now() == reprogramAt {
+				m.bw.SetAllocation(lifted, bwctrl.Allocation{Min: 0, Max: 1.0})
+			}
+		}
+	}
+
+	ref := tc.build(t)
+	stepTo(ref, end)
+	if got := ref.bw.WindowsDone(); got != 3 {
+		t.Fatalf("reference crossed %d monitor windows, want 3", got)
+	}
+	if got := ref.bw.ClassOf(lifted); got != bwctrl.ClassMedium {
+		t.Fatalf("lifted BE partition ends in class %v, want medium", got)
+	}
+	if got := ref.bw.ClassOf(lifted - 1); got != bwctrl.ClassLow {
+		t.Fatalf("other BE partition ends in class %v, want low", got)
+	}
+	if got := ref.bw.RankGen(); got != 2 {
+		t.Fatalf("reference saw %d class changes, want 2 (the 100k and 200k rolls)", got)
+	}
+
+	dir := t.TempDir()
+	m := tc.build(t)
+	for at := sim.Cycle(60_001); at < end; at += 3_001 {
+		stepTo(m, at)
+		if _, err := m.WriteCheckpoint(dir, 2); err != nil {
+			t.Fatalf("WriteCheckpoint at %d: %v", at, err)
+		}
+		m = tc.build(t)
+		if restored, from, err := m.TryRestore(dir); err != nil || !restored || from != at {
+			t.Fatalf("TryRestore = (%v, %d, %v), want a restore at %d", restored, from, err, at)
+		}
+	}
+	stepTo(m, end)
+	if got, want := stateBytes(t, m), stateBytes(t, ref); string(got) != string(want) {
+		t.Error("resumed final state differs from an uninterrupted run")
 	}
 }
 

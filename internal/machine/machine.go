@@ -390,10 +390,9 @@ func (m *Machine) applyPolicy() {
 		// follows MPAM classes at every MSC — LC tasks' non-critical
 		// requests are ordered ahead of BE traffic inside the queues, they
 		// just don't get dedicated queue space or strict DRAM service.
-		rank := func(r *mem.Req) int { return int(m.bw.ClassOf(r.Part)) }
-		m.ic.Classify = rank
-		m.bus.Classify = rank
-		m.mc.Classify = rank
+		m.ic.Ranker = m.bw
+		m.bus.Ranker = m.bw
+		m.mc.Ranker = m.bw
 	}
 
 	// LLC partitioning: every policy except Default reserves the LLC for LC

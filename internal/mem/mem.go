@@ -62,6 +62,18 @@ func (c Component) String() string {
 // enforce (or fail to enforce) access priority in the paper's experiments.
 var MSCs = [4]Component{CompInterconnect, CompBus, CompBWCtrl, CompMemCtrl}
 
+// Ranker orders the requests queued at an MSC (§IV-D): Rank returns a
+// request's scheduling rank (lower = served first, FCFS within a rank; never
+// negative), and RankGen a generation that changes whenever any request's
+// rank may have changed. Between two generation changes every rank is fixed,
+// so schedulers may cache ranks and scan positions keyed by the generation.
+// The MPAM bandwidth controller implements it: ranks are MPAM classes, which
+// move only when its monitor window rolls or its state is restored.
+type Ranker interface {
+	Rank(r *Req) int
+	RankGen() uint64
+}
+
 // Fault is a deterministic fault model an MSC station consults while it
 // operates. Implementations must be pure functions of their own state and
 // `now` so that a seeded simulation stays reproducible. All methods are
