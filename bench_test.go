@@ -105,25 +105,39 @@ func BenchmarkStorageBudget(b *testing.B) {
 // --- Micro-benchmarks of the hot simulation paths ---------------------------
 
 func BenchmarkSimulatorCyclesPerSecond(b *testing.B) {
-	benchCyclesPerSecond(b, machine.PolicyDefault)
+	benchCyclesPerSecond(b, machine.KunpengConfig(4), machine.PolicyDefault, fig1Mix())
 }
 
 // BenchmarkSimulatorCyclesPerSecondPIVOT runs the same mix under PIVOT, so
 // the MPAM-ranked scheduling at every MSC (and its memos) is on the clock.
 func BenchmarkSimulatorCyclesPerSecondPIVOT(b *testing.B) {
-	benchCyclesPerSecond(b, machine.PolicyPIVOT)
+	benchCyclesPerSecond(b, machine.KunpengConfig(4), machine.PolicyPIVOT, fig1Mix())
 }
 
-// benchCyclesPerSecond steps the Fig-1 mix (1 LC Silo + 3 BE iBench on the
-// 4-core Kunpeng config) under policy in 10,000-cycle granules.
-func benchCyclesPerSecond(b *testing.B, policy machine.Policy) {
-	tasks := []machine.TaskSpec{
+// BenchmarkSimulatorCyclesPerSecondIdle runs Masstree alone on the 8-core
+// config at one request per 20k cycles: most cycles are idle, so the
+// engine's cached forecasts and clock jumps, not the components, set the
+// rate.
+func BenchmarkSimulatorCyclesPerSecondIdle(b *testing.B) {
+	benchCyclesPerSecond(b, machine.KunpengConfig(8), machine.PolicyDefault, []machine.TaskSpec{
+		{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Masstree], MeanInterarrival: 20_000, Seed: 1},
+	})
+}
+
+// fig1Mix is the Fig-1 co-location: 1 LC Silo + 3 BE iBench.
+func fig1Mix() []machine.TaskSpec {
+	return []machine.TaskSpec{
 		{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 11},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 12},
 		{Kind: machine.TaskBE, BE: workload.BEApps()[workload.IBench], Seed: 13},
 	}
-	m := machine.MustNew(machine.KunpengConfig(4), machine.Options{Policy: policy}, tasks)
+}
+
+// benchCyclesPerSecond steps tasks on cfg under policy in 10,000-cycle
+// granules.
+func benchCyclesPerSecond(b *testing.B, cfg machine.Config, policy machine.Policy, tasks []machine.TaskSpec) {
+	m := machine.MustNew(cfg, machine.Options{Policy: policy}, tasks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Engine.Step(10_000)

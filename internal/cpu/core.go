@@ -176,14 +176,12 @@ type Core struct {
 	retry   RetryPort
 	idleSrc IdleStream
 
-	// Memoized NextWork verdict. Valid until the core ticks or an external
-	// event (load completion, port-state change) invalidates it via WakeIdle;
-	// this makes polling a parked core O(1) instead of re-probing the port.
-	idleValid bool
-	idleNext  sim.Cycle
-	// shape caches, alongside a valid idle verdict, exactly which counters a
-	// quiescent cycle accrues, so the per-cycle SkipCycles fast path applies
-	// precomputed increments instead of re-deriving them.
+	// waker ends the core's engine sleep; CompleteLoad and WakeIdle call it
+	// before anything outside the core's own Tick changes its verdict.
+	waker sim.Waker
+	// shape caches, alongside the idle verdict that began the current
+	// engine sleep, exactly which counters a quiescent cycle accrues, so
+	// SkipCycles applies precomputed increments instead of re-deriving them.
 	shape skipShape
 
 	Stats Stats
@@ -212,9 +210,9 @@ func (c *Core) Config() Config { return c.cfg }
 
 // SetStream replaces the instruction source (used when restarting phases).
 func (c *Core) SetStream(s Stream) {
+	c.waker.Wake()
 	c.src = s
 	c.idleSrc, _ = s.(IdleStream)
-	c.idleValid = false
 }
 
 func (c *Core) slotOf(seq uint64) *robEntry {
@@ -239,30 +237,19 @@ func (c *Core) depReady(seq uint64) bool {
 
 // Tick advances the core one cycle: commit, issue, dispatch.
 func (c *Core) Tick(now sim.Cycle) {
-	c.idleValid = false
 	c.commit(now)
 	c.issue(now)
 	c.dispatch(now)
 }
 
-// WakeIdle invalidates the memoized quiescence verdict. The machine calls it
-// whenever it mutates state the verdict depends on from outside the core's
-// own Tick (a fill into the private cache hierarchy, an egress-queue drain).
-func (c *Core) WakeIdle() { c.idleValid = false }
+// SetWaker implements sim.Wakeable.
+func (c *Core) SetWaker(w sim.Waker) { c.waker = w }
 
-// NextWork implements sim.IdleReporter: the core is quiescent exactly when a
-// dense Tick would change nothing but the stall/idle counters SkipCycles
-// compensates — no commit, no issue, no dispatch, no retry that could
-// succeed, and no instruction arriving from the stream.
-func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if c.idleValid && c.idleNext > now {
-		return c.idleNext, true
-	}
-	next, idle := c.nextWork(now)
-	c.idleValid = idle
-	c.idleNext = next
-	return next, idle
-}
+// WakeIdle ends the core's engine sleep. The machine calls it before it
+// mutates, from outside the core's own Tick, state the idle verdict or its
+// compensation depends on (a fill into the private cache hierarchy, an
+// egress-queue drain).
+func (c *Core) WakeIdle() { c.waker.Wake() }
 
 // skipShape is the precomputed per-quiescent-cycle counter delta.
 type skipShape struct {
@@ -276,7 +263,13 @@ type skipShape struct {
 	dispatch  uint8 // 0 = none, 1 = DispatchStall, 2 = IdleCycles
 }
 
-func (c *Core) nextWork(now sim.Cycle) (sim.Cycle, bool) {
+// NextWork implements sim.IdleReporter: the core is quiescent exactly when a
+// dense Tick would change nothing but the stall/idle counters SkipCycles
+// compensates — no commit, no issue, no dispatch, no retry that could
+// succeed, and no instruction arriving from the stream. The verdict holds
+// until the stream's next arrival unless a load completes or the port frees
+// a resource, both of which wake the core.
+func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 	// ALU completions pending or ops ready to issue: work this cycle.
 	if c.aluPending > 0 || len(c.readyQ) > c.readyH {
 		return 0, false
@@ -350,9 +343,9 @@ const NeverWork = ^sim.Cycle(0)
 // that n := to-from consecutive quiescent Ticks would have applied — the
 // commit-stall attribution, the refused-retry probe statistics, and the
 // dispatch-stall/idle accounting — in the same at-most-once-per-cycle
-// pattern as the dense loop. The engine only calls it after an idle NextWork
-// verdict, so the shape cached by that verdict (and still valid, or
-// idleValid would have been dropped) describes this instant exactly.
+// pattern as the dense loop. The engine only calls it for a span that began
+// with an idle NextWork verdict and before any wake, so the shape cached by
+// that verdict describes every cycle of the span exactly.
 func (c *Core) SkipCycles(from, to sim.Cycle) {
 	n := uint64(to - from)
 	if n == 0 {
@@ -551,7 +544,7 @@ func (c *Core) tryIssueMem(seq uint64, now sim.Cycle) bool {
 // already retired (or was never issued) is a no-op, matching the old
 // callback's slotOf guard.
 func (c *Core) CompleteLoad(seq uint64, llcMiss bool, now sim.Cycle) {
-	c.idleValid = false
+	c.waker.Wake()
 	if e := c.slotOf(seq); e != nil {
 		e.llcMiss = llcMiss
 	}

@@ -99,5 +99,4 @@ func (c *Core) RestoreState(s CoreState) {
 		c.aluPending += len(c.aluWheel[slot])
 	}
 	c.Stats = s.Stats
-	c.idleValid = false // derived; never serialised
 }

@@ -125,6 +125,10 @@ type Controller struct {
 	// (after RespLatency). Set by the machine during wiring.
 	Respond func(r *mem.Req, now sim.Cycle)
 
+	// waker ends the controller's engine sleep when Accept enqueues (an idle
+	// controller has empty queues; see NextWork).
+	waker sim.Waker
+
 	// Fault, when non-nil, injects admission refusals, latency spikes and
 	// grant delays (see mem.Fault); nil in production runs.
 	Fault mem.Fault
@@ -259,6 +263,9 @@ func (c *Controller) decode(addr uint64) (bank int, row int64) {
 // channelOf maps a global bank id back to its channel.
 func (c *Controller) channelOf(bank int) int { return int(c.bankCh[bank]) }
 
+// SetWaker implements sim.Wakeable.
+func (c *Controller) SetWaker(w sim.Waker) { c.waker = w }
+
 // Accept implements the MSC queue interface.
 func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	ready := now
@@ -287,6 +294,7 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	if !usePrio && c.Ranker != nil {
 		e.rank = c.Ranker.Rank(r)
 	}
+	c.waker.Wake()
 	r.Enter(mem.CompMemCtrl, now)
 	if usePrio {
 		c.prio = append(c.prio, e)
@@ -730,7 +738,8 @@ func (c *Controller) Tick(now sim.Cycle) {
 // both request queues are empty, every channel's data bus is free (a busy
 // bus accrues BusyCycles each Tick), no response is due, and no fault
 // injector could hold a grant; it then sleeps until the earlier of the next
-// response delivery and the next refresh deadline. The `claimed` scratch
+// response delivery and the next refresh deadline. Only Accept can end that
+// sleep early, and it wakes the controller. The `claimed` scratch
 // slab an idle Tick would have zeroed carries no state (it is rebuilt every
 // tick and never serialised), so eliding it is unobservable.
 func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {

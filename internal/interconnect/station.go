@@ -105,6 +105,10 @@ type Station struct {
 	best     int
 	bestRank int
 
+	// waker ends the station's engine sleep when Accept enqueues: a new
+	// entry can be due before the cached forecast (see NextWork).
+	waker sim.Waker
+
 	Stats Stats
 }
 
@@ -138,6 +142,9 @@ func (s *Station) SetDownstream(a Acceptor) { s.down = a }
 // QueueLen reports current normal- and priority-queue occupancy.
 func (s *Station) QueueLen() (normal, prio int) { return s.normal.Len(), s.prio.Len() }
 
+// SetWaker implements sim.Wakeable.
+func (s *Station) SetWaker(w sim.Waker) { s.waker = w }
+
 // Accept implements Acceptor: enqueue r if there is space.
 func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 	var spike sim.Cycle
@@ -160,6 +167,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 			s.Stats.Refused++
 			return false
 		}
+		s.waker.Wake()
 		s.prio.Push(entry{req: r, ready: now + s.cfg.Latency + spike, enq: now})
 		r.Enter(s.cfg.Component, now)
 		s.Stats.Accepted++
@@ -173,6 +181,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 	if s.Ranker != nil {
 		e.rank = s.Ranker.Rank(r)
 	}
+	s.waker.Wake()
 	s.normal.Push(e)
 	r.Enter(s.cfg.Component, now)
 	s.Stats.Accepted++
@@ -308,7 +317,8 @@ func (s *Station) Tick(now sim.Cycle) {
 // state), so it sleeps until the earliest head ready cycle. Queue order
 // implies ready order (ready = enqueue + fixed latency), so the two heads
 // bound every entry — unless an injected latency spike broke that
-// invariant, in which case the station stays dense until it drains.
+// invariant, in which case the station stays dense until it drains. Only
+// Accept can add an entry that is due earlier, and it wakes the station.
 func (s *Station) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 	if s.Fault != nil {
 		return 0, false

@@ -214,10 +214,10 @@ type Machine struct {
 	reqsRecycled uint64
 	reqsDelayed  int
 	// outOcc is a bitmask of ports with a non-empty egress queue, kept
-	// coherent at every len(p.out) 0↔non-0 transition so the per-cycle
-	// skip-ahead polls (auxTicker's NextWork and SkipCycles) iterate set
-	// bits instead of scanning every port. Derived state — restore rebuilds
-	// it.
+	// coherent at every len(p.out) 0↔non-0 transition so skip-ahead's
+	// polls and compensation (auxTicker's NextWork and SkipCycles) iterate
+	// set bits instead of scanning every port. Derived state — restore
+	// rebuilds it.
 	outOcc uint64
 	// statsResetAt anchors elapsed-cycle accounting (bandwidth credit) to
 	// the last ResetStats.
@@ -509,6 +509,11 @@ type auxTicker struct{ m *Machine }
 
 func (a *auxTicker) Tick(now sim.Cycle) { a.m.auxTick(now) }
 
+// SetWaker implements sim.Wakeable: scheduling a delay event is the only
+// input from outside the aux ticker's own Tick that can bring its work
+// forward (egress queues and the throttle move only inside auxTick).
+func (a *auxTicker) SetWaker(w sim.Waker) { a.m.delays.waker = w }
+
 // NextWork: a port with pending egress used to pin the machine dense
 // unconditionally — through entire MBA-throttled intervals — but when the
 // head request is only waiting out the throttle's inserted delay, the
@@ -561,6 +566,11 @@ func (m *Machine) auxTick(now sim.Cycle) {
 		m.ports[bits.TrailingZeros64(occ)].flush(now)
 	}
 	if now&1023 == 0 {
+		if m.predTick {
+			// Refresh and threshold adaptation rewrite the predictor state
+			// that sleeping cores' elided lookups update: settle them first.
+			m.Engine.Settle()
+		}
 		for _, lc := range m.lcs {
 			if lc.RRBP != nil {
 				lc.RRBP.MaybeRefresh(now)
@@ -614,6 +624,11 @@ func (m *Machine) onResp(r *mem.Req, now sim.Cycle) {
 
 // deliver fills the private caches, wakes MSHR waiters and recycles r.
 func (m *Machine) deliver(r *mem.Req, now sim.Cycle, llcMiss bool) {
+	// Wake the core before the fill, even for a waiter-less one (a
+	// prefetch): the freed MSHR may unblock a structurally refused load,
+	// and the wake settles the elided retries' L1 miss probes, which
+	// advance the LRU stamp the Insert reads.
+	m.Cores[r.CoreID].WakeIdle()
 	p := m.ports[r.CoreID]
 	p.l2.Insert(r.Addr, r.Part, false)
 	p.l1.Insert(r.Addr, r.Part, false)
@@ -622,9 +637,6 @@ func (m *Machine) deliver(r *mem.Req, now sim.Cycle, llcMiss bool) {
 			m.Cores[r.CoreID].CompleteLoad(w, llcMiss, now)
 		}
 	}
-	// Even a waiter-less fill (a prefetch) frees an MSHR that may unblock a
-	// structurally refused load: drop the core's cached idle verdict.
-	m.Cores[r.CoreID].WakeIdle()
 	if r.LCTask && !r.Prefetch && now >= m.measureStart {
 		if m.statsSet == nil || m.statsSet.Contains(r.PC) {
 			for c := 0; c < int(mem.NumComponents); c++ {

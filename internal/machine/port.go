@@ -17,12 +17,14 @@ import (
 // count caches the wheel occupancy for skip-ahead's quiescence poll, and occ
 // is a 256-bit bitmap of non-empty slots so nextDue is a word scan instead of
 // a slot walk. Both are derived state — never serialised; RestoreState
-// rebuilds them with recount.
+// rebuilds them with recount. waker is the aux slot's engine handle: a new
+// event may fall due before the aux ticker's cached forecast.
 type delayQ struct {
 	wheel [256][]delayed
 
 	count int
 	occ   [4]uint64
+	waker sim.Waker
 }
 
 // delayKind discriminates the four fixed-latency completion events the wheel
@@ -55,6 +57,7 @@ type delayed struct {
 }
 
 func (d *delayQ) after(e delayed) {
+	d.waker.Wake()
 	slot := int(e.due) & 255
 	d.wheel[slot] = append(d.wheel[slot], e)
 	d.count++
@@ -269,16 +272,17 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 }
 
 // fillLocal completes an L2-hit: fill L1 and wake all coalesced waiters.
+// The core is woken first, even for a waiter-less fill: the freed MSHR may
+// unblock a structurally refused load, and the wake settles the elided
+// retries' L1 miss probes, which advance the LRU stamp the Insert reads.
 func (p *corePort) fillLocal(line uint64, now sim.Cycle) {
+	p.m.Cores[p.id].WakeIdle()
 	p.l1.Insert(line, mem.PartID(p.id), false)
 	if e := p.mshr.Fill(line); e != nil {
 		for _, w := range e.Waiters {
 			p.m.Cores[p.id].CompleteLoad(w, false, now)
 		}
 	}
-	// The freed MSHR may unblock a structurally refused load: drop the
-	// core's cached idle verdict.
-	p.m.Cores[p.id].WakeIdle()
 }
 
 // RetryReady implements cpu.RetryPort: would a retry of the blocked head op

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pivot/internal/mem"
+	"pivot/internal/rrbp"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
@@ -32,8 +33,16 @@ func (tc ckptCase) buildMode(t *testing.T, dense bool) *Machine {
 // byte-identical serialised machine state, byte-identical result-snapshot
 // JSON, byte-identical stats-framework dumps (where enabled), and the same
 // checkpoint fingerprint. The dense loop is the trusted oracle.
+//
+// Beyond the checkpoint mixes, a PIVOT case samples stats every 5,000 cycles
+// — not a multiple of the 1,024-cycle predictor refresh — so the sampler's
+// settles of sleeping cores and the refresh's settles land on different
+// cycles.
 func TestSkipAheadEquivalence(t *testing.T) {
-	for _, tc := range ckptCases() {
+	pivotStats := ckptCases()[1]
+	pivotStats.name += "-stats"
+	pivotStats.stats = true
+	for _, tc := range append(ckptCases(), pivotStats) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			dense := tc.buildMode(t, true)
@@ -64,6 +73,83 @@ func TestSkipAheadEquivalence(t *testing.T) {
 			if skip.MeasuredCycles() != dense.MeasuredCycles() {
 				t.Errorf("measured cycles: skip %d, dense %d",
 					skip.MeasuredCycles(), dense.MeasuredCycles())
+			}
+		})
+	}
+}
+
+// TestSkipAheadSettleBeforeMutate: a component that wakes a sleeping slot
+// must do so before it mutates state the sleeper's deferred compensation
+// touches, because the two do not commute.
+//
+//   - fill: a core parked on a refused load retry owes its elided retries'
+//     L1 miss probes, which advance the L1's LRU stamp; a fill must wake
+//     (settle) the core before its Insert reads the stamp, or the filled
+//     line's recency and every later eviction diverge. Two L1 MSHRs keep
+//     the random-gather core parked on a full miss file almost every time a
+//     fill lands.
+//   - refresh: a parked PIVOT core's elided retries owe RRBP lookups, whose
+//     flag updates depend on the counters and threshold that the aux
+//     ticker's predictor refresh and bandwidth adaptation rewrite every
+//     1,024 cycles; the refresh must settle the sleepers first. A
+//     3,000-cycle RRBP refresh and an expected bandwidth the LC task never
+//     reaches make both rewrites frequent.
+//
+// L1 state is compared after every 1,000 cycles, the whole machine at the
+// end.
+func TestSkipAheadSettleBeforeMutate(t *testing.T) {
+	pivotLC := ckptCases()[1].tasks[0] // Masstree with its potential set
+	refresh := rrbp.DefaultConfig()
+	refresh.RefreshCycles = 3_000
+
+	cases := []struct {
+		name   string
+		opt    Options
+		tasks  []TaskSpec
+		cycles int
+	}{
+		{"fill", Options{Policy: PolicyDefault}, beTasks(workload.GraphAn, 1), 40_000},
+		{"refresh", Options{Policy: PolicyPIVOT, RRBP: refresh, ExpectedLCBW: 0.2},
+			append([]TaskSpec{pivotLC}, beTasks(workload.GraphAn, 1)...), 200_000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := KunpengConfig(2)
+			cfg.L1.MSHRs = 2
+			mk := func(dense bool) *Machine {
+				opt := tc.opt
+				opt.Dense = dense
+				return MustNew(cfg, opt, tc.tasks)
+			}
+			dense, skip := mk(true), mk(false)
+			for c := 0; c < tc.cycles; c += 1_000 {
+				dense.Engine.Step(1_000)
+				skip.Engine.Step(1_000)
+				for core := range tc.tasks {
+					got, ref := skip.ports[core].l1.SnapshotState(), dense.ports[core].l1.SnapshotState()
+					if got.Stamp != ref.Stamp || got.Stats != ref.Stats {
+						t.Fatalf("cycle %d core %d: L1 stamp/stats skip %d/%+v, dense %d/%+v",
+							skip.Engine.Now(), core, got.Stamp, got.Stats, ref.Stamp, ref.Stats)
+					}
+					for i := range ref.Lines {
+						if got.Lines[i] != ref.Lines[i] {
+							t.Fatalf("cycle %d core %d: L1 line %d skip %+v, dense %+v",
+								skip.Engine.Now(), core, i, got.Lines[i], ref.Lines[i])
+						}
+					}
+				}
+			}
+			// Every refused retry is an L1 miss probe, so misses beyond one
+			// per committed load prove the cores spent time parked on
+			// retries.
+			for core := range tc.tasks {
+				if l1, loads := dense.ports[core].l1.Stats.Misses, dense.Cores[core].Stats.Loads; l1 <= loads {
+					t.Fatalf("core %d: L1 misses %d <= loads %d: no refused retries; test exercises nothing",
+						core, l1, loads)
+				}
+			}
+			if got, ref := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, ref) {
+				t.Error("serialised machine state differs from dense")
 			}
 		})
 	}

@@ -93,6 +93,9 @@ type samplerTicker struct {
 
 func (s *samplerTicker) Tick(now sim.Cycle) {
 	if now%s.epoch == 0 {
+		// The sample reads every component's counters: bring the sleepers'
+		// compensation up to this cycle first.
+		s.m.Engine.Settle()
 		s.m.statsNow = now
 		s.m.sampler.Sample(uint64(now))
 	}
