@@ -7,6 +7,7 @@
 //	pivot-exp [-quick] [-cores n] <experiment-id>...
 //	pivot-exp [-quick] [-cores n] all
 //	pivot-exp [-quick] [-cores n] -scenario file.json
+//	pivot-exp [-cache-dir d] <experiment-id>...
 //	pivot-exp -scenario file.json [-cache-dir d] [-csv-out f]
 //
 // Each experiment prints a text table whose rows/series mirror the paper's
@@ -20,8 +21,7 @@
 // (internal/harness). -parallel runs several experiments concurrently
 // (results stay identical to serial execution), -timeout bounds each
 // experiment's wall clock, -watchdog aborts any simulation making no forward
-// progress, -audit enables the machine's per-epoch invariant auditor, and
-// -journal/-resume let an interrupted sweep pick up where it stopped. A
+// progress, and -audit enables the machine's per-epoch invariant auditor. A
 // failing experiment no longer kills the sweep: the rest complete, a failure
 // summary (with machine diagnostic dumps) goes to stderr, and the exit
 // status is 1.
@@ -37,19 +37,23 @@
 // net/http/pprof, runtime metrics, and /progress — live cycles/sec, ETA
 // and per-unit sweep progress. Diagnostics go through log/slog;
 // -log-format=json emits machine-readable lines, and -version prints the
-// build fingerprint stamped into reports and journal entries.
+// build fingerprint stamped into reports.
 //
-// Result cache: with -scenario, -cache-dir keys every unit's result on
-// (executable digest, unit scenario, scale, cores, dense) in a
-// content-addressed cache, so re-running an edited sweep — or the same sweep
-// after rebuilding with different code — recomputes only the changed units;
-// a cache hit/miss summary goes to stderr. Cached tables are byte-identical
-// to uncached runs. -csv-out also writes the unit table as CSV.
+// Result cache: -cache-dir keys every job's result — an experiment's tables
+// or a scenario unit's run — on (executable digest, experiment ID or unit
+// scenario, scale, cores, dense) in a content-addressed cache. Rerunning an
+// interrupted sweep with the same -cache-dir replays the jobs that finished;
+// rerunning an edited sweep, or the same sweep after rebuilding with
+// different code, recomputes only the changed jobs. A cache hit/miss summary
+// goes to stderr. Cached output is byte-identical to uncached runs, and one
+// cached experiment serves both text and -csv. A hit runs no simulation, so
+// -stats-out/-timeline-out/-flight-out need at least one miss. With
+// -scenario, -csv-out also writes the unit table as CSV.
 //
 // Crash safety: -checkpoint-dir makes each co-location run periodically
 // write its full machine state (every -checkpoint-interval cycles) so a
 // killed sweep resumes mid-run, not just mid-sweep; combined with
-// -journal/-resume no completed or partial work is lost. The first SIGINT or
+// -cache-dir no completed or partial work is lost. The first SIGINT or
 // SIGTERM shuts down gracefully — in-flight runs flush a final checkpoint
 // and the process exits 130; a second signal force-quits immediately.
 package main
@@ -82,8 +86,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of text tables")
 	parallel := flag.Int("parallel", 1, "experiments to run concurrently (same results as serial)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline per experiment (0 = none)")
-	journalPath := flag.String("journal", "", "JSONL journal of completed experiments (enables -resume)")
-	resume := flag.Bool("resume", false, "replay completed experiments from -journal instead of recomputing")
 	audit := flag.Bool("audit", false, "audit simulator invariants (request conservation, queue bounds, bandwidth credit) every epoch")
 	watchdog := flag.Uint64("watchdog", uint64(machine.DefaultWatchdogWindow), "abort a run if no instruction commits for this many cycles (0 = off)")
 	statsOut := flag.String("stats-out", "", "write the last run's stats dump here (JSON; CSV with a .csv suffix)")
@@ -94,7 +96,7 @@ func main() {
 	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
 	scenarioPath := flag.String("scenario", "", "run a user scenario file (JSON) through the harness instead of experiment ids")
-	cacheDir := flag.String("cache-dir", "", "with -scenario: content-addressed result cache; unchanged units replay instead of recomputing")
+	cacheDir := flag.String("cache-dir", "", "content-addressed result cache; finished, unchanged jobs replay instead of recomputing")
 	csvOut := flag.String("csv-out", "", "with -scenario: also write the unit summary table as CSV here")
 	flightOut := flag.String("flight-out", "", "record per-request span chains on every run and write the last run's tail-attribution report here (.json/.csv/text by suffix)")
 	flightTop := flag.Int("flight-top", 32, "with -flight-out: keep full span chains for the N slowest requests")
@@ -118,8 +120,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if (*cacheDir != "" || *csvOut != "") && *scenarioPath == "" {
-		fmt.Fprintln(os.Stderr, "pivot-exp: -cache-dir/-csv-out apply to -scenario sweeps")
+	if *csvOut != "" && *scenarioPath == "" {
+		fmt.Fprintln(os.Stderr, "pivot-exp: -csv-out applies to -scenario sweeps")
 		os.Exit(2)
 	}
 
@@ -199,20 +201,14 @@ func main() {
 	}
 
 	hcfg := harness.Config{
-		Parallel:    *parallel,
-		Timeout:     *timeout,
-		JournalPath: *journalPath,
-		Resume:      *resume,
-		Progress:    liveProgress,
+		Parallel: *parallel,
+		Timeout:  *timeout,
+		Progress: liveProgress,
 	}
 	if !*quiet {
 		hcfg.Logger = logger
 	}
-	runner, err := harness.New(hcfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
-		os.Exit(1)
-	}
+	runner := harness.New(hcfg)
 
 	var jobs []harness.Job
 	var sc *scenario.Scenario
@@ -228,23 +224,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
 			os.Exit(2)
 		}
-		jobs = harness.CachedJobs(cache, jobs)
 	} else {
 		ids := args
 		if args[0] == "all" {
 			ids = exp.IDs()
 		}
-		render := func(t *metrics.Table) string { return t.String() + "\n" }
-		if *csv {
-			render = func(t *metrics.Table) string { return fmt.Sprintf("# %s\n%s\n", t.Title, t.CSV()) }
-		}
-		jobs, err = harness.ExperimentJobs(ctx, ids, render)
+		jobs, err = harness.ExperimentJobs(ctx, ids)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v (try 'list')\n", err)
 			os.Exit(2)
 		}
 	}
-	results := runner.RunContext(runCtx, jobs)
+	results := runner.RunContext(runCtx, harness.CachedJobs(cache, jobs))
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "pivot-exp: result cache: %d hit(s), %d miss(es)\n",
 			cache.Hits(), cache.Misses())
@@ -262,7 +253,7 @@ func main() {
 			}
 			r, err := harness.ValueAs[exp.RunResult](res)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pivot-exp: decoding journaled %s: %v\n", res.ID, err)
+				fmt.Fprintf(os.Stderr, "pivot-exp: decoding the result of %s: %v\n", res.ID, err)
 				os.Exit(1)
 			}
 			unitResults = append(unitResults, r)
@@ -282,13 +273,27 @@ func main() {
 				failed = append(failed, res)
 				continue
 			}
-			text, err := harness.ValueAs[string](res)
+			tables, err := harness.ValueAs[[]*metrics.Table](res)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pivot-exp: decoding journaled %s: %v\n", res.ID, err)
+				fmt.Fprintf(os.Stderr, "pivot-exp: decoding the result of %s: %v\n", res.ID, err)
 				os.Exit(1)
 			}
-			fmt.Print(text)
+			for _, t := range tables {
+				if *csv {
+					fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
+				} else {
+					fmt.Print(t.String() + "\n")
+				}
+			}
 		}
+	}
+
+	// A cache hit runs no simulation, so a fully cached sweep recorded
+	// nothing for the per-run artifacts to export.
+	if cache != nil && cache.Misses() == 0 && (*statsOut != "" || *timelineOut != "" || *flightOut != "") {
+		fmt.Fprintln(os.Stderr, "pivot-exp: every job was a result-cache hit, so no run was simulated "+
+			"and -stats-out/-timeline-out/-flight-out have nothing to write; rerun without -cache-dir")
+		os.Exit(1)
 	}
 
 	if *statsOut != "" {
@@ -312,8 +317,8 @@ func main() {
 
 	if runCtx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "\npivot-exp: interrupted; %d of %d experiment(s) incomplete", len(failed), len(results))
-		if *journalPath != "" {
-			fmt.Fprintf(os.Stderr, " (rerun with -resume to continue)")
+		if cache != nil {
+			fmt.Fprintf(os.Stderr, " (rerun with the same -cache-dir to continue)")
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(130)
@@ -386,19 +391,19 @@ func usageText() string {
 		line += id
 	}
 	return `usage: pivot-exp [-quick] [-cores n] [-quiet] [-parallel n] [-timeout d]
-                 [-journal f [-resume]] [-audit] [-watchdog n]
+                 [-cache-dir d] [-audit] [-watchdog n]
                  [-checkpoint-dir d] [-checkpoint-interval n]
                  [-stats-out f] [-timeline-out f]
                  [-flight-out f [-flight-top n] [-flight-sample n]]
-                 [-cache-dir d] [-csv-out f]
-                 [-debug-addr a] [-log-format text|json] [-version]
+                 [-csv-out f] [-debug-addr a] [-log-format text|json] [-version]
                  <list | scenarios | all | experiment-id...> | -scenario file.json
 
 Regenerates the paper's figures/tables as text tables. Experiment ids:
 ` + ids + line + `
 
 "scenarios" lists the declarative builtin scenarios; -scenario runs a user
-scenario file through the parallel harness; -cache-dir replays its
-unchanged units from a content-addressed result cache.
+scenario file through the parallel harness. -cache-dir replays finished,
+unchanged experiments and scenario units from a content-addressed result
+cache, so rerunning an interrupted sweep with the same -cache-dir resumes it.
 `
 }

@@ -50,7 +50,6 @@ func run() int {
 	corpus := flag.String("corpus", "", "directory receiving one replayable entry per finding")
 	replay := flag.String("replay", "", "replay the corpus at this directory instead of fuzzing")
 	parallel := flag.Int("parallel", 0, "worker count (0 = GOMAXPROCS)")
-	journal := flag.String("journal", "", "append one JSONL line per checked scenario here")
 	defect := flag.String("defect", "", "arm a deliberate test-only defect: "+strings.Join(scenfuzz.Defects(), ",")+" (empty = none)")
 	logFormat := flag.String("log-format", "text", "diagnostics format: text or json")
 	version := flag.Bool("version", false, "print the build fingerprint and exit")
@@ -101,15 +100,14 @@ func run() int {
 	}
 	start := time.Now()
 	sum, err := scenfuzz.Run(ctx, scenfuzz.Config{
-		Seed:        *seed,
-		N:           *n,
-		Duration:    *duration,
-		Oracles:     names,
-		Corpus:      *corpus,
-		Parallel:    *parallel,
-		JournalPath: *journal,
-		Env:         env,
-		Out:         os.Stderr,
+		Seed:     *seed,
+		N:        *n,
+		Duration: *duration,
+		Oracles:  names,
+		Corpus:   *corpus,
+		Parallel: *parallel,
+		Env:      env,
+		Out:      os.Stderr,
 	})
 	if err != nil {
 		logger.Error("campaign failed", "err", err)

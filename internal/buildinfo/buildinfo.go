@@ -1,8 +1,10 @@
 // Package buildinfo derives a build fingerprint from the information the Go
 // toolchain embeds in every binary (runtime/debug.ReadBuildInfo): the module
 // version and the VCS revision the binary was built from. CLIs print it under
-// -version and stamp it into report headers and harness journal entries so an
-// artifact can always be traced back to the exact code that produced it.
+// -version and stamp it into report headers so an artifact can always be
+// traced back to the code that produced it. (The harness result cache keys on
+// the executable's SHA-256 instead: a fingerprint cannot tell two
+// uncommitted edits apart.)
 package buildinfo
 
 import (
@@ -53,8 +55,8 @@ func Get() Info {
 	return info
 }
 
-// Fingerprint renders the one-line build identity used in report headers and
-// journal entries: "module version rev[+dirty] (go)".
+// Fingerprint renders the one-line build identity used in report headers:
+// "module version rev[+dirty] (go)".
 func Fingerprint() string {
 	return Get().Fingerprint()
 }

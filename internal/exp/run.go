@@ -246,8 +246,8 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 			ctx.logf("  %s: resumed from checkpoint at cycle %d", spec.Method.Name, resumed)
 		}
 		if err == nil {
-			// The run completed; its checkpoints have nothing left to
-			// protect (the journal records the result).
+			// The run completed and its result goes back to the caller;
+			// its checkpoints have nothing left to protect.
 			_ = checkpoint.Remove(dir)
 		}
 	} else {

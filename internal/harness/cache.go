@@ -15,11 +15,13 @@ import (
 	"pivot/internal/exp"
 )
 
-// Cache is the content-addressed result store: one JSON file per (build,
-// unit inputs) key, so re-running an edited sweep recomputes only the units
-// whose inputs — code included — actually changed. The journal cannot do
-// this: it keys on sweep position. Entries are written atomically and
-// verified on read; a corrupt or foreign file is a miss, not an error.
+// Cache is the harness's store of finished results: one JSON file per
+// (build, job inputs) key. Keys are content, never sweep position, so a
+// rerun of an interrupted sweep replays exactly the jobs that finished, and
+// a rerun of an edited sweep or an edited build recomputes exactly the jobs
+// whose inputs — code included — changed. Failed jobs are never stored, so
+// they always re-run. Entries are written atomically and verified on read;
+// a corrupt or foreign file is a miss, not an error.
 type Cache struct {
 	dir    string
 	hits   atomic.Uint64
@@ -66,30 +68,33 @@ func fileDigest(path string) (string, error) {
 }
 
 // cacheKeyInput is exactly what the key hashes: every input that can change
-// a unit's result. Sweep position and label are deliberately excluded — two
-// positions with identical resolved scenarios are the same computation.
+// a job's result. Sweep position and label are deliberately excluded — two
+// positions with identical resolved inputs are the same computation.
 type cacheKeyInput struct {
-	Build    string          `json:"build"`
-	Scenario json.RawMessage `json:"scenario"`
-	Scale    exp.Scale       `json:"scale"`
-	Cores    int             `json:"cores"`
-	Dense    bool            `json:"dense"`
+	Build string          `json:"build"`
+	Unit  json.RawMessage `json:"unit"`
+	Scale exp.Scale       `json:"scale"`
+	Cores int             `json:"cores"`
+	Dense bool            `json:"dense"`
 }
 
-// CacheKey derives the content address of one scenario unit's result under
-// one build: scenario is the unit's canonical (sweep-free) encoding, and
-// scale, cores and dense pin the executing context's configuration.
-func CacheKey(build string, scenario []byte, scale exp.Scale, cores int, dense bool) string {
+// CacheKey derives the content address of one job's result under one build.
+// unit is the JSON encoding of what the job runs: a scenario unit's
+// canonical (sweep-free) object, or an experiment ID as a JSON string
+// (experimentUnit). The two are different JSON kinds, so an experiment key
+// never equals a scenario-unit key. Scale, cores and dense pin the executing
+// context's configuration.
+func CacheKey(build string, unit []byte, scale exp.Scale, cores int, dense bool) string {
 	raw, err := json.Marshal(cacheKeyInput{
-		Build:    build,
-		Scenario: scenario,
-		Scale:    scale,
-		Cores:    cores,
-		Dense:    dense,
+		Build: build,
+		Unit:  unit,
+		Scale: scale,
+		Cores: cores,
+		Dense: dense,
 	})
 	if err != nil {
-		// Every field is a plain value and the scenario a canonical
-		// encoding; this cannot happen for keys the harness derives.
+		// Every field is a plain value and the unit a canonical encoding;
+		// this cannot happen for keys the harness derives.
 		panic(fmt.Sprintf("harness: cache key: %v", err))
 	}
 	sum := sha256.Sum256(raw)
@@ -178,4 +183,76 @@ func CachedJobs(c *Cache, jobs []Job) []Job {
 		}
 	}
 	return out
+}
+
+// ValueAs decodes a Result's value as T, handling both live values (returned
+// by an uncached job) and the json.RawMessage values CachedJobs returns.
+func ValueAs[T any](res Result) (T, error) {
+	var out T
+	switch v := res.Value.(type) {
+	case T:
+		return v, nil
+	case json.RawMessage:
+		err := json.Unmarshal(v, &out)
+		return out, err
+	default:
+		// Round-trip through JSON: covers live values whose concrete type
+		// differs from T only by encoding (e.g. any-typed maps).
+		raw, err := json.Marshal(res.Value)
+		if err != nil {
+			return out, err
+		}
+		return out, json.Unmarshal(raw, &out)
+	}
+}
+
+// WriteFileAtomic writes data to path via a temp file + rename in the same
+// directory, so readers never observe a half-written result and an aborted
+// sweep cannot corrupt a previous complete output. The temp file is fsynced
+// before the rename and the parent directory after it, so the result is
+// durable: after WriteFileAtomic returns, a crash (or power loss) leaves
+// either the old content or the complete new content — never a torn file and
+// never a dangling directory entry.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	defer func() {
+		if tmpName != "" {
+			os.Remove(tmpName)
+		}
+	}()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		return err
+	}
+	tmpName = ""
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory so a rename into it survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

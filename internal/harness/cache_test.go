@@ -64,6 +64,15 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if CacheKey("build-a", testScenario, scale, 4, false) == base {
 		t.Error("scale must affect the cache key")
 	}
+	// An experiment's unit is its ID as a JSON string; a scenario unit is a
+	// JSON object, so the two key spaces cannot meet.
+	fig1 := CacheKey("build-a", experimentUnit("fig1"), exp.Quick(), 4, false)
+	if string(experimentUnit("fig1")) != `"fig1"` {
+		t.Errorf("experimentUnit(fig1) = %s, want a JSON string", experimentUnit("fig1"))
+	}
+	if fig1 == base || fig1 == CacheKey("build-a", experimentUnit("fig2"), exp.Quick(), 4, false) {
+		t.Error("experiment ID must affect the cache key")
+	}
 }
 
 // TestBuildKeyDigestsTheFile: the build component of the key is the
@@ -218,10 +227,7 @@ func sweepTable(t *testing.T, ctx *exp.Context, sc *scenario.Scenario, cache *Ca
 			return j.Run(rc)
 		}
 	}
-	r, err := New(Config{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Parallel: 2})
 	results := r.Run(CachedJobs(cache, jobs))
 	rendered := make([]exp.RunResult, len(results))
 	for i, res := range results {

@@ -1,10 +1,11 @@
 // Package harness is the resilient sweep runner: a worker pool that executes
 // experiment jobs in parallel, converts panics into structured errors with a
 // machine diagnostic attached, bounds each run with a wall-clock deadline,
-// retries transient host failures with backoff, and journals completed runs
-// so an interrupted sweep resumes without recomputing. A content-addressed
-// result cache (Cache) lets an edited scenario sweep recompute only the
-// units whose inputs changed.
+// and retries transient host failures with backoff. Its one store of finished
+// results is the content-addressed Cache: a rerun of an interrupted sweep
+// against the same cache replays the finished jobs, and a rerun of an edited
+// sweep — or of an edited build — recomputes only the jobs whose inputs
+// changed.
 //
 // Determinism: each simulation's state lives entirely inside its own
 // machine, and the exp.Context caches are synchronised, so a sweep run with
@@ -36,12 +37,6 @@ type Config struct {
 	Retries int
 	// Backoff is the wait before the first retry; it doubles per attempt.
 	Backoff time.Duration
-	// JournalPath, when set, appends one JSONL entry per completed job and
-	// enables Resume.
-	JournalPath string
-	// Resume skips jobs whose IDs already have journal entries, returning
-	// the journaled value instead of recomputing.
-	Resume bool
 	// Out receives progress notes; nil silences them. Ignored when Logger is
 	// set.
 	Out io.Writer
@@ -55,9 +50,9 @@ type Config struct {
 }
 
 // Job is one unit of work. Run receives a context carrying the per-run
-// deadline; its returned value must be JSON-marshalable for journaling.
-// Key, when set, is the content address of the job's result (CacheKey);
-// CachedJobs serves keyed jobs from a Cache.
+// deadline. Key, when set, is the content address of the job's result
+// (CacheKey); CachedJobs serves keyed jobs from a Cache, so a keyed job's
+// value must be JSON-marshalable.
 type Job struct {
 	ID  string
 	Run func(ctx context.Context) (any, error)
@@ -67,15 +62,13 @@ type Job struct {
 // Result is the outcome of one job, in job order.
 type Result struct {
 	ID string
-	// Value is what Run returned — or a json.RawMessage when the value was
-	// replayed from the journal (decode with ValueAs).
+	// Value is what Run returned — a json.RawMessage for jobs wrapped by
+	// CachedJobs (decode with ValueAs).
 	Value any
 	// Err is nil on success; otherwise a *RunError.
 	Err      error
 	Attempts int
-	// Resumed marks values replayed from the journal without recomputation.
-	Resumed bool
-	Elapsed time.Duration
+	Elapsed  time.Duration
 }
 
 // RunError wraps a job failure with its identity and attempt count. The
@@ -116,22 +109,13 @@ func transient(err error) bool {
 
 // Runner executes sweeps. Zero value is unusable; build with New.
 type Runner struct {
-	cfg     Config
-	log     *slog.Logger
-	journal *journal // nil when journaling is off
+	cfg Config
+	log *slog.Logger
 }
 
-// New builds a runner, loading the journal when resuming.
-func New(cfg Config) (*Runner, error) {
-	r := &Runner{cfg: cfg, log: resolveLogger(cfg)}
-	if cfg.JournalPath != "" {
-		j, err := openJournal(cfg.JournalPath, cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		r.journal = j
-	}
-	return r, nil
+// New builds a runner.
+func New(cfg Config) *Runner {
+	return &Runner{cfg: cfg, log: resolveLogger(cfg)}
 }
 
 // resolveLogger picks the diagnostic sink: an explicit structured logger wins;
@@ -213,18 +197,6 @@ func Failed(results []Result) int {
 }
 
 func (r *Runner) runOne(ctx context.Context, job Job) Result {
-	if r.journal != nil && r.cfg.Resume {
-		if raw, ok := r.journal.lookup(job.ID); ok {
-			r.log.Info("resumed from journal", "job", job.ID)
-			r.cfg.Progress.UnitDone(false)
-			return Result{ID: job.ID, Value: raw, Resumed: true}
-		}
-		if e, ok := r.journal.priorFailure(job.ID); ok {
-			// Failure records are history, not results: report and re-run.
-			r.log.Warn("re-running previously failed job",
-				"job", job.ID, "priorAttempts", e.Attempts, "priorErr", e.Error)
-		}
-	}
 	if err := ctx.Err(); err != nil {
 		// Sweep cancelled before this job started: fail fast instead of
 		// burning a full simulation that would abort at its first check.
@@ -243,11 +215,6 @@ func (r *Runner) runOne(ctx context.Context, job Job) Result {
 		attempts++
 		v, err := r.attempt(ctx, job)
 		if err == nil {
-			if r.journal != nil {
-				if jerr := r.journal.append(job.ID, v); jerr != nil {
-					r.log.Error("journal write failed", "job", job.ID, "err", jerr)
-				}
-			}
 			r.log.Info("job ok", "job", job.ID, "elapsedSec", round1(time.Since(start).Seconds()))
 			r.cfg.Progress.UnitDone(false)
 			return Result{ID: job.ID, Value: v, Attempts: attempts, Elapsed: time.Since(start)}
@@ -258,14 +225,6 @@ func (r *Runner) runOne(ctx context.Context, job Job) Result {
 		}
 	}
 	r.log.Error("job failed", "job", job.ID, "attempts", attempts, "err", lastErr)
-	if r.journal != nil && ctx.Err() == nil {
-		// Journal the failure so a resumed sweep reports it instead of
-		// silently retrying with no history. Cancellation is not a job
-		// failure — those jobs simply re-run next time.
-		if jerr := r.journal.appendFailure(job.ID, attempts, lastErr); jerr != nil {
-			r.log.Error("journal write failed", "job", job.ID, "err", jerr)
-		}
-	}
 	r.cfg.Progress.UnitDone(true)
 	return Result{
 		ID:       job.ID,

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,16 +18,14 @@ import (
 	"pivot/internal/faultinject"
 	"pivot/internal/machine"
 	"pivot/internal/mem"
+	"pivot/internal/metrics"
 	"pivot/internal/workload"
 )
 
 // --- pure harness mechanics (no simulation) ---------------------------------
 
 func TestPanicBecomesRunError(t *testing.T) {
-	r, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{})
 	results := r.Run([]Job{{ID: "boom", Run: func(context.Context) (any, error) {
 		panic("kaboom")
 	}}})
@@ -46,10 +46,7 @@ func TestPanicBecomesRunError(t *testing.T) {
 }
 
 func TestTransientFailuresRetry(t *testing.T) {
-	r, err := New(Config{Retries: 5, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Retries: 5, Backoff: time.Millisecond})
 	calls := 0
 	results := r.Run([]Job{{ID: "flaky", Run: func(context.Context) (any, error) {
 		calls++
@@ -67,10 +64,7 @@ func TestTransientFailuresRetry(t *testing.T) {
 }
 
 func TestDeterministicFailuresDoNotRetry(t *testing.T) {
-	r, err := New(Config{Retries: 5, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Retries: 5, Backoff: time.Millisecond})
 	calls := 0
 	results := r.Run([]Job{{ID: "det", Run: func(context.Context) (any, error) {
 		calls++
@@ -85,52 +79,13 @@ func TestDeterministicFailuresDoNotRetry(t *testing.T) {
 }
 
 func TestTimeoutReachesJob(t *testing.T) {
-	r, err := New(Config{Timeout: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Timeout: 10 * time.Millisecond})
 	results := r.Run([]Job{{ID: "slow", Run: func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}})
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want deadline exceeded", results[0].Err)
-	}
-}
-
-func TestJournalResumeSkipsCompletedJobs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	r1, err := New(Config{JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	echo := func(s string) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) { return s, nil }
-	}
-	r1.Run([]Job{{ID: "a", Run: echo("alpha")}, {ID: "b", Run: echo("beta")}})
-
-	r2, err := New(Config{JournalPath: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poison := func(context.Context) (any, error) {
-		t.Error("journaled job re-ran on resume")
-		return nil, errors.New("re-ran")
-	}
-	results := r2.Run([]Job{
-		{ID: "a", Run: poison},
-		{ID: "b", Run: poison},
-		{ID: "c", Run: echo("gamma")},
-	})
-	for i, want := range []string{"alpha", "beta", "gamma"} {
-		got, err := ValueAs[string](results[i])
-		if err != nil || got != want {
-			t.Fatalf("result %d = %q (%v), want %q", i, got, err, want)
-		}
-	}
-	if !results[0].Resumed || !results[1].Resumed || results[2].Resumed {
-		t.Fatalf("resume flags wrong: %v %v %v",
-			results[0].Resumed, results[1].Resumed, results[2].Resumed)
 	}
 }
 
@@ -207,13 +162,26 @@ func sweepSpecs() []exp.RunSpec {
 	return specs
 }
 
-func runSweep(t *testing.T, cfg Config, specs []exp.RunSpec) []Result {
+// runSweep runs specs under cfg, through cache when one is given. SpecJobs
+// leaves jobs unkeyed, so each is keyed here by its ID, which names its spec
+// uniquely within sweepSpecs. It also returns the IDs of the jobs that
+// actually ran (the cache misses).
+func runSweep(t *testing.T, cfg Config, specs []exp.RunSpec, cache *Cache) ([]Result, []string) {
 	t.Helper()
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	ctx := testCtx(t)
+	jobs := SpecJobs(ctx, specs)
+	var mu sync.Mutex
+	var ran []string
+	for i, j := range jobs {
+		jobs[i].Key = CacheKey("sweep-test", []byte(strconv.Quote(j.ID)), ctx.Scale, ctx.Cfg.Cores, false)
+		jobs[i].Run = func(rc context.Context) (any, error) {
+			mu.Lock()
+			ran = append(ran, j.ID)
+			mu.Unlock()
+			return j.Run(rc)
+		}
 	}
-	return r.Run(SpecJobs(testCtx(t), specs))
+	return New(cfg).Run(CachedJobs(cache, jobs)), ran
 }
 
 func decodeRun(t *testing.T, res Result) exp.RunResult {
@@ -229,11 +197,11 @@ func decodeRun(t *testing.T, res Result) exp.RunResult {
 // 10-run sweep under seeded fault injection where one run panics. The
 // harness must complete every healthy run, report the poisoned one as a
 // structured failure with a machine diagnostic, and — run again in parallel
-// and resumed from a truncated journal — reproduce the serial baseline
-// exactly.
+// into a result cache, then rerun against that cache with half its entries
+// deleted — reproduce the serial baseline exactly.
 func TestSweepSurvivesFaultsAndPanic(t *testing.T) {
 	specs := sweepSpecs()
-	baseline := runSweep(t, Config{}, specs)
+	baseline, _ := runSweep(t, Config{}, specs, nil)
 	if n := Failed(baseline); n != 1 {
 		t.Fatalf("serial sweep: %d failures, want exactly the rigged run", n)
 	}
@@ -249,9 +217,14 @@ func TestSweepSurvivesFaultsAndPanic(t *testing.T) {
 		t.Fatal("panic diagnostic missing the machine snapshot")
 	}
 
-	// Parallel sweep with a journal: identical results, in order.
-	path := filepath.Join(t.TempDir(), "sweep.jsonl")
-	par := runSweep(t, Config{Parallel: 4, JournalPath: path}, specs)
+	// Parallel sweep into a cache: identical results, in order, and only
+	// the healthy runs stored.
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, _ := runSweep(t, Config{Parallel: 4}, specs, cache)
 	if Failed(par) != 1 || par[4].Err == nil {
 		t.Fatalf("parallel sweep failures diverged: %d", Failed(par))
 	}
@@ -263,35 +236,43 @@ func TestSweepSurvivesFaultsAndPanic(t *testing.T) {
 			t.Fatalf("run %d diverged under -parallel 4:\nserial:   %+v\nparallel: %+v", i, a, b)
 		}
 	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(entries) != len(specs)-1 {
+		t.Fatalf("cache holds %d entries (%v), want one per healthy run (%d)", len(entries), err, len(specs)-1)
+	}
 
-	// Interrupt: keep only the first half of the journal, then resume. The
-	// journaled runs replay, the rest recompute, the rigged run fails again,
+	// Interrupt: delete half the entries, then rerun against the cache. The
+	// remaining entries hit, the rest recompute, the rigged run fails again,
 	// and every value still matches the serial baseline.
-	data, err := os.ReadFile(path)
+	slices.Sort(entries)
+	deleted := entries[:len(entries)/2]
+	for _, e := range deleted {
+		if err := os.Remove(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache, err = OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(strings.TrimRight(string(data), "\n"), "\n")
-	cut := filepath.Join(t.TempDir(), "interrupted.jsonl")
-	if err := os.WriteFile(cut, []byte(strings.Join(lines[:len(lines)/2], "")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumed := runSweep(t, Config{JournalPath: cut, Resume: true}, specs)
+	resumed, ran := runSweep(t, Config{}, specs, cache)
 	if Failed(resumed) != 1 || resumed[4].Err == nil {
 		t.Fatalf("resumed sweep failures diverged: %d", Failed(resumed))
 	}
-	anyResumed := false
+	if kept := len(entries) - len(deleted); cache.Hits() != uint64(kept) || len(ran) != len(deleted)+1 {
+		t.Fatalf("resumed sweep: %d hit(s), ran %v; want %d hits and the %d deleted runs plus the rigged one",
+			cache.Hits(), ran, kept, len(deleted))
+	}
+	if !slices.Contains(ran, resumed[4].ID) {
+		t.Fatalf("rigged run %s was not re-run (ran %v)", resumed[4].ID, ran)
+	}
 	for i := range specs {
 		if i == 4 {
 			continue
 		}
-		anyResumed = anyResumed || resumed[i].Resumed
 		if a, b := decodeRun(t, baseline[i]), decodeRun(t, resumed[i]); !reflect.DeepEqual(a, b) {
 			t.Fatalf("run %d diverged after resume:\nserial:  %+v\nresumed: %+v", i, a, b)
 		}
-	}
-	if !anyResumed {
-		t.Fatal("truncated journal replayed nothing — resume path untested")
 	}
 }
 
@@ -308,8 +289,8 @@ func TestParallelMatchesSerialFaultFree(t *testing.T) {
 			})
 		}
 	}
-	serial := runSweep(t, Config{}, specs)
-	par := runSweep(t, Config{Parallel: 4}, specs)
+	serial, _ := runSweep(t, Config{}, specs, nil)
+	par, _ := runSweep(t, Config{Parallel: 4}, specs, nil)
 	if Failed(serial) != 0 || Failed(par) != 0 {
 		t.Fatalf("fault-free sweep failed: serial %d, parallel %d", Failed(serial), Failed(par))
 	}
@@ -321,39 +302,51 @@ func TestParallelMatchesSerialFaultFree(t *testing.T) {
 }
 
 // TestExperimentResumeByteIdentical drives the same path pivot-exp uses:
-// rendered table text is what gets journaled, so a resumed sweep prints
-// byte-for-byte what the original would have.
+// experiment tables are what gets cached, so a rerun against the cache
+// prints byte-for-byte what an uncached sweep prints, in text and in CSV,
+// without recomputing anything.
 func TestExperimentResumeByteIdentical(t *testing.T) {
 	ids := []string{"table1", "table2", "storage"}
-	jobs, err := ExperimentJobs(testCtx(t), ids, nil)
+	jobs, err := ExperimentJobs(testCtx(t), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "exp.jsonl")
-	r1, err := New(Config{JournalPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := r1.Run(jobs)
-	if Failed(first) != 0 {
-		t.Fatalf("static experiments failed: %+v", first)
-	}
-	r2, err := New(Config{JournalPath: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := r2.Run(jobs)
-	for i := range jobs {
-		if !second[i].Resumed {
-			t.Fatalf("experiment %s recomputed despite journal", jobs[i].ID)
+	render := func(rs []Result) (text, csv string) {
+		t.Helper()
+		for _, res := range rs {
+			if res.Err != nil {
+				t.Fatalf("experiment %s failed: %v", res.ID, res.Err)
+			}
+			tables, err := ValueAs[[]*metrics.Table](res)
+			if err != nil || len(tables) == 0 {
+				t.Fatalf("experiment %s: %d table(s) (%v)", res.ID, len(tables), err)
+			}
+			for _, tb := range tables {
+				text += tb.String() + "\n"
+				csv += fmt.Sprintf("# %s\n%s\n", tb.Title, tb.CSV())
+			}
 		}
-		a, err1 := ValueAs[string](first[i])
-		b, err2 := ValueAs[string](second[i])
-		if err1 != nil || err2 != nil || a != b {
-			t.Fatalf("experiment %s output changed across resume (%v, %v)", jobs[i].ID, err1, err2)
+		return text, csv
+	}
+	wantText, wantCSV := render(New(Config{}).Run(jobs))
+
+	runs := 0
+	for i, j := range jobs {
+		jobs[i].Run = func(rc context.Context) (any, error) { runs++; return j.Run(rc) }
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, wantRuns := range []int{len(ids), 0} {
+		runs = 0
+		text, csv := render(New(Config{}).Run(CachedJobs(cache, jobs)))
+		if text != wantText || csv != wantCSV {
+			t.Fatalf("pass %d: cached output differs from uncached:\n--- uncached ---\n%s\n--- cached ---\n%s",
+				pass, wantText, text)
 		}
-		if a == "" {
-			t.Fatalf("experiment %s rendered empty output", jobs[i].ID)
+		if runs != wantRuns {
+			t.Fatalf("pass %d ran %d experiment(s), want %d", pass, runs, wantRuns)
 		}
 	}
 }
@@ -370,16 +363,13 @@ func TestSpecLabel(t *testing.T) {
 }
 
 func TestUnknownExperimentRejected(t *testing.T) {
-	if _, err := ExperimentJobs(testCtx(t), []string{"fig99"}, nil); err == nil {
+	if _, err := ExperimentJobs(testCtx(t), []string{"fig99"}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	r, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{})
 
 	// Already-cancelled sweep: jobs fail fast without running.
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -399,10 +389,7 @@ func TestRunContextCancellation(t *testing.T) {
 	// Mid-sweep cancellation reaches the in-flight job's context, and a
 	// cancelled failure is never retried even when marked transient.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	r2, err := New(Config{Retries: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := New(Config{Retries: 3})
 	attempts := 0
 	results = r2.RunContext(ctx2, []Job{{ID: "b", Run: func(ctx context.Context) (any, error) {
 		attempts++

@@ -25,10 +25,7 @@ func TestProgressEndpointDuringSweep(t *testing.T) {
 	url := "http://" + addr + "/progress"
 
 	const jobs, cyclesPerJob = 12, 2000
-	r, err := New(Config{Parallel: 4, Progress: p})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New(Config{Parallel: 4, Progress: p})
 	var js []Job
 	for i := 0; i < jobs; i++ {
 		id := fmt.Sprintf("unit-%02d", i)

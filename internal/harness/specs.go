@@ -2,11 +2,11 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 
 	"pivot/internal/exp"
-	"pivot/internal/metrics"
 	"pivot/internal/scenario"
 )
 
@@ -83,13 +83,12 @@ func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, err
 }
 
 // ExperimentJobs builds one job per registered experiment ID. Each job's
-// value is the experiment's fully rendered table text (render formats one
-// table; nil renders the default text form), so a journal replay reproduces
-// the sweep's output byte-for-byte without recomputation.
-func ExperimentJobs(ctx *exp.Context, ids []string, render func(*metrics.Table) string) ([]Job, error) {
-	if render == nil {
-		render = func(t *metrics.Table) string { return t.String() + "\n" }
-	}
+// value is the experiment's []*metrics.Table, so the caller renders text or
+// CSV after the sweep and one cached entry serves both formats. Each job is
+// keyed for the result cache like a scenario unit (see ScenarioJobs), with
+// the experiment ID as the unit (experimentUnit).
+func ExperimentJobs(ctx *exp.Context, ids []string) ([]Job, error) {
+	build, buildErr := buildKey()
 	reg := exp.Registry()
 	jobs := make([]Job, 0, len(ids))
 	for _, id := range ids {
@@ -97,20 +96,23 @@ func ExperimentJobs(ctx *exp.Context, ids []string, render func(*metrics.Table) 
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown experiment %q", id)
 		}
-		jobs = append(jobs, Job{
+		job := Job{
 			ID: e.ID,
 			Run: func(rc context.Context) (any, error) {
-				tables, err := e.Run(ctx.WithRunContext(rc))
-				if err != nil {
-					return nil, err
-				}
-				var b strings.Builder
-				for _, t := range tables {
-					b.WriteString(render(t))
-				}
-				return b.String(), nil
+				return e.Run(ctx.WithRunContext(rc))
 			},
-		})
+		}
+		if buildErr == nil {
+			job.Key = CacheKey(build, experimentUnit(e.ID), ctx.Scale, ctx.Cfg.Cores, ctx.Dense)
+		}
+		jobs = append(jobs, job)
 	}
 	return jobs, nil
+}
+
+// experimentUnit is an experiment's cache-key unit: its ID as a JSON
+// string, which can never equal a scenario unit's JSON object.
+func experimentUnit(id string) []byte {
+	raw, _ := json.Marshal(id) // a string always marshals
+	return raw
 }

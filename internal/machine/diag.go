@@ -45,9 +45,8 @@ type QueueDiag struct {
 }
 
 // Diagnostic is a machine state snapshot taken when a run aborts (watchdog,
-// audit violation, panic, deadline). It is JSON-serialisable so the harness
-// can journal it, and String renders the human-readable dump the docs
-// describe.
+// audit violation, panic, deadline). It is JSON-serialisable for machine
+// consumers, and String renders the human-readable dump the docs describe.
 type Diagnostic struct {
 	Cycle  uint64 `json:"cycle"`
 	Policy string `json:"policy"`

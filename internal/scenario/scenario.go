@@ -27,7 +27,7 @@ const Version = 1
 type Scenario struct {
 	// Version must equal the package Version (1).
 	Version int `json:"version"`
-	// Name identifies the scenario (builtin registry key, journal labels).
+	// Name identifies the scenario (builtin registry key, unit labels).
 	Name string `json:"name"`
 	// Brief is a one-line description shown by `pivot-exp scenarios`.
 	Brief string `json:"brief,omitempty"`

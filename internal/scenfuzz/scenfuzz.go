@@ -52,8 +52,6 @@ type Config struct {
 	Corpus string
 	// Parallel is the harness worker count; < 1 means serial.
 	Parallel int
-	// JournalPath, when set, appends one JSONL entry per checked scenario.
-	JournalPath string
 	// Env carries the defect hook into oracle checks (see Defects).
 	Env Env
 	// Out receives progress notes; nil silences them.
@@ -89,7 +87,7 @@ type Summary struct {
 
 // Run executes a fuzzing campaign: generate cfg.N scenarios, check each
 // against the selected oracles in parallel harness workers (panics become
-// structured findings, completed checks are journaled), shrink and record
+// structured findings), shrink and record
 // every failure. The error reports campaign-infrastructure problems only;
 // oracle violations are Findings in the Summary.
 func Run(ctx context.Context, cfg Config) (*Summary, error) {
@@ -144,14 +142,7 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		}
 	}
 
-	r, err := harness.New(harness.Config{
-		Parallel:    cfg.Parallel,
-		JournalPath: cfg.JournalPath,
-		Out:         cfg.Out,
-	})
-	if err != nil {
-		return nil, err
-	}
+	r := harness.New(harness.Config{Parallel: cfg.Parallel, Out: cfg.Out})
 	results := r.RunContext(ctx, jobs)
 
 	sum := &Summary{Findings: findings}

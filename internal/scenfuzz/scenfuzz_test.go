@@ -3,7 +3,6 @@ package scenfuzz
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"testing"
 
 	"pivot/internal/scenario"
@@ -217,15 +216,14 @@ func TestDefectCaughtShrunkAndReplayable(t *testing.T) {
 }
 
 // TestRunCampaignGreen: a small campaign on the current tree comes back
-// all-green, journals every scenario, and writes no corpus entries.
+// all-green and writes no corpus entries.
 func TestRunCampaignGreen(t *testing.T) {
 	corpus := t.TempDir()
 	sum, err := Run(context.Background(), Config{
-		Seed:        1,
-		N:           4,
-		Parallel:    2,
-		Corpus:      corpus,
-		JournalPath: filepath.Join(t.TempDir(), "journal.jsonl"),
+		Seed:     1,
+		N:        4,
+		Parallel: 2,
+		Corpus:   corpus,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

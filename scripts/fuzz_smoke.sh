@@ -42,7 +42,7 @@ fi
 
 echo "== bounded fresh campaign =="
 "$work/pivot-fuzz" -seed "${FUZZ_SEED:-1}" -n 1000 -duration 60s \
-    -corpus "$work/corpus" -journal "$work/journal.jsonl" "$@"
+    -corpus "$work/corpus" "$@"
 
 echo "== planted defect is still caught =="
 if "$work/pivot-fuzz" -seed 1 -n 1 -oracles equiv -defect skip-faults \

@@ -4,8 +4,8 @@
 # Two sweeps — an experiment sweep (fig5 fig6) and a scenario sweep
 # (examples/scenarios/fleet.json) — each run three ways:
 #   1. uninterrupted, as the reference;
-#   2. with journal + checkpoints, SIGKILLed mid-sweep;
-#   3. resumed from the journal and checkpoints of (2).
+#   2. with a result cache + checkpoints, SIGKILLed mid-sweep;
+#   3. rerun against the result cache and checkpoints of (2).
 # The recovered output must be byte-identical to the reference. The kill
 # lands wherever it lands — during calibration, mid-simulation, or (on a very
 # fast host) after completion; recovery must produce identical tables in
@@ -31,17 +31,17 @@ kill_resume() {
     "$work/pivot-exp" "$@" > "$dir/ref.txt"
 
     echo "== $name: interrupted run (SIGKILL after ${delay}s) =="
-    "$work/pivot-exp" -journal "$dir/journal.jsonl" -checkpoint-dir "$dir/ckpt" \
+    "$work/pivot-exp" -cache-dir "$dir/cache" -checkpoint-dir "$dir/ckpt" \
         "$@" > "$dir/killed.txt" 2> "$dir/killed.err" &
     local pid=$!
     sleep "$delay"
     kill -KILL "$pid" 2>/dev/null || echo "(sweep finished before the kill)"
     wait "$pid" 2>/dev/null || true
-    echo "   at the kill: $(grep -c . "$dir/journal.jsonl" 2>/dev/null || echo 0) journaled job(s)," \
+    echo "   at the kill: $(find "$dir/cache" -name '*.json' 2>/dev/null | wc -l) cached job(s)," \
         "$(find "$dir/ckpt" -type f 2>/dev/null | wc -l) checkpoint file(s)"
 
     echo "== $name: resumed run =="
-    "$work/pivot-exp" -journal "$dir/journal.jsonl" -resume -checkpoint-dir "$dir/ckpt" \
+    "$work/pivot-exp" -cache-dir "$dir/cache" -checkpoint-dir "$dir/ckpt" \
         "$@" > "$dir/resumed.txt"
 
     if ! cmp -s "$dir/ref.txt" "$dir/resumed.txt"; then
