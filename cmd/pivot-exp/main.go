@@ -47,8 +47,10 @@
 // different code, recomputes only the changed jobs. A cache hit/miss summary
 // goes to stderr. Cached output is byte-identical to uncached runs, and one
 // cached experiment serves both text and -csv. A hit runs no simulation, so
-// -stats-out/-timeline-out/-flight-out need at least one miss. With
-// -scenario, -csv-out also writes the unit table as CSV.
+// with -stats-out/-timeline-out/-flight-out the sweep's last job skips the
+// cache read (its result is still stored) and the artifacts describe the
+// run the sweep ends on. With -scenario, -csv-out also writes the unit table
+// as CSV.
 //
 // Crash safety: -checkpoint-dir makes each co-location run periodically
 // write its full machine state (every -checkpoint-interval cycles) so a
@@ -235,6 +237,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	if cache != nil && len(jobs) > 0 && (*statsOut != "" || *timelineOut != "" || *flightOut != "") {
+		// The per-run artifacts come from the last simulated run, and a
+		// cache hit simulates nothing: run the sweep's last job afresh.
+		jobs[len(jobs)-1].Refresh = true
+	}
 	results := runner.RunContext(runCtx, harness.CachedJobs(cache, jobs))
 	if cache != nil {
 		fmt.Fprintf(os.Stderr, "pivot-exp: result cache: %d hit(s), %d miss(es)\n",
@@ -286,14 +293,6 @@ func main() {
 				}
 			}
 		}
-	}
-
-	// A cache hit runs no simulation, so a fully cached sweep recorded
-	// nothing for the per-run artifacts to export.
-	if cache != nil && cache.Misses() == 0 && (*statsOut != "" || *timelineOut != "" || *flightOut != "") {
-		fmt.Fprintln(os.Stderr, "pivot-exp: every job was a result-cache hit, so no run was simulated "+
-			"and -stats-out/-timeline-out/-flight-out have nothing to write; rerun without -cache-dir")
-		os.Exit(1)
 	}
 
 	if *statsOut != "" {

@@ -67,6 +67,11 @@ type Controller struct {
 	// roll changes any class and on every RestoreState. Derived state, never
 	// serialised — consumers only compare it for equality.
 	gen uint64
+
+	// OnRankGen, when set, runs after a window roll bumps gen. It is
+	// wiring: a consumer whose engine sleep depends on the cached ranks
+	// (the DRAM controller) must be woken by the bump.
+	OnRankGen func()
 }
 
 // New wires a controller that forwards into down.
@@ -216,5 +221,8 @@ func (c *Controller) rollWindow() {
 	}
 	if c.class != prev {
 		c.gen++
+		if c.OnRankGen != nil {
+			c.OnRankGen()
+		}
 	}
 }

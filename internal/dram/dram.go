@@ -125,8 +125,8 @@ type Controller struct {
 	// (after RespLatency). Set by the machine during wiring.
 	Respond func(r *mem.Req, now sim.Cycle)
 
-	// waker ends the controller's engine sleep when Accept enqueues (an idle
-	// controller has empty queues; see NextWork).
+	// waker ends the controller's engine sleep when Accept enqueues or the
+	// Ranker's generation moves (see NextWork and RanksChanged).
 	waker sim.Waker
 
 	// Fault, when non-nil, injects admission refusals, latency spikes and
@@ -176,6 +176,21 @@ type Controller struct {
 	// under a Ranker, a generation change) discards memo and list.
 	pendClaimN []int32
 
+	// serveAt memoises, per channel, the earliest cycle the channel could
+	// put a queued request on its data bus: the bus's free cycle while it is
+	// busy, else the bound pick computes when it finds nothing to serve.
+	// Every Tick that reaches the grant loop recomputes it. It stays exact
+	// while the queues, banks and ranks do, and NextWork trusts it only
+	// while the activation memo is valid with no pending claims, which
+	// already covers every other mutation: Accept queues a pending claim or
+	// drops the memo, and so do restore, refresh and a faulted Tick; banks
+	// move only in startActivates (bounded by actSettled) and refresh; ranks
+	// move only with the Ranker generation, which NextWork compares. A Tick
+	// whose grant is held by a fault injector leaves it as it was, which
+	// stays exact because such a Tick serves and activates nothing.
+	// Derived state: never serialised.
+	serveAt []sim.Cycle
+
 	Stats Stats
 }
 
@@ -193,6 +208,7 @@ func New(cfg Config, lineBytes int) *Controller {
 		cfg:         cfg,
 		banks:       make([]bankState, cfg.Banks*cfg.Channels),
 		busFreeAt:   make([]sim.Cycle, cfg.Channels),
+		serveAt:     make([]sim.Cycle, cfg.Channels),
 		pendingResp: ring.New[respEntry](cfg.CapNormal + cfg.CapPrio),
 		respHead:    sim.NeverWork,
 	}
@@ -560,24 +576,33 @@ func (c *Controller) claim(e *entry, now sim.Cycle, next *sim.Cycle) bool {
 //     costs idle data-bus cycles, so the more loads a policy prioritises,
 //     the lower the achieved bandwidth;
 //  3. otherwise FR-FCFS over the normal queue (first row-open request).
-func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
+//
+// When it finds nothing, at is the earliest cycle the same scan could
+// succeed with the queues, banks and ranks unchanged (NeverWork if never):
+// the first cycle a candidate whose row is already open has both its bank
+// ready and its injected latency elapsed, or a blocked channel's starving
+// head may be promoted. Candidates whose rows are closed need an
+// activation first, which the activation memo bounds (see NextWork).
+func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cycle) {
+	at = sim.NeverWork
 	// Starvation guard.
 	if c.cfg.MaxWait > 0 && len(c.normal) > 0 {
 		e := &c.normal[0]
 		if c.channelOf(e.bank) == ch && now-e.enq > c.cfg.MaxWait && c.rowOpenFor(e, now) {
 			c.Stats.Promoted++
-			return &c.normal, 0
+			return &c.normal, 0, 0
 		}
 	}
 	if c.PriorityEnabled && len(c.prio) > 0 {
 		prioOnCh := false
 		for i := range c.prio {
-			if c.channelOf(c.prio[i].bank) != ch {
+			e := &c.prio[i]
+			if c.channelOf(e.bank) != ch {
 				continue
 			}
 			prioOnCh = true
-			if c.rowOpenFor(&c.prio[i], now) {
-				return &c.prio, i
+			if c.servableAt(e, now, &at) {
+				return &c.prio, i, 0
 			}
 		}
 		if prioOnCh {
@@ -589,13 +614,22 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
 			// tasks' non-critical traffic could use it.
 			if c.Ranker != nil {
 				for i := range c.normal {
-					if c.channelOf(c.normal[i].bank) == ch &&
-						c.normal[i].rank == 0 && c.rowOpenFor(&c.normal[i], now) {
-						return &c.normal, i
+					e := &c.normal[i]
+					if c.channelOf(e.bank) == ch && e.rank == 0 && c.servableAt(e, now, &at) {
+						return &c.normal, i, 0
 					}
 				}
 			}
-			return nil, -1 // this channel idles while its priority rows activate
+			if c.cfg.MaxWait > 0 && len(c.normal) > 0 {
+				// The head jumps these priority rows once it starves.
+				e := &c.normal[0]
+				if c.channelOf(e.bank) == ch && c.banks[e.bank].openRow == e.row {
+					if t := max(e.enq+c.cfg.MaxWait+1, e.ready, c.banks[e.bank].readyAt); t < at {
+						at = t
+					}
+				}
+			}
+			return nil, -1, at // this channel idles while its priority rows activate
 		}
 	}
 	// FR-FCFS within a rank. Ranks are non-negative, so the first row-open
@@ -603,7 +637,7 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
 	best, bestRank := -1, int(^uint(0)>>1)
 	for i := range c.normal {
 		e := &c.normal[i]
-		if e.rank >= bestRank || c.channelOf(e.bank) != ch || !c.rowOpenFor(e, now) {
+		if e.rank >= bestRank || c.channelOf(e.bank) != ch || !c.servableAt(e, now, &at) {
 			continue
 		}
 		best, bestRank = i, e.rank
@@ -612,9 +646,27 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int) {
 		}
 	}
 	if best >= 0 {
-		return &c.normal, best
+		return &c.normal, best, 0
 	}
-	return nil, -1
+	return nil, -1, at
+}
+
+// servableAt is rowOpenFor for pick's scans: it reports whether e may be
+// served now, and otherwise lowers at to the cycle it could be if its row is
+// already open.
+func (c *Controller) servableAt(e *entry, now sim.Cycle, at *sim.Cycle) bool {
+	b := &c.banks[e.bank]
+	if b.openRow != e.row {
+		return false
+	}
+	t := max(e.ready, b.readyAt)
+	if t <= now {
+		return true
+	}
+	if t < *at {
+		*at = t
+	}
+	return false
 }
 
 func remove(q *[]entry, i int) entry {
@@ -691,13 +743,20 @@ func (c *Controller) Tick(now sim.Cycle) {
 		c.runPendingClaims(now)
 	}
 
+	// Every channel's serveAt is recomputed below. A serve on a later
+	// channel cannot advance an earlier channel's bound: channels share
+	// only the starvation guard's head, and a serve that changes the head
+	// lowers or drops the activation memo (repairAfterServe), which
+	// NextWork also honours.
 	for ch := range c.busFreeAt {
 		if c.busFreeAt[ch] > now {
 			c.Stats.BusyCycles++
+			c.serveAt[ch] = c.busFreeAt[ch]
 			continue
 		}
-		q, i := c.pick(now, ch)
+		q, i, at := c.pick(now, ch)
 		if q == nil {
+			c.serveAt[ch] = at
 			continue
 		}
 		e := remove(q, i)
@@ -720,6 +779,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 		}
 
 		c.busFreeAt[ch] = now + c.cfg.TBurst
+		c.serveAt[ch] = c.busFreeAt[ch]
 		c.Stats.BusyCycles++
 		done := now + c.cfg.TCAS + c.cfg.TBurst
 		// The queue residency is pure wait; CAS+burst and the response hop
@@ -734,41 +794,63 @@ func (c *Controller) Tick(now sim.Cycle) {
 	}
 }
 
-// NextWork implements sim.IdleReporter. The controller is quiescent when
-// both request queues are empty, every channel's data bus is free (a busy
-// bus accrues BusyCycles each Tick), no response is due, and no fault
-// injector could hold a grant; it then sleeps until the earlier of the next
-// response delivery and the next refresh deadline. Only Accept can end that
-// sleep early, and it wakes the controller. The `claimed` scratch
-// slab an idle Tick would have zeroed carries no state (it is rebuilt every
-// tick and never serialised), so eliding it is unobservable.
+// NextWork implements sim.IdleReporter. The controller sleeps until the
+// earliest cycle its Tick could do more than count busy data-bus cycles
+// (which SkipCycles compensates): the next response delivery, the next
+// refresh and, while requests are queued, the activation memo's bound
+// (actSettled: no bank can change state before it) and each channel's
+// serveAt (no request can reach the bus before it). It stays awake while a
+// fault injector is attached, while the activation memo is invalid or has
+// pending claims (a request just enqueued, a served bank's successor, a
+// re-scan due) — which is also when serveAt may be stale — or while the
+// Ranker's generation has moved past the cached ranks. Accept and a
+// class-generation bump (RanksChanged) wake it. The `claimed` scratch slab
+// an idle Tick would have zeroed carries no state (it is rebuilt every tick
+// and never serialised), so eliding it is unobservable.
 func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if c.Fault != nil || len(c.normal) > 0 || len(c.prio) > 0 {
+	if c.Fault != nil {
 		return 0, false
-	}
-	for _, free := range c.busFreeAt {
-		if free > now {
-			return 0, false
-		}
 	}
 	next := c.respHead
-	if next <= now {
-		return 0, false
+	if len(c.normal) > 0 || len(c.prio) > 0 {
+		if len(c.pendClaimN) > 0 || c.actSettled <= now ||
+			(c.Ranker != nil && c.Ranker.RankGen() != c.rankGen) {
+			return 0, false
+		}
+		next = min(next, c.actSettled)
+		for _, at := range c.serveAt {
+			next = min(next, at)
+		}
 	}
 	if c.cfg.RefreshInterval > 0 {
 		nr := c.nextRefresh
 		if nr == 0 {
 			nr = c.cfg.RefreshInterval // matches maybeRefresh's lazy init
 		}
-		if nr <= now {
-			return 0, false
-		}
-		if nr < next {
-			next = nr
-		}
+		next = min(next, nr)
+	}
+	if next <= now {
+		return 0, false
 	}
 	return next, true
 }
+
+// SkipCycles implements sim.Skipper: each elided cycle counts every channel
+// whose data bus was still busy, as the idle Tick would have.
+func (c *Controller) SkipCycles(from, to sim.Cycle) {
+	for _, free := range c.busFreeAt {
+		if free > from {
+			c.Stats.BusyCycles += uint64(min(free, to) - from)
+		}
+	}
+}
+
+// RanksChanged wakes the controller after its Ranker's generation moved:
+// the cached ranks order both the activation scan and pick, so a sleep
+// forecast made under the old ranks may be too late. The caller (bwctrl's
+// window roll) ticks after the controller, so the wake polls it on the next
+// cycle — the cycle a dense run's Tick first re-ranks.
+func (c *Controller) RanksChanged() { c.waker.Wake() }
 
 // RegisterStats registers the controller's instruments under prefix (e.g.
 // "dram"): row-buffer and bus counters, the per-epoch lines-moved series the

@@ -146,14 +146,21 @@ func (c *Cache) Put(key, label string, value json.RawMessage) error {
 	return WriteFileAtomic(p, data, 0o644)
 }
 
-// Hits and Misses report the lookup counters.
+// Hits and Misses report the lookup counters; CachedJobs counts a Refresh
+// job, which skips the lookup, as a miss.
 func (c *Cache) Hits() uint64   { return c.hits.Load() }
 func (c *Cache) Misses() uint64 { return c.misses.Load() }
 
+// hitKey keys the flag, in the context a Runner hands a job, that CachedJobs
+// sets when it serves the job from the cache, so the Runner logs the job as
+// a hit rather than a run.
+type hitKey struct{}
+
 // CachedJobs wraps each keyed job's Run with a cache lookup: a hit returns
-// the stored result without running anything, a miss runs the job and
-// stores its result. Either way the value is the JSON encoding, so cold and
-// warm runs decode the same bytes. Unkeyed jobs pass through untouched.
+// the stored result without running anything, a miss — or a Refresh job,
+// which skips the lookup and counts as a miss — runs the job and stores its
+// result. Either way the value is the JSON encoding, so cold and warm runs
+// decode the same bytes. Unkeyed jobs pass through untouched.
 func CachedJobs(c *Cache, jobs []Job) []Job {
 	if c == nil {
 		return jobs
@@ -165,7 +172,12 @@ func CachedJobs(c *Cache, jobs []Job) []Job {
 			continue
 		}
 		out[i].Run = func(ctx context.Context) (any, error) {
-			if raw, ok := c.Get(job.Key); ok {
+			if job.Refresh {
+				c.misses.Add(1)
+			} else if raw, ok := c.Get(job.Key); ok {
+				if hit, ok := ctx.Value(hitKey{}).(*bool); ok {
+					*hit = true
+				}
 				return raw, nil
 			}
 			v, err := job.Run(ctx)

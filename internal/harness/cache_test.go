@@ -190,6 +190,53 @@ func TestCachedJobs(t *testing.T) {
 	}
 }
 
+// TestCacheHitsLogAsHits runs a keyed job cold, warm, and warm with
+// Refresh through a logging Runner: a hit must be logged as "job cached",
+// never as the "job ok" of a run, and a Refresh job must run (and count as
+// a miss) even though its entry exists.
+func TestCacheHitsLogAsHits(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	job := Job{
+		ID:  "000:u",
+		Run: func(context.Context) (any, error) { runs++; return 7, nil },
+		Key: testKey("build-a"),
+	}
+	pass := func(refresh bool) (Result, string) {
+		t.Helper()
+		var log strings.Builder
+		j := job
+		j.Refresh = refresh
+		res := New(Config{Out: &log}).Run(CachedJobs(c, []Job{j}))[0]
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res, log.String()
+	}
+
+	_, log := pass(false)
+	if !strings.Contains(log, "job ok") || strings.Contains(log, "job cached") || runs != 1 {
+		t.Fatalf("cold pass: runs=%d log %q, want a logged run", runs, log)
+	}
+	res, log := pass(false)
+	if !strings.Contains(log, "job cached") || strings.Contains(log, "job ok") || runs != 1 {
+		t.Fatalf("warm pass: runs=%d log %q, want a logged hit", runs, log)
+	}
+	if v, err := ValueAs[int](res); err != nil || v != 7 {
+		t.Fatalf("warm pass value = %v (%v), want 7", v, err)
+	}
+	_, log = pass(true)
+	if !strings.Contains(log, "job ok") || strings.Contains(log, "job cached") || runs != 2 {
+		t.Fatalf("refresh pass: runs=%d log %q, want a logged run", runs, log)
+	}
+	if c.Hits() != 1 || c.Misses() != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 1/2", c.Hits(), c.Misses())
+	}
+}
+
 // cacheSweep is a four-unit sweep cheap enough for unit tests.
 const cacheSweep = `{
   "version": 1,

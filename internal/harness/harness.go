@@ -57,6 +57,10 @@ type Job struct {
 	ID  string
 	Run func(ctx context.Context) (any, error)
 	Key string
+	// Refresh makes CachedJobs run a keyed job even when its result is
+	// cached, storing the fresh result: for a job whose run has effects
+	// beyond its value, like the per-run artifacts a sweep exports.
+	Refresh bool
 }
 
 // Result is the outcome of one job, in job order.
@@ -207,6 +211,8 @@ func (r *Runner) runOne(ctx context.Context, job Job) Result {
 	start := time.Now()
 	var lastErr error
 	attempts := 0
+	var hit bool
+	ctx = context.WithValue(ctx, hitKey{}, &hit)
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(r.cfg.Backoff << (attempt - 1))
@@ -215,7 +221,11 @@ func (r *Runner) runOne(ctx context.Context, job Job) Result {
 		attempts++
 		v, err := r.attempt(ctx, job)
 		if err == nil {
-			r.log.Info("job ok", "job", job.ID, "elapsedSec", round1(time.Since(start).Seconds()))
+			if hit {
+				r.log.Info("job cached", "job", job.ID)
+			} else {
+				r.log.Info("job ok", "job", job.ID, "elapsedSec", round1(time.Since(start).Seconds()))
+			}
 			r.cfg.Progress.UnitDone(false)
 			return Result{ID: job.ID, Value: v, Attempts: attempts, Elapsed: time.Since(start)}
 		}

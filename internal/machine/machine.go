@@ -393,6 +393,7 @@ func (m *Machine) applyPolicy() {
 		m.ic.Ranker = m.bw
 		m.bus.Ranker = m.bw
 		m.mc.Ranker = m.bw
+		m.bw.OnRankGen = m.mc.RanksChanged
 	}
 
 	// LLC partitioning: every policy except Default reserves the LLC for LC

@@ -7,6 +7,7 @@ import (
 	"os"
 	"testing"
 
+	"pivot/internal/bwctrl"
 	"pivot/internal/mem"
 	"pivot/internal/rrbp"
 	"pivot/internal/sim"
@@ -168,22 +169,81 @@ func snapshotJSON(t *testing.T, m *Machine) []byte {
 // TestSkipAheadEquivalenceIdleHeavy covers the regime skip-ahead exists for:
 // a lightly loaded LC with no BE neighbours spends most cycles with every
 // component quiescent, so the engine takes large global jumps — and must
-// still be byte-identical to the dense reference.
+// still be byte-identical to the dense reference. Between misses the DRAM
+// controller sleeps through bank timing with requests queued; the refresh
+// case adds all-bank refreshes to those sleeps (every preset has refresh
+// off). The PIVOT case runs two LC tasks, shrinks the MPAM window and
+// narrows the first partition's range so its class flips between busy and
+// idle windows while the second's stays high: each flip bumps the rank
+// generation, which must wake a sleeping controller, and the case checks
+// that some flips land while requests are queued at DRAM.
 func TestSkipAheadEquivalenceIdleHeavy(t *testing.T) {
-	mk := func(opt Options) *Machine {
-		opt.Policy = PolicyDefault
-		return MustNew(KunpengConfig(4), opt,
-			[]TaskSpec{lcTask(workload.Silo, 60_000)})
+	cases := []struct {
+		name   string
+		policy Policy
+		tasks  []TaskSpec // nil: one Silo at a request per 60k cycles
+		cfg    func(*Config)
+		wire   func(*Machine)
+	}{
+		{name: "default", policy: PolicyDefault},
+		{name: "refresh", policy: PolicyDefault, cfg: func(c *Config) {
+			c.DRAM.RefreshInterval, c.DRAM.RefreshLatency = 18_720, 840
+		}},
+		{name: "pivot-class-flips", policy: PolicyPIVOT,
+			tasks: []TaskSpec{lcTask(workload.Silo, 20_000), lcTask(workload.Masstree, 20_000)},
+			cfg:   func(c *Config) { c.BW.WindowCycles = 1_000 },
+			wire: func(m *Machine) {
+				m.bw.SetAllocation(0, bwctrl.Allocation{Min: 0.0005, Max: 0.001})
+			}},
 	}
-	d, s := mk(Options{Dense: true}), mk(Options{})
-	d.Run(50_000, 150_000)
-	s.Run(50_000, 150_000)
-	if got, ref := stateBytes(t, s), stateBytes(t, d); !bytes.Equal(got, ref) {
-		t.Errorf("idle-heavy skip state differs (%d vs %d bytes)", len(got), len(ref))
-	}
-	if s.LCp95(0) != d.LCp95(0) || s.Cores[0].Stats.IdleCycles != d.Cores[0].Stats.IdleCycles {
-		t.Errorf("idle-heavy stats differ: p95 %d vs %d, idle %d vs %d",
-			s.LCp95(0), d.LCp95(0), s.Cores[0].Stats.IdleCycles, d.Cores[0].Stats.IdleCycles)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(opt Options) *Machine {
+				opt.Policy = tc.policy
+				cfg := KunpengConfig(4)
+				if tc.cfg != nil {
+					tc.cfg(&cfg)
+				}
+				tasks := tc.tasks
+				if tasks == nil {
+					tasks = []TaskSpec{lcTask(workload.Silo, 60_000)}
+				}
+				m := MustNew(cfg, opt, tasks)
+				if tc.wire != nil {
+					tc.wire(m)
+				}
+				return m
+			}
+			d, s := mk(Options{Dense: true}), mk(Options{})
+			queuedBumps := 0
+			if wake := s.bw.OnRankGen; wake != nil {
+				s.bw.OnRankGen = func() {
+					if n, p := s.mc.QueueLen(); n+p > 0 {
+						queuedBumps++
+					}
+					wake()
+				}
+			}
+			d.Run(50_000, 150_000)
+			s.Run(50_000, 150_000)
+			if got, ref := stateBytes(t, s), stateBytes(t, d); !bytes.Equal(got, ref) {
+				t.Errorf("idle-heavy skip state differs (%d vs %d bytes)", len(got), len(ref))
+			}
+			if s.LCp95(0) != d.LCp95(0) || s.Cores[0].Stats.IdleCycles != d.Cores[0].Stats.IdleCycles {
+				t.Errorf("idle-heavy stats differ: p95 %d vs %d, idle %d vs %d",
+					s.LCp95(0), d.LCp95(0), s.Cores[0].Stats.IdleCycles, d.Cores[0].Stats.IdleCycles)
+			}
+			switch tc.name {
+			case "refresh":
+				if s.mc.Stats.Refreshes == 0 {
+					t.Error("no refresh ran; the case exercises nothing")
+				}
+			case "pivot-class-flips":
+				if queuedBumps == 0 {
+					t.Errorf("no class flip with requests queued at DRAM (rank generation %d); the case exercises nothing", s.bw.RankGen())
+				}
+			}
+		})
 	}
 }
 

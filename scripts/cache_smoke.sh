@@ -11,7 +11,9 @@
 # Experiment leg: the same for table2, whose cached value is its tables, so
 # one entry written by a text run serves a -csv run byte-identically, and
 # the edited build prints its own ROB size instead of a stale one.
-# Artifact leg: -flight-out on a fully cached sweep fails, naming the cache.
+# Artifact leg: with -stats-out, a partly cached fleet.json sweep (unit
+# 000's entry deleted) still simulates its last unit, and its stats file is
+# byte-identical to an uncached run's.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,15 +88,19 @@ echo "== experiment table2: edited build, same cache =="
 grep -Eq '^ROB +48 ' "$work/t2-edited.txt" || fail "edited build did not print ROB 48 (stale table replayed?)"
 echo "   0 hit(s), 1 miss(es); prints ROB 48"
 
-echo "== fully cached sweep with -flight-out =="
-sargs=(-quick -quiet -scenario examples/scenarios/smoke.json -cache-dir "$work/fcache")
-"$work/pivot-exp" "${sargs[@]}" -flight-out "$work/f1.json" > /dev/null 2> "$work/f1.err" ||
-    fail "cold -flight-out run failed: $(cat "$work/f1.err")"
-if "$work/pivot-exp" "${sargs[@]}" -flight-out "$work/f2.json" > /dev/null 2> "$work/f2.err"; then
-    fail "fully cached -flight-out run exited 0 with nothing to write"
-fi
-grep -q 'every job was a result-cache hit.*rerun without -cache-dir' "$work/f2.err" ||
-    fail "fully cached -flight-out run did not name the cache: $(cat "$work/f2.err")"
-echo "   exits 1: $(grep 'result-cache hit' "$work/f2.err")"
+echo "== partly cached sweep with -stats-out =="
+"$work/pivot-exp" "${args[@]}" -stats-out "$work/stats-ref.json" > /dev/null
+"$work/pivot-exp" "${args[@]}" -cache-dir "$work/scache" > /dev/null 2> /dev/null
+entry=$(grep -rl '"label":"000:' "$work/scache") || fail "no cache entry for unit 000"
+rm "$entry"
+"$work/pivot-exp" "${args[@]}" -cache-dir "$work/scache" -stats-out "$work/stats-part.json" \
+    > "$work/part.txt" 2> "$work/part.err" || fail "partly cached -stats-out run failed: $(cat "$work/part.err")"
+# Unit 000 misses, the last unit re-runs for its artifacts, the rest hit.
+[ "$(summary "$work/part.err")" = "$((units - 2)) 2" ] ||
+    fail "partly cached run reported '$(summary "$work/part.err")' (hits misses), want '$((units - 2)) 2'"
+cmp -s "$work/ref.txt" "$work/part.txt" || fail "partly cached table differs from the uncached one"
+cmp "$work/stats-ref.json" "$work/stats-part.json" ||
+    fail "partly cached -stats-out differs from the uncached run's (stale run exported?)"
+echo "   $((units - 2)) hit(s), 2 miss(es); table and stats byte-identical"
 
 echo "OK: result cache"
