@@ -73,8 +73,8 @@ type entry struct {
 	enq  sim.Cycle
 	bank int
 	row  int64
-	// ready is the earliest cycle the entry may be served (enq, plus any
-	// injected latency spike).
+	// ready is the earliest cycle the entry may be served. Accept sets it to
+	// enq; it is kept because the serialised queue entry carries it.
 	ready sim.Cycle
 	// rank is the Ranker's rank for req as of the controller's rankGen
 	// (normal queue only; 0 when unranked).
@@ -129,10 +129,6 @@ type Controller struct {
 	// Ranker's generation moves (see NextWork and RanksChanged).
 	waker sim.Waker
 
-	// Fault, when non-nil, injects admission refusals, latency spikes and
-	// grant delays (see mem.Fault); nil in production runs.
-	Fault mem.Fault
-
 	// pendingResp holds completed requests waiting out the response latency,
 	// kept sorted by due cycle (appends are naturally in order because
 	// completions are issued in bus order). A ring: every completion pops
@@ -161,8 +157,7 @@ type Controller struct {
 	// actSettled memoises startActivates: the earliest cycle at which another
 	// run could change any bank's state, valid only while the queues, banks,
 	// refresh clock and ranks stay untouched (every mutation invalidates it;
-	// ranks change only with the Ranker generation, which Tick checks). Only
-	// used on the fault-free path — fault injectors perturb grant timing.
+	// ranks change only with the Ranker generation, which Tick checks).
 	// Derived state: never serialised; restore invalidates it.
 	actSettled sim.Cycle
 
@@ -183,11 +178,9 @@ type Controller struct {
 	// while the queues, banks and ranks do, and NextWork trusts it only
 	// while the activation memo is valid with no pending claims, which
 	// already covers every other mutation: Accept queues a pending claim or
-	// drops the memo, and so do restore, refresh and a faulted Tick; banks
-	// move only in startActivates (bounded by actSettled) and refresh; ranks
-	// move only with the Ranker generation, which NextWork compares. A Tick
-	// whose grant is held by a fault injector leaves it as it was, which
-	// stays exact because such a Tick serves and activates nothing.
+	// drops the memo, and so do restore and refresh; banks move only in
+	// startActivates (bounded by actSettled) and refresh; ranks move only
+	// with the Ranker generation, which NextWork compares.
 	// Derived state: never serialised.
 	serveAt []sim.Cycle
 
@@ -284,14 +277,6 @@ func (c *Controller) SetWaker(w sim.Waker) { c.waker = w }
 
 // Accept implements the MSC queue interface.
 func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
-	ready := now
-	if c.Fault != nil {
-		if c.Fault.DropAccept(now) {
-			c.Stats.Refused++
-			return false
-		}
-		ready += c.Fault.ExtraLatency(now)
-	}
 	// Capacity check before the address decode: a full queue refuses without
 	// paying for the (pure) bank/row computation, and full-queue refusals are
 	// retried every cycle under back-pressure.
@@ -306,7 +291,7 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 		return false
 	}
 	bank, row := c.decode(r.Addr)
-	e := entry{req: r, enq: now, bank: bank, row: row, ready: ready}
+	e := entry{req: r, enq: now, bank: bank, row: row, ready: now}
 	if !usePrio && c.Ranker != nil {
 		e.rank = c.Ranker.Rank(r)
 	}
@@ -318,17 +303,16 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 		c.normal = append(c.normal, e)
 	}
 	// A new normal-queue tail may claim a previously idle bank. While the
-	// activation memo is valid (fault-free), the next Tick only needs to run
+	// activation memo is valid, the next Tick only needs to run
 	// claim for this tail entry — every older entry's claim is a no-op by the
 	// memo's own guarantee, and the tail gates on the same claimed-bank set a
 	// full re-scan would have built by the time it reached it. That holds
 	// only for an entry the full scan visits last. A priority entry claims
 	// ahead of normal traffic, and under a Ranker a rank-0 entry claims ahead
 	// of every other-rank one, so a bank such a claimant already owns must
-	// not gate it — fall back to a full re-scan for those (and for the
-	// never-memoised faulted path).
+	// not gate it — fall back to a full re-scan for those.
 	lastInScan := !usePrio && (c.Ranker == nil || e.rank != 0)
-	if lastInScan && c.actSettled != 0 && now < c.actSettled && c.Fault == nil {
+	if lastInScan && c.actSettled != 0 && now < c.actSettled {
 		c.pendClaimN = append(c.pendClaimN, int32(len(c.normal)-1))
 		if c.cfg.MaxWait > 0 && len(c.normal) == 1 {
 			// New head: the scan order changes when it starves.
@@ -350,17 +334,17 @@ func (c *Controller) invalidateAct() {
 }
 
 // repairAfterServe keeps the activation memo alive across a normal-queue
-// serve — the hottest invalidation by far — on the fault-free,
-// priority-empty path. Removing entry i changes exactly two things a full
-// re-scan would see: its bank may now belong to the scan-order-first entry
-// still targeting it, and the queue may have a new head whose starvation
-// cycle reorders the scan. Both are folded into the memo: the new bank
-// winner is queued as a pending claim for the next Tick (the cycle a full
-// re-scan would have claimed it), and the head's starve cycle lowers the
-// memo. Everything else is untouched by construction — removal reorders no
-// surviving entry, so every other bank keeps its scan-order-first winner.
+// serve — the hottest invalidation by far — on the priority-empty path.
+// Removing entry i changes exactly two things a full re-scan would see: its
+// bank may now belong to the scan-order-first entry still targeting it, and
+// the queue may have a new head whose starvation cycle reorders the scan.
+// Both are folded into the memo: the new bank winner is queued as a pending
+// claim for the next Tick (the cycle a full re-scan would have claimed it),
+// and the head's starve cycle lowers the memo. Everything else is untouched
+// by construction — removal reorders no surviving entry, so every other bank
+// keeps its scan-order-first winner.
 func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
-	if c.actSettled == 0 || c.Fault != nil || len(c.prio) > 0 {
+	if c.actSettled == 0 || len(c.prio) > 0 {
 		c.invalidateAct()
 		return
 	}
@@ -455,11 +439,11 @@ func (c *Controller) runPendingClaims(now sim.Cycle) {
 // QueueLen reports queue occupancy (normal, priority).
 func (c *Controller) QueueLen() (int, int) { return len(c.normal), len(c.prio) }
 
-// rowOpenFor reports whether e may be served now: its injected latency has
-// elapsed and its bank holds its row, open and ready.
+// rowOpenFor reports whether e may be served now: its ready cycle has
+// arrived and its bank holds its row, open and ready.
 func (c *Controller) rowOpenFor(e *entry, now sim.Cycle) bool {
 	if e.ready > now {
-		return false // injected latency spike still elapsing
+		return false
 	}
 	b := &c.banks[e.bank]
 	return b.openRow == e.row && b.readyAt <= now
@@ -580,8 +564,8 @@ func (c *Controller) claim(e *entry, now sim.Cycle, next *sim.Cycle) bool {
 // When it finds nothing, at is the earliest cycle the same scan could
 // succeed with the queues, banks and ranks unchanged (NeverWork if never):
 // the first cycle a candidate whose row is already open has both its bank
-// ready and its injected latency elapsed, or a blocked channel's starving
-// head may be promoted. Candidates whose rows are closed need an
+// and its own ready cycle reached, or a blocked channel's starving head may
+// be promoted. Candidates whose rows are closed need an
 // activation first, which the activation memo bounds (see NextWork).
 func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cycle) {
 	at = sim.NeverWork
@@ -730,13 +714,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 			c.rerank(g)
 		}
 	}
-	if c.Fault != nil {
-		if c.Fault.HoldGrant(now) {
-			return // injected scheduler stall: no activates or grants this cycle
-		}
-		c.invalidateAct() // grant holds perturb timing; don't trust the memo
-		c.startActivates(now)
-	} else if now >= c.actSettled {
+	if now >= c.actSettled {
 		c.pendClaimN = c.pendClaimN[:0]
 		c.actSettled = c.startActivates(now)
 	} else if len(c.pendClaimN) > 0 {
@@ -799,18 +777,15 @@ func (c *Controller) Tick(now sim.Cycle) {
 // (which SkipCycles compensates): the next response delivery, the next
 // refresh and, while requests are queued, the activation memo's bound
 // (actSettled: no bank can change state before it) and each channel's
-// serveAt (no request can reach the bus before it). It stays awake while a
-// fault injector is attached, while the activation memo is invalid or has
-// pending claims (a request just enqueued, a served bank's successor, a
-// re-scan due) — which is also when serveAt may be stale — or while the
-// Ranker's generation has moved past the cached ranks. Accept and a
-// class-generation bump (RanksChanged) wake it. The `claimed` scratch slab
-// an idle Tick would have zeroed carries no state (it is rebuilt every tick
-// and never serialised), so eliding it is unobservable.
+// serveAt (no request can reach the bus before it). It stays awake while
+// the activation memo is invalid or has pending claims (a request just
+// enqueued, a served bank's successor, a re-scan due) — which is also when
+// serveAt may be stale — or while the Ranker's generation has moved past
+// the cached ranks. Accept and a class-generation bump (RanksChanged) wake
+// it. The `claimed` scratch slab an idle Tick would have zeroed carries no
+// state (it is rebuilt every tick and never serialised), so eliding it is
+// unobservable.
 func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if c.Fault != nil {
-		return 0, false
-	}
 	next := c.respHead
 	if len(c.normal) > 0 || len(c.prio) > 0 {
 		if len(c.pendClaimN) > 0 || c.actSettled <= now ||

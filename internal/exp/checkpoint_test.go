@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"pivot/internal/faultinject"
 	"pivot/internal/machine"
 	"pivot/internal/workload"
 )
@@ -57,8 +56,8 @@ func TestCheckpointedRunResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestCheckpointDirGating: manager-driven and fault-injected runs must not
-// checkpoint (their state lives outside the machine snapshot).
+// TestCheckpointDirGating: manager-driven runs must not checkpoint (their
+// state lives outside the machine snapshot).
 func TestCheckpointDirGating(t *testing.T) {
 	ctx := tinyCtx()
 	ctx.CheckpointDir = t.TempDir()
@@ -71,9 +70,6 @@ func TestCheckpointDirGating(t *testing.T) {
 	}
 	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodPARTIES()}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
 		t.Error("manager run granted a checkpoint dir")
-	}
-	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault(), FaultPlan: &faultinject.Plan{}}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
-		t.Error("fault-injected run granted a checkpoint dir")
 	}
 	a := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, ctx.Scale.Warmup, ctx.Scale.Measure)
 	b := ctx.checkpointDir(m, RunSpec{Method: MethodMBA(40)}, ctx.Scale.Warmup, ctx.Scale.Measure)

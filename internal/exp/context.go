@@ -222,8 +222,8 @@ type Context struct {
 	// subdirectory and, on a later identical invocation, resumes from the
 	// newest good checkpoint instead of restarting. Checkpointing never
 	// perturbs results — a resumed run's statistics are bit-identical to an
-	// uninterrupted one's. Manager-driven and fault-injected runs are
-	// excluded (their state lives outside the machine snapshot).
+	// uninterrupted one's. Manager-driven runs are excluded (their state
+	// lives outside the machine snapshot).
 	CheckpointDir string
 
 	// CheckpointInterval is the simulated-cycle checkpoint period;

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"pivot/internal/machine"
 	"pivot/internal/metrics"
+	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
 
@@ -99,6 +101,33 @@ func TestRunGatesQoS(t *testing.T) {
 	}
 	if piv.BEIPC <= 0 {
 		t.Error("no BE throughput measured")
+	}
+}
+
+// panicky is a manager whose first decision panics, mid-simulation.
+type panicky struct{}
+
+func (panicky) Name() string                       { return "panicky" }
+func (panicky) Decide(*machine.Machine, sim.Cycle) { panic("panicky: decide") }
+
+// TestRunPanicCarriesDiagnostic: a panic inside a run is recovered into a
+// *machine.PanicError carrying the value, the stack and a diagnostic of the
+// machine at the cycle it died.
+func TestRunPanicCarriesDiagnostic(t *testing.T) {
+	ctx := tinyCtx()
+	spec := RunSpec{Method: MethodDefault(),
+		LCs: []LCSpec{{App: workload.Masstree, Interarrival: 3000}},
+		BEs: []BESpec{{App: workload.IBench, Threads: 1}}}
+	_, err := ctx.run(spec, variant{manager: panicky{}})
+	var pe *machine.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("run returned %v, want *machine.PanicError", err)
+	}
+	if pe.Value != "panicky: decide" || !strings.Contains(pe.Stack, "Decide") {
+		t.Errorf("panic value %v / stack lost the panic site", pe.Value)
+	}
+	if pe.Diag.Cycle == 0 || len(pe.Diag.Cores) == 0 {
+		t.Errorf("panic diagnostic missing the machine snapshot: %+v", pe.Diag)
 	}
 }
 

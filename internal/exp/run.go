@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 
 	"pivot/internal/checkpoint"
-	"pivot/internal/faultinject"
 	"pivot/internal/flight"
 	"pivot/internal/load"
 	"pivot/internal/machine"
@@ -87,12 +86,6 @@ type RunSpec struct {
 	// the warmup/measure window overrides).
 	Seed            uint64
 	Warmup, Measure sim.Cycle
-
-	// FaultPlan, when non-nil, attaches a per-station fault campaign (the
-	// execution form of a scenario's `faults` stanza; see FaultPlanFor) before
-	// the run. It excludes the run from checkpointing: the injectors' state
-	// lives outside the machine snapshot.
-	FaultPlan *faultinject.Plan
 }
 
 // RunResult summarises one simulation.
@@ -222,9 +215,6 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 			}
 		}
 	}
-	if spec.FaultPlan != nil {
-		faultinject.AttachPlan(m, *spec.FaultPlan)
-	}
 
 	rc := ctx.runContext()
 	mgr := v.manager
@@ -353,17 +343,13 @@ func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 
 // checkpointDir derives the per-run checkpoint subdirectory for a spec, or
 // "" when checkpointing is off or the run cannot be checkpointed (manager
-// runs mutate allocation state between epochs from outside the machine;
-// fault-injected runs hold injector state the snapshot does not cover). The
+// runs mutate allocation state between epochs from outside the machine). The
 // name hashes the machine fingerprint together with the post-construction
 // knobs (method name, static MBA level) and the run lengths, so an identical
 // re-invocation resumes its own checkpoints and different specs never
 // collide — even when several harness workers checkpoint concurrently.
 func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, measure sim.Cycle) string {
-	if ctx.CheckpointDir == "" || spec.Method.Manager != "" || spec.FaultPlan != nil {
-		return ""
-	}
-	if m.Checkpointable() != nil {
+	if ctx.CheckpointDir == "" || spec.Method.Manager != "" {
 		return ""
 	}
 	h := fnv.New64a()

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"sync"
 
-	"pivot/internal/faultinject"
 	"pivot/internal/machine"
-	"pivot/internal/mem"
 	"pivot/internal/metrics"
 	"pivot/internal/rrbp"
 	"pivot/internal/scenario"
@@ -138,32 +136,6 @@ func OptionsFor(o scenario.Options) machine.Options {
 	return opt
 }
 
-// FaultPlanFor compiles a scenario's `faults` stanza into the injector plan
-// faultinject.AttachPlan consumes. The scenario must have passed Validate
-// (unknown station names panic here). Nil in, nil out.
-func FaultPlanFor(f *scenario.Faults) *faultinject.Plan {
-	if f == nil {
-		return nil
-	}
-	plan := &faultinject.Plan{
-		Seed:     f.Seed,
-		Stations: make(map[mem.Component]faultinject.Config, len(f.Stations)),
-	}
-	for name, r := range f.Stations {
-		comp, ok := scenario.MSC(name)
-		if !ok {
-			panic("exp: fault plan names unknown MSC " + name)
-		}
-		plan.Stations[comp] = faultinject.Config{
-			DropProb:    r.Drop,
-			SpikeProb:   r.Spike,
-			SpikeCycles: sim.Cycle(r.SpikeCycles),
-			HoldProb:    r.Hold,
-		}
-	}
-	return plan
-}
-
 // rrbpSized builds the RRBP geometry for a scenario's rrbp_entries knob:
 // n > 0 sizes the table, -1 makes it unlimited (fully associative).
 func rrbpSized(n int) rrbp.Config {
@@ -191,12 +163,11 @@ func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 		mth.MBALevel = sc.Options.MBALevel
 	}
 	spec := RunSpec{
-		Method:    mth,
-		Opt:       OptionsFor(sc.Options),
-		Seed:      sc.Seed,
-		Warmup:    sim.Cycle(sc.Warmup),
-		Measure:   sim.Cycle(sc.Measure),
-		FaultPlan: FaultPlanFor(sc.Faults),
+		Method:  mth,
+		Opt:     OptionsFor(sc.Options),
+		Seed:    sc.Seed,
+		Warmup:  sim.Cycle(sc.Warmup),
+		Measure: sim.Cycle(sc.Measure),
 	}
 	for i := range sc.Tasks {
 		t := &sc.Tasks[i]

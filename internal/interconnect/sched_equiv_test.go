@@ -27,26 +27,6 @@ func (k *classRanker) flip(rng *rand.Rand) {
 	k.gen++
 }
 
-// spikeFault injects latency spikes and grant holds as a pure function of
-// the cycle, so two stations consulting it in the same order see the same
-// faults.
-type spikeFault struct{ seed uint64 }
-
-func (f spikeFault) hash(now sim.Cycle, salt uint64) uint64 {
-	x := uint64(now)*0x9E3779B97F4A7C15 ^ f.seed ^ salt
-	x ^= x >> 31
-	x *= 0xBF58476D1CE4E5B9
-	return x ^ x>>29
-}
-func (f spikeFault) DropAccept(now sim.Cycle) bool { return false }
-func (f spikeFault) ExtraLatency(now sim.Cycle) sim.Cycle {
-	if f.hash(now, 2)%7 == 0 {
-		return sim.Cycle(f.hash(now, 3) % 25)
-	}
-	return 0
-}
-func (f spikeFault) HoldGrant(now sim.Cycle) bool { return f.hash(now, 4)%19 == 0 }
-
 // flakySink refuses offers at random, seeded, so the station under test
 // spends cycles blocked on a ready pick — the case the scan memo resumes.
 type flakySink struct {
@@ -76,14 +56,6 @@ func refPickNormal(s *Station, rank func(*mem.Req) int, now sim.Cycle) int {
 		if s.normal.At(0).ready <= now {
 			return 0
 		}
-		if !s.sawSpike {
-			return -1
-		}
-		for i := 1; i < n; i++ {
-			if s.normal.At(i).ready <= now {
-				return i
-			}
-		}
 		return -1
 	}
 	best := -1
@@ -95,11 +67,7 @@ scan:
 		for k := range seg {
 			e := &seg[k]
 			if e.ready > now {
-				if !s.sawSpike {
-					break scan
-				}
-				i++
-				continue
+				break scan
 			}
 			if r := rank(e.req); r < bestRank {
 				best, bestRank = i, r
@@ -114,9 +82,6 @@ scan:
 }
 
 func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
-	if s.Fault != nil && s.Fault.HoldGrant(now) {
-		return
-	}
 	for n := 0; n < s.cfg.Bandwidth; n++ {
 		var e *entry
 		var fromPrio bool
@@ -135,7 +100,7 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 			}
 		}
 		if e == nil {
-			if rank == nil && !s.sawSpike {
+			if rank == nil {
 				if hn != nil && hn.ready <= now {
 					e = hn
 				}
@@ -144,9 +109,6 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 			}
 		}
 		if e == nil {
-			if s.normal.Len() == 0 && s.prio.Len() == 0 {
-				s.sawSpike = false
-			}
 			return
 		}
 		r, enq := e.req, e.enq
@@ -175,19 +137,16 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 func TestRankedPickMemoMatchesFullScan(t *testing.T) {
 	for _, ranked := range []bool{false, true} {
 		for _, bw := range []int{1, 2} {
-			for _, fault := range []bool{false, true} {
-				name := fmt.Sprintf("ranked=%v/bw=%d/fault=%v", ranked, bw, fault)
-				t.Run(name, func(t *testing.T) {
-					for seed := int64(1); seed <= 8; seed++ {
-						runPickEquiv(t, ranked, bw, fault, seed)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("ranked=%v/bw=%d", ranked, bw), func(t *testing.T) {
+				for seed := int64(1); seed <= 8; seed++ {
+					runPickEquiv(t, ranked, bw, seed)
+				}
+			})
 		}
 	}
 }
 
-func runPickEquiv(t *testing.T, ranked bool, bw int, fault bool, seed int64) {
+func runPickEquiv(t *testing.T, ranked bool, bw int, seed int64) {
 	t.Helper()
 	cfg := Config{Name: "t", Component: mem.CompBus, Latency: 3, Bandwidth: bw,
 		CapNormal: 16, CapPrio: 4, MaxWait: 60}
@@ -195,9 +154,6 @@ func runPickEquiv(t *testing.T, ranked bool, bw int, fault bool, seed int64) {
 	refDown := &flakySink{rng: rand.New(rand.NewSource(seed + 100))}
 	memo, ref := New(cfg, memoDown), New(cfg, refDown)
 	memo.PriorityEnabled, ref.PriorityEnabled = true, true
-	if fault {
-		memo.Fault, ref.Fault = spikeFault{uint64(seed)}, spikeFault{uint64(seed)}
-	}
 	classes := &classRanker{class: [4]int{0, 1, 2, 1}}
 	var rank func(*mem.Req) int
 	if ranked {
@@ -221,7 +177,7 @@ func runPickEquiv(t *testing.T, ranked bool, bw int, fault bool, seed int64) {
 		if ranked && rng.Intn(100) == 0 {
 			classes.flip(rng)
 		}
-		if rng.Intn(250) == 0 && !fault {
+		if rng.Intn(250) == 0 {
 			memo.RestoreState(memo.SnapshotState())
 		}
 		offer(now)

@@ -15,7 +15,7 @@ type EntryState struct {
 
 // StationState is the serialisable form of a Station: both queues (with the
 // requests they own, by value) and the traffic counters. Wiring (downstream,
-// Ranker, Fault, PriorityEnabled) is configuration, reapplied by rebuilding
+// Ranker, PriorityEnabled) is configuration, reapplied by rebuilding
 // the machine; cached ranks and the scan memo are rebuilt on restore.
 type StationState struct {
 	Normal []EntryState

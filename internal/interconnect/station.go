@@ -82,17 +82,6 @@ type Station struct {
 	// controller ranks by its high/medium/low classes.
 	Ranker mem.Ranker
 
-	// Fault, when non-nil, injects admission refusals, latency spikes and
-	// grant delays (see mem.Fault). Only tests and fault-injection campaigns
-	// set it; production runs leave it nil.
-	Fault mem.Fault
-
-	// sawSpike notes that an injected latency spike broke the FIFO
-	// ready-order invariant NextWork relies on; while any spiked entry may
-	// still be queued the station reports itself active. Derived advisory
-	// state: never serialised (checkpoints refuse faulted machines anyway).
-	sawSpike bool
-
 	// Ranked-pick memo, derived and never serialised. Each normal entry's
 	// rank is cached as of generation rankGen. The scan memo records that
 	// the first scanned normal entries have been examined and that best
@@ -147,17 +136,6 @@ func (s *Station) SetWaker(w sim.Waker) { s.waker = w }
 
 // Accept implements Acceptor: enqueue r if there is space.
 func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
-	var spike sim.Cycle
-	if s.Fault != nil {
-		if s.Fault.DropAccept(now) {
-			s.Stats.Refused++
-			return false
-		}
-		spike = s.Fault.ExtraLatency(now)
-		if spike > 0 {
-			s.sawSpike = true
-		}
-	}
 	usePrio := s.PriorityEnabled && r.Critical
 	if usePrio {
 		if s.prio.Len() >= s.cfg.CapPrio {
@@ -168,7 +146,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 			return false
 		}
 		s.waker.Wake()
-		s.prio.Push(entry{req: r, ready: now + s.cfg.Latency + spike, enq: now})
+		s.prio.Push(entry{req: r, ready: now + s.cfg.Latency, enq: now})
 		r.Enter(s.cfg.Component, now)
 		s.Stats.Accepted++
 		return true
@@ -177,7 +155,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 		s.Stats.Refused++
 		return false
 	}
-	e := entry{req: r, ready: now + s.cfg.Latency + spike, enq: now}
+	e := entry{req: r, ready: now + s.cfg.Latency, enq: now}
 	if s.Ranker != nil {
 		e.rank = s.Ranker.Rank(r)
 	}
@@ -192,28 +170,19 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 // the Ranker's ranking (FCFS within a rank; every rank is 0 without a
 // Ranker), or -1 when nothing is ready. Ranks are non-negative (MPAM
 // classes), so the scan stops at the first ready rank-0 entry — no later
-// entry can beat it, and FCFS breaks the tie in its favour. Absent injected
-// latency spikes, ready order follows queue order, so the scan also stops at
-// the first not-yet-ready entry and the next call resumes there (see the
-// scan memo on Station).
+// entry can beat it, and FCFS breaks the tie in its favour. Ready order
+// follows queue order, so the scan also stops at the first not-yet-ready
+// entry and the next call resumes there (see the scan memo on Station).
 func (s *Station) pickNormal(now sim.Cycle) int {
 	if s.Ranker != nil {
 		if g := s.Ranker.RankGen(); g != s.rankGen {
 			s.rerank(g)
 		}
 	}
-	if s.sawSpike {
-		// A spiked entry may turn ready behind ones already passed over:
-		// the prefix argument fails, so scan the whole queue afresh.
-		s.resetScan()
-	}
 	for n := s.normal.Len(); s.scanned < n && s.bestRank > 0; s.scanned++ {
 		e := s.normal.At(s.scanned)
 		if e.ready > now {
-			if !s.sawSpike {
-				break
-			}
-			continue
+			break
 		}
 		if e.rank < s.bestRank {
 			s.best, s.bestRank = s.scanned, e.rank
@@ -241,12 +210,6 @@ func (s *Station) rerank(g uint64) {
 // Priority-queue requests go first, except that a starved normal request is
 // promoted ahead of them.
 func (s *Station) Tick(now sim.Cycle) {
-	if s.Fault != nil && s.Fault.HoldGrant(now) {
-		// Injected faults consume per-cycle injector state (HoldGrant draws
-		// its schedule on every call), which is why a faulted station never
-		// reports idle (see NextWork).
-		return
-	}
 	// The grant loop reads each queue head exactly once — an earlier version
 	// spelled it as starvedNormal/prio-peek/pickNormal helpers, whose
 	// repeated head loads were the hottest lines of the loop under
@@ -271,7 +234,7 @@ func (s *Station) Tick(now sim.Cycle) {
 			}
 		}
 		if e == nil {
-			if s.Ranker == nil && !s.sawSpike {
+			if s.Ranker == nil {
 				// Every rank is 0 and ready order follows queue order: the
 				// head is the only candidate.
 				if hn != nil && hn.ready <= now {
@@ -282,9 +245,6 @@ func (s *Station) Tick(now sim.Cycle) {
 			}
 		}
 		if e == nil {
-			if s.normal.Len() == 0 && s.prio.Len() == 0 {
-				s.sawSpike = false
-			}
 			return
 		}
 
@@ -311,24 +271,15 @@ func (s *Station) Tick(now sim.Cycle) {
 	}
 }
 
-// NextWork implements sim.IdleReporter. A station with no fault injector and
-// no entry whose ready cycle has arrived performs no observable work in
-// Tick (the grant loop returns at "nothing ready" before touching any
-// state), so it sleeps until the earliest head ready cycle. Queue order
-// implies ready order (ready = enqueue + fixed latency), so the two heads
-// bound every entry — unless an injected latency spike broke that
-// invariant, in which case the station stays dense until it drains. Only
-// Accept can add an entry that is due earlier, and it wakes the station.
+// NextWork implements sim.IdleReporter. A station with no entry whose ready
+// cycle has arrived performs no observable work in Tick (the grant loop
+// returns at "nothing ready" before touching any state), so it sleeps until
+// the earliest head ready cycle. Queue order implies ready order (ready =
+// enqueue + fixed latency), so the two heads bound every entry. Only Accept
+// can add an entry that is due earlier, and it wakes the station.
 func (s *Station) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if s.Fault != nil {
-		return 0, false
-	}
 	if s.normal.Len() == 0 && s.prio.Len() == 0 {
-		s.sawSpike = false
 		return sim.NeverWork, true
-	}
-	if s.sawSpike {
-		return 0, false
 	}
 	next := sim.NeverWork
 	if s.prio.Len() > 0 {

@@ -69,22 +69,14 @@ func decodeState(payload []byte) (*MachineState, error) {
 // — must produce byte-identical StateBytes; the differential oracles compare
 // exactly that.
 func (m *Machine) StateBytes() ([]byte, error) {
-	s, err := m.SnapshotState()
-	if err != nil {
-		return nil, err
-	}
-	return encodeState(s)
+	return encodeState(m.SnapshotState())
 }
 
 // WriteCheckpoint snapshots the machine and writes it durably to dir,
 // pruning old files down to keep. It only reads machine state, so emitting
 // checkpoints cannot perturb simulated results.
 func (m *Machine) WriteCheckpoint(dir string, keep int) (string, error) {
-	s, err := m.SnapshotState()
-	if err != nil {
-		return "", err
-	}
-	payload, err := encodeState(s)
+	payload, err := encodeState(m.SnapshotState())
 	if err != nil {
 		return "", err
 	}
@@ -110,9 +102,6 @@ func (m *Machine) WriteCheckpoint(dir string, keep int) (string, error) {
 func (m *Machine) TryRestore(dir string) (restored bool, fromCycle sim.Cycle, err error) {
 	if dir == "" {
 		return false, 0, nil
-	}
-	if err := m.Checkpointable(); err != nil {
-		return false, 0, err
 	}
 	fp := m.Fingerprint()
 	for {
@@ -155,9 +144,6 @@ func (m *Machine) TryRestore(dir string) (restored bool, fromCycle sim.Cycle, er
 func (m *Machine) RunCheckpointed(ctx context.Context, warmup, measure sim.Cycle, cc CheckpointConfig) (resumedFrom sim.Cycle, err error) {
 	if cc.Dir == "" {
 		return 0, m.RunChecked(ctx, warmup, measure)
-	}
-	if err := m.Checkpointable(); err != nil {
-		return 0, err
 	}
 	restored, from, err := m.TryRestore(cc.Dir)
 	if err != nil {

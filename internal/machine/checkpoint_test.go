@@ -71,10 +71,7 @@ func (tc ckptCase) build(t *testing.T) *Machine {
 // payload would, so byte equality here is byte equality on disk.
 func stateBytes(t *testing.T, m *Machine) []byte {
 	t.Helper()
-	s, err := m.SnapshotState()
-	if err != nil {
-		t.Fatalf("SnapshotState: %v", err)
-	}
+	s := m.SnapshotState()
 	b, err := encodeState(s)
 	if err != nil {
 		t.Fatalf("encodeState: %v", err)
@@ -186,10 +183,7 @@ func TestRestoreThenStepIsBitIdentical(t *testing.T) {
 			if err := a.StepChecked(ctx, 70_000); err != nil {
 				t.Fatalf("step: %v", err)
 			}
-			s, err := a.SnapshotState()
-			if err != nil {
-				t.Fatalf("SnapshotState: %v", err)
-			}
+			s := a.SnapshotState()
 			payload, err := encodeState(s)
 			if err != nil {
 				t.Fatalf("encodeState: %v", err)
@@ -427,10 +421,7 @@ func TestRestoreRejectsForeignGeometry(t *testing.T) {
 	if err := a.StepChecked(context.Background(), 10_000); err != nil {
 		t.Fatal(err)
 	}
-	s, err := a.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := a.SnapshotState()
 
 	tasks := append([]TaskSpec{lcTask(workload.Silo, 5000)}, beTasks(workload.IBench, 3)...)
 	b := MustNew(KunpengConfig(8), Options{Policy: PolicyDefault}, tasks)

@@ -7,20 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"pivot/internal/interconnect"
 	"pivot/internal/mem"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
 
-// holdAll wedges every station it is attached to: no grants ever issue, so
+// wedgedMachine builds a co-location whose interconnect forwards nowhere:
+// its downstream refuses every request, so no L2 miss is ever served,
 // in-flight loads never complete and the cores stop committing once their
 // ROBs back up behind the stalled heads.
-type holdAll struct{}
-
-func (holdAll) DropAccept(sim.Cycle) bool        { return false }
-func (holdAll) ExtraLatency(sim.Cycle) sim.Cycle { return 0 }
-func (holdAll) HoldGrant(sim.Cycle) bool         { return true }
-
 func wedgedMachine(t *testing.T, opt Options) *Machine {
 	t.Helper()
 	tasks := append([]TaskSpec{lcTask(workload.Masstree, 2000)}, beTasks(workload.IBench, 3)...)
@@ -28,11 +24,7 @@ func wedgedMachine(t *testing.T, opt Options) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, comp := range mem.MSCs {
-		if err := m.SetFault(comp, holdAll{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m.ic.SetDownstream(interconnect.AcceptorFunc(func(*mem.Req, sim.Cycle) bool { return false }))
 	return m
 }
 
@@ -84,6 +76,37 @@ func TestAuditHealthyRunConserves(t *testing.T) {
 	if err := m.AuditNow(); err != nil {
 		t.Fatalf("final audit: %v", err)
 	}
+}
+
+// TestAuditFlagsConservationViolation: a request the machine counts as
+// issued but holds nowhere must fail the audit with a request-conservation
+// violation and a populated diagnostic, both from AuditNow and from the
+// audited stepping loop.
+func TestAuditFlagsConservationViolation(t *testing.T) {
+	tasks := append([]TaskSpec{lcTask(workload.Masstree, 3000)}, beTasks(workload.IBench, 3)...)
+	m, err := New(KunpengConfig(4), Options{Policy: PolicyPIVOT, Audit: true}, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunChecked(context.Background(), 10_000, 20_000); err != nil {
+		t.Fatalf("audited healthy run failed: %v", err)
+	}
+	m.reqsIssued++ // a leaked request: issued, never recycled, queued nowhere
+	check := func(what string, err error) {
+		t.Helper()
+		var ae *AuditError
+		if !errors.As(err, &ae) {
+			t.Fatalf("%s returned %v, want *AuditError", what, err)
+		}
+		if len(ae.Violations) == 0 || !strings.HasPrefix(ae.Violations[0], "request conservation") {
+			t.Errorf("%s violations %q, want request conservation first", what, ae.Violations)
+		}
+		if ae.Diag.Cycle == 0 || len(ae.Diag.Cores) != 4 || ae.Diag.ReqsLive == 0 {
+			t.Errorf("%s diagnostic incomplete: %+v", what, ae.Diag)
+		}
+	}
+	check("AuditNow", m.AuditNow())
+	check("StepChecked", m.StepChecked(context.Background(), 2*DefaultStatsEpoch))
 }
 
 func TestCycleBudgetAborts(t *testing.T) {

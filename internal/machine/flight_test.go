@@ -26,10 +26,7 @@ func (tc ckptCase) buildFlight(t *testing.T, dense bool) *Machine {
 // section stripped, leaving exactly the bytes a recorder-less machine writes.
 func stateBytesNoFlight(t *testing.T, m *Machine) []byte {
 	t.Helper()
-	s, err := m.SnapshotState()
-	if err != nil {
-		t.Fatalf("SnapshotState: %v", err)
-	}
+	s := m.SnapshotState()
 	s.Flight = nil
 	b, err := encodeState(s)
 	if err != nil {
@@ -210,10 +207,7 @@ func TestFlightRestoreRequiresRecorderState(t *testing.T) {
 	tc := ckptCases()[0]
 	src := tc.build(t)
 	src.Run(5_000, 5_000)
-	s, err := src.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := src.SnapshotState()
 
 	dst := tc.build(t)
 	dst.EnableFlight(flightCfg)
@@ -226,10 +220,7 @@ func TestFlightRestoreRequiresRecorderState(t *testing.T) {
 	srcF := tc.build(t)
 	srcF.EnableFlight(flightCfg)
 	srcF.Run(5_000, 5_000)
-	sf, err := srcF.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := srcF.SnapshotState()
 	plain := tc.build(t)
 	if err := plain.RestoreState(sf); err != nil {
 		t.Errorf("recorder-less machine rejected a flight-carrying snapshot: %v", err)

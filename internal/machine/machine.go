@@ -695,25 +695,6 @@ func (m *Machine) delayReq(due sim.Cycle, kind delayKind, r *mem.Req) {
 	m.delays.after(delayed{due: due, kind: kind, req: r})
 }
 
-// SetFault installs a fault model on one of the four MSC stations (see
-// mem.Fault); passing nil removes it. Components other than the four MSCs
-// are rejected.
-func (m *Machine) SetFault(c mem.Component, f mem.Fault) error {
-	switch c {
-	case mem.CompInterconnect:
-		m.ic.Fault = f
-	case mem.CompBus:
-		m.bus.Fault = f
-	case mem.CompBWCtrl:
-		m.bw.Station.Fault = f
-	case mem.CompMemCtrl:
-		m.mc.Fault = f
-	default:
-		return fmt.Errorf("machine: component %v is not a fault-injectable MSC", c)
-	}
-	return nil
-}
-
 // SetStatsFilter restricts the per-component latency split to requests whose
 // PC is in set (nil = all LC requests). Used by the Fig 5 harness.
 func (m *Machine) SetStatsFilter(set profile.CriticalSet) { m.statsSet = set }

@@ -280,57 +280,6 @@ func TestThrottleIdleEquivalence(t *testing.T) {
 	}
 }
 
-// flaky is a deterministic counter-driven mem.Fault: its decisions depend
-// only on how many times each hook ran, and faulted stations pin themselves
-// dense, so dense and skip-ahead runs present it the identical call sequence.
-type flaky struct{ drops, spikes, holds uint64 }
-
-func (f *flaky) DropAccept(sim.Cycle) bool { f.drops++; return f.drops%97 == 0 }
-func (f *flaky) ExtraLatency(sim.Cycle) sim.Cycle {
-	f.spikes++
-	if f.spikes%41 == 0 {
-		return 7
-	}
-	return 0
-}
-func (f *flaky) HoldGrant(sim.Cycle) bool { f.holds++; return f.holds%61 == 0 }
-
-// TestFaultInjectedEquivalence: fault injection perturbs admission, latency
-// and arbitration on all four MSC stations, and a skip-ahead run must still
-// match dense byte-for-byte: the faulted stations stay dense while the cores
-// and plumbing around them keep skipping. Faults are detached before
-// snapshotting (fault state lives outside the snapshot surface, which is why
-// faulted runs refuse checkpointing).
-func TestFaultInjectedEquivalence(t *testing.T) {
-	tc := ckptCases()[0]
-	ctx := context.Background()
-	run := func(m *Machine) *Machine {
-		t.Helper()
-		for _, comp := range mem.MSCs {
-			if err := m.SetFault(comp, &flaky{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
-			t.Fatalf("faulted run: %v", err)
-		}
-		for _, comp := range mem.MSCs {
-			if err := m.SetFault(comp, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return m
-	}
-	dense := run(tc.buildMode(t, true))
-	skip := run(tc.buildMode(t, false))
-	if got, want := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, want) {
-		t.Error("fault-injected skip-ahead state differs from dense")
-	}
-	if !bytes.Equal(snapshotJSON(t, skip), snapshotJSON(t, dense)) {
-		t.Error("fault-injected result snapshots differ")
-	}
-}
-
 // TestSkipAheadEquivalenceKillResume proves crash-safety under skip-ahead: a
 // skip-ahead run killed mid-measure (cycle budget standing in for SIGKILL)
 // and resumed by a second skip-ahead process finishes byte-identical to a

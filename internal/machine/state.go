@@ -132,23 +132,9 @@ func (m *Machine) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Checkpointable reports whether the machine's state can be fully captured:
-// attached fault injectors hold state outside the snapshot surface, so
-// machines using them refuse to checkpoint rather than restore silently
-// wrong.
-func (m *Machine) Checkpointable() error {
-	if m.ic.Fault != nil || m.bus.Fault != nil || m.bw.Station.Fault != nil || m.mc.Fault != nil {
-		return fmt.Errorf("machine: fault injectors attached; not checkpointable")
-	}
-	return nil
-}
-
 // SnapshotState captures the machine's complete mutable state. It only reads
 // — taking a snapshot can never perturb a simulation.
-func (m *Machine) SnapshotState() (*MachineState, error) {
-	if err := m.Checkpointable(); err != nil {
-		return nil, err
-	}
+func (m *Machine) SnapshotState() *MachineState {
 	s := &MachineState{
 		Engine:       m.Engine.SnapshotState(),
 		Cores:        make([]cpu.CoreState, len(m.Cores)),
@@ -229,7 +215,7 @@ func (m *Machine) SnapshotState() (*MachineState, error) {
 		s.LatDist = &st
 	}
 	s.Flight = m.flightSnapshot()
-	return s, nil
+	return s
 }
 
 // validateState checks a decoded snapshot against this machine's geometry
@@ -301,9 +287,6 @@ func (m *Machine) validateState(s *MachineState) error {
 // validation error the machine is untouched; apply-phase errors cannot occur
 // after validation passes.
 func (m *Machine) RestoreState(s *MachineState) error {
-	if err := m.Checkpointable(); err != nil {
-		return err
-	}
 	if err := m.validateState(s); err != nil {
 		return err
 	}

@@ -74,27 +74,6 @@ type Ranker interface {
 	RankGen() uint64
 }
 
-// Fault is a deterministic fault model an MSC station consults while it
-// operates. Implementations must be pure functions of their own state and
-// `now` so that a seeded simulation stays reproducible. All methods are
-// called from the single simulation goroutine.
-//
-// The three hooks map to the three failure modes a queued station has:
-// admission (transient queue-full), service time (latency spike), and
-// arbitration (delayed grant).
-type Fault interface {
-	// DropAccept reports whether an offered request should be refused as if
-	// the queue were full, exercising the upstream back-pressure path. The
-	// caller keeps ownership of the request and will retry.
-	DropAccept(now sim.Cycle) bool
-	// ExtraLatency returns additional traversal latency to charge a request
-	// accepted at cycle now (a latency spike). Zero means no spike.
-	ExtraLatency(now sim.Cycle) sim.Cycle
-	// HoldGrant reports whether the station must skip forwarding this cycle
-	// (a delayed grant from the arbiter).
-	HoldGrant(now sim.Cycle) bool
-}
-
 // Req is one cache-line-granularity memory access travelling down the memory
 // path. A Req is created on an L1 miss and freed (recycled by the machine)
 // when its response reaches the core.

@@ -110,9 +110,6 @@ func (s *Scenario) decode(data []byte) error {
 			err = unmarshalField(raw, &s.Measure, key)
 		case "seed":
 			err = unmarshalField(raw, &s.Seed, key)
-		case "faults":
-			s.Faults = new(Faults)
-			err = strictUnmarshal(raw, s.Faults, key)
 		case "sim":
 			err = errf(key, "the sharded parallel engine was removed; delete the sim stanza")
 		case "sweep":

@@ -441,12 +441,12 @@ func (s *Scenario) setParam(ref paramRef, raw json.RawMessage, path string) erro
 }
 
 // Clone deep-copies the scenario's mutable parts — what a caller mutating
-// tasks, options or the fault plan (the fuzzer's shrinker, axis probing)
+// tasks or options (the fuzzer's shrinker, axis probing)
 // needs. Axes share the original's immutable raw values.
 func (s *Scenario) Clone() *Scenario { return s.clone() }
 
 // clone deep-copies the scenario's mutable parts (tasks and their custom
-// params, the fault plan); axes share the original's immutable raw values.
+// params); axes share the original's immutable raw values.
 func (s *Scenario) clone() *Scenario {
 	out := *s
 	out.Tasks = make([]Task, len(s.Tasks))
@@ -470,14 +470,6 @@ func (s *Scenario) clone() *Scenario {
 			}
 			out.Tasks[i].Load = &cl
 		}
-	}
-	if s.Faults != nil {
-		cp := *s.Faults
-		cp.Stations = make(map[string]FaultRates, len(s.Faults.Stations))
-		for k, v := range s.Faults.Stations {
-			cp.Stations[k] = v
-		}
-		out.Faults = &cp
 	}
 	return &out
 }

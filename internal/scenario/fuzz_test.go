@@ -14,7 +14,6 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"name":"t","policy":"Default",
 	  "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
-	  "faults":{"stations":{"Bus":{"drop":0.01}}},
 	  "sweep":[{"param":"machine.cores","values":[2,4]}]}`))
 	f.Add([]byte(`{"version":1e999}`))
 	f.Add([]byte("\xff\xfe not json"))

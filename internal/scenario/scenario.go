@@ -55,12 +55,6 @@ type Scenario struct {
 	// Seed overrides the harness scale's base RNG seed; 0 keeps it.
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Faults, when set, attaches deterministic fault injectors to the named
-	// MSC stations for every run of this scenario (see internal/faultinject).
-	// Fault-injected runs are never checkpointed: injector RNG state lives
-	// outside the machine snapshot.
-	Faults *Faults `json:"faults,omitempty"`
-
 	// Sweep declares the axes to expand (cartesian product, first axis
 	// outermost). An empty list means the scenario is a single run unit.
 	Sweep []Axis `json:"sweep,omitempty"`
@@ -82,41 +76,6 @@ const (
 	PresetKunpeng  = "kunpeng"
 	PresetNeoverse = "neoverse"
 )
-
-// Faults declares the scenario's fault-injection plan: per-station rates for
-// the three deterministic perturbations internal/faultinject implements.
-type Faults struct {
-	// Seed derives each station's private injection RNG stream; stations
-	// always perturb independently of one another and of the workload RNGs.
-	Seed uint64 `json:"seed,omitempty"`
-	// Stations maps an MSC name (one of MSCNames()) to its fault rates.
-	Stations map[string]FaultRates `json:"stations"`
-}
-
-// FaultRates are one station's per-decision fault probabilities. All rates
-// are fractions in 0..1; a spike rate requires a positive spike_cycles.
-type FaultRates struct {
-	// Drop refuses an offered request as if the station's queue were full.
-	Drop float64 `json:"drop,omitempty"`
-	// Spike adds SpikeCycles of traversal latency to an accepted request.
-	Spike       float64 `json:"spike,omitempty"`
-	SpikeCycles uint64  `json:"spike_cycles,omitempty"`
-	// Hold makes the station grant nothing for a cycle.
-	Hold float64 `json:"hold,omitempty"`
-	_    [0]func()
-}
-
-// StationNames lists the stations of a fault plan in deterministic (MSC
-// path) order.
-func (f *Faults) StationNames() []string {
-	out := make([]string, 0, len(f.Stations))
-	for _, name := range MSCNames() {
-		if _, ok := f.Stations[name]; ok {
-			out = append(out, name)
-		}
-	}
-	return out
-}
 
 // Options are the policy parameters a scenario may set. Zero values defer to
 // the machine defaults (machine.Options.normalize).

@@ -84,6 +84,13 @@ func TestParseErrors(t *testing.T) {
 			path: "sim", msg: "sharded parallel engine was removed; delete the sim stanza",
 		},
 		{
+			name: "removed faults stanza",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
+			       "faults":{"stations":{"Bus":{"drop":0.01}}}}`,
+			path: "", msg: `unknown field "faults"`,
+		},
+		{
 			name: "type error on scalar",
 			doc: `{"version":"one","name":"t","policy":"Default",
 			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}]}`,

@@ -3,7 +3,6 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"pivot/internal/workload"
@@ -38,54 +37,7 @@ func (s *Scenario) Validate() error {
 	if err := s.validateCoreBudget(); err != nil {
 		return err
 	}
-	if err := s.validateFaults(); err != nil {
-		return err
-	}
 	return s.validateSweep()
-}
-
-// validateFaults checks the fault-injection stanza: known station names,
-// rates in 0..1, and a positive spike_cycles exactly when a spike rate is
-// set.
-func (s *Scenario) validateFaults() error {
-	f := s.Faults
-	if f == nil {
-		return nil
-	}
-	if len(f.Stations) == 0 {
-		return errf("faults.stations", "at least one station is required")
-	}
-	// Sorted keys keep which unknown station is reported first deterministic.
-	names := make([]string, 0, len(f.Stations))
-	for name := range f.Stations {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, ok := MSC(name); !ok {
-			return errf("faults.stations."+name,
-				"unknown MSC %q (one of %s)", name, strings.Join(MSCNames(), ", "))
-		}
-	}
-	for _, name := range f.StationNames() {
-		r := f.Stations[name]
-		path := "faults.stations." + name
-		for _, rate := range []struct {
-			field string
-			v     float64
-		}{{"drop", r.Drop}, {"spike", r.Spike}, {"hold", r.Hold}} {
-			if rate.v < 0 || rate.v > 1 {
-				return errf(path+"."+rate.field, "rate %v must be in 0..1", rate.v)
-			}
-		}
-		if r.Spike > 0 && r.SpikeCycles == 0 {
-			return errf(path+".spike_cycles", "must be positive when spike is set")
-		}
-		if r.Spike == 0 && r.SpikeCycles != 0 {
-			return errf(path+".spike_cycles", "set without a spike rate")
-		}
-	}
-	return nil
 }
 
 func (s *Scenario) validateMachine() error {

@@ -2,6 +2,7 @@ package scenfuzz
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"testing"
 
@@ -17,9 +18,10 @@ const testdataCorpus = "testdata/corpus"
 //	PIVOT_SEED_CORPUS=1 go test ./internal/scenfuzz -run TestSeedCorpusRegenerate
 //
 // after a schema or oracle change that invalidates the recorded entries. The
-// corpus holds one defect-walkthrough entry (minimized under the skip-faults
-// defect; replays clean, fails only when the same defect is armed again) and
-// two pinned all-green scenarios replayed through the whole oracle bank.
+// corpus holds one defect-walkthrough entry (minimized under the
+// skip-extra-cycle defect; replays clean, fails only when the same defect is
+// armed again) and the corpusPins scenarios replayed through the whole
+// oracle bank.
 func TestSeedCorpusRegenerate(t *testing.T) {
 	if os.Getenv("PIVOT_SEED_CORPUS") == "" {
 		t.Skip("set PIVOT_SEED_CORPUS=1 to rewrite the seed corpus")
@@ -29,7 +31,7 @@ func TestSeedCorpusRegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	defect := Env{Defect: DefectSkipFaults}
+	defect := Env{Defect: DefectSkipExtraCycle}
 	f := CheckAll(ctx, defectScenario(), Oracles(), defect)
 	if f == nil {
 		t.Fatalf("defect scenario not caught; cannot record walkthrough entry")
@@ -39,64 +41,109 @@ func TestSeedCorpusRegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, index := range []int{0, 2} {
-		sc := Generate(1, index)
-		if got := CheckAll(ctx, sc, Oracles(), Env{}); got != nil {
-			t.Fatalf("Generate(1, %d) not green: %s: %s", index, got.Oracle, got.Detail)
+	for _, pin := range corpusPins() {
+		if err := pin.Scenario.Validate(); err != nil {
+			t.Fatalf("pinned scenario %s invalid: %v", pin.Scenario.Name, err)
 		}
-		entry := &Finding{
-			Oracle:   "all", // no such oracle: Replay runs the whole bank
-			Seed:     1,
-			Index:    index,
-			Detail:   "pinned all-green regression scenario",
-			Scenario: sc,
+		if got := CheckAll(ctx, pin.Scenario, Oracles(), Env{}); got != nil {
+			t.Fatalf("pinned scenario %s not green: %s: %s", pin.Scenario.Name, got.Oracle, got.Detail)
 		}
-		if _, err := WriteEntry(testdataCorpus, entry); err != nil {
+		if _, err := WriteEntry(testdataCorpus, pin); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
 
-	// Generate(1, 126) once caught a real bug: with rrbp_entries:-1, a PIVOT
-	// run resumed from a checkpoint serialised differently from an
+// corpusPins are the all-green corpus entries. Each is a literal scenario,
+// so the checked-in files do not move when Generate's RNG stream does; Seed
+// and Index record the campaign scenario a pin was first generated as.
+func corpusPins() []*Finding {
+	const green = "pinned all-green regression scenario"
+
+	// fuzz-1-0: an MBA mix whose inline LC app carries MMPP-2 bursts,
+	// tenant windows and Zipf skew (its generated fault stanza stripped).
+	fuzz0 := &scenario.Scenario{
+		Version: scenario.Version,
+		Name:    "fuzz-1-0",
+		Machine: scenario.Machine{Preset: scenario.PresetKunpeng, Cores: 4},
+		Policy:  "MBA",
+		Options: scenario.Options{ExpectedLCBW: 0.5297954131788668, MBALevel: 60},
+		Tasks: []scenario.Task{
+			{
+				Kind: scenario.KindLC,
+				LCParams: &scenario.LCParams{Name: "fz-lc-0", ChaseDepth: 8, ChaseLines: 16384,
+					ChasePCs: 7, ALUPerStep: 4, ALULat: 1},
+				Interarrival: 2217,
+				Load: &scenario.LoadSpec{
+					ZipfTheta: 0.8662783108083376,
+					OnOff: &scenario.LoadOnOff{OnMean: 3871, OffMean: 3510,
+						OnScale: 1.4773137543702188, OffScale: 0.24668509624396018},
+					Windows: []scenario.LoadWindow{{Until: 28449}, {From: 33449, Until: 80000}},
+				},
+			},
+			{Kind: scenario.KindBE, App: "ibench", Threads: 3},
+		},
+		Warmup:  8_000,
+		Measure: 32_000,
+		Seed:    13865,
+	}
+
+	// fuzz-1-2: CBP+FullPath on the Neoverse preset with the bus left out
+	// and the starvation guard off, swept over the core count.
+	fuzz2 := &scenario.Scenario{
+		Version: scenario.Version,
+		Name:    "fuzz-1-2",
+		Machine: scenario.Machine{Preset: scenario.PresetNeoverse, Cores: 2, BEWays: 3},
+		Policy:  "CBP+FullPath",
+		Options: scenario.Options{DisableMSC: "Bus", NoStarvationGuard: true},
+		Tasks: []scenario.Task{
+			{Kind: scenario.KindLC, App: "microservice", Interarrival: 7618},
+			{Kind: scenario.KindBE, App: "ibench", Threads: 1},
+		},
+		Warmup:  6_000,
+		Measure: 16_000,
+		Seed:    28670,
+		Sweep: []scenario.Axis{{Param: "machine.cores",
+			Values: []json.RawMessage{json.RawMessage("2"), json.RawMessage("4")}}},
+	}
+
+	// fuzz-1-126 once caught a real bug: with rrbp_entries:-1, a PIVOT run
+	// resumed from a checkpoint serialised differently from an
 	// uninterrupted one (the unlimited RRBP table's zero-decayed counters
 	// were dropped on restore but kept in the live map; the snapshot
 	// encoding is canonical now — internal/rrbp/state_test.go pins the unit
-	// fix). The scenario stays pinned here so the exact geometry keeps
-	// running through the whole bank.
-	rrbpBug := Generate(1, 126)
-	if got := CheckAll(ctx, rrbpBug, Oracles(), Env{}); got != nil {
-		t.Fatalf("Generate(1, 126) (rrbp zero-decay regression) not green: %s: %s", got.Oracle, got.Detail)
-	}
-	entry := &Finding{
-		Oracle:   "all",
-		Seed:     1,
-		Index:    126,
-		Detail:   "pinned regression: unlimited-RRBP zero-decayed counters once broke checkpoint resume",
-		Scenario: rrbpBug,
-	}
-	if _, err := WriteEntry(testdataCorpus, entry); err != nil {
-		t.Fatal(err)
+	// fix). The scenario stays pinned so the exact geometry keeps running
+	// through the whole bank.
+	fuzz126 := &scenario.Scenario{
+		Version: scenario.Version,
+		Name:    "fuzz-1-126",
+		Machine: scenario.Machine{Preset: scenario.PresetNeoverse, Cores: 4},
+		Policy:  "PIVOT",
+		Options: scenario.Options{RRBPEntries: -1, Prefetch: true},
+		Tasks: []scenario.Task{
+			{Kind: scenario.KindLC, App: "masstree", Interarrival: 6944, ExpectedBW: 0.24848766484833898},
+			{Kind: scenario.KindBE, App: "in-memory-analytics", Threads: 2},
+			{Kind: scenario.KindBE, App: "ibench", Threads: 1},
+		},
+		Warmup:  14_000,
+		Measure: 24_000,
+		Seed:    48455,
 	}
 
-	// Pinned load-shape scenario: every load-model feature (phase program
-	// with ramp/sine/off segments, MMPP-2 bursts, tenant windows, Zipf skew)
-	// in one stanza, replayed through the whole bank — including the
-	// stationary-equivalence oracle, whose neutral-program contract anchors
-	// the refactored arrival path.
-	loadSc := loadShapeScenario()
-	if err := loadSc.Validate(); err != nil {
-		t.Fatalf("load-shape scenario invalid: %v", err)
-	}
-	if got := CheckAll(ctx, loadSc, Oracles(), Env{}); got != nil {
-		t.Fatalf("load-shape scenario not green: %s: %s", got.Oracle, got.Detail)
-	}
-	loadEntry := &Finding{
-		Oracle:   "all",
-		Detail:   "pinned: phase/onoff/window/zipf load stanza through the whole bank",
-		Scenario: loadSc,
-	}
-	if _, err := WriteEntry(testdataCorpus, loadEntry); err != nil {
-		t.Fatal(err)
+	// Oracle "all" names no oracle: Replay runs such an entry through the
+	// whole bank.
+	return []*Finding{
+		{Oracle: "all", Seed: 1, Index: 0, Detail: green, Scenario: fuzz0},
+		{Oracle: "all", Seed: 1, Index: 2, Detail: green, Scenario: fuzz2},
+		{Oracle: "all", Seed: 1, Index: 126, Scenario: fuzz126,
+			Detail: "pinned regression: unlimited-RRBP zero-decayed counters once broke checkpoint resume"},
+		// Every load-model feature (phase program with ramp/sine/off
+		// segments, MMPP-2 bursts, tenant windows, Zipf skew) in one stanza,
+		// replayed through the whole bank — including the
+		// stationary-equivalence oracle, whose neutral-program contract
+		// anchors the refactored arrival path.
+		{Oracle: "all", Scenario: loadShapeScenario(),
+			Detail: "pinned: phase/onoff/window/zipf load stanza through the whole bank"},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"pivot/internal/exp"
-	"pivot/internal/faultinject"
 	"pivot/internal/flight"
 	"pivot/internal/machine"
 	"pivot/internal/mem"
@@ -23,14 +22,14 @@ type Env struct {
 	Defect string
 }
 
-// DefectSkipFaults silently attaches a small drop-fault injector to the
-// skip-ahead leg of the equivalence oracle only, simulating a skip-ahead
-// compensation bug. The equiv oracle must catch it on essentially every
+// DefectSkipExtraCycle runs the skip-ahead leg of the equivalence oracle one
+// measured cycle longer than the dense leg, simulating a skip-ahead bug that
+// overshoots a Step boundary. The equiv oracle must catch it on every
 // scenario and shrink it to a minimal reproduction.
-const DefectSkipFaults = "skip-faults"
+const DefectSkipExtraCycle = "skip-extra-cycle"
 
 // Defects lists the valid Env.Defect values.
-func Defects() []string { return []string{DefectSkipFaults} }
+func Defects() []string { return []string{DefectSkipExtraCycle} }
 
 // mode selects how a unit's machine is instrumented for one oracle leg.
 type mode struct {
@@ -170,17 +169,6 @@ func beParamsOf(t *scenario.Task) workload.BEParams {
 	return workload.BEApps()[t.App]
 }
 
-// attachFaults installs the scenario's fault plan on m, reporting whether
-// one was attached (callers must Detach before snapshotting state).
-func attachFaults(m *machine.Machine, sc *scenario.Scenario) bool {
-	plan := exp.FaultPlanFor(sc.Faults)
-	if plan == nil {
-		return false
-	}
-	faultinject.AttachPlan(m, *plan)
-	return true
-}
-
 // stateBytes serialises the machine's complete mutable state, optionally
 // stripping the flight recorder's own section (the flight oracle compares a
 // recorder-on machine against a recorder-less one; everything else must
@@ -189,10 +177,7 @@ func stateBytes(m *machine.Machine, stripFlight bool) ([]byte, error) {
 	if !stripFlight {
 		return m.StateBytes()
 	}
-	s, err := m.SnapshotState()
-	if err != nil {
-		return nil, err
-	}
+	s := m.SnapshotState()
 	s.Flight = nil
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {

@@ -9,10 +9,8 @@ import (
 	"pivot/internal/workload"
 )
 
-// Generation bounds. The windows are deliberately short — an oracle runs each
-// scenario up to five times — and fault rates deliberately small, so injected
-// perturbation stresses the retry/backpressure paths without starving a mix
-// into a watchdog stall.
+// Generation bounds. The windows are deliberately short: an oracle runs each
+// scenario up to five times.
 const (
 	genMinWarmup  = 6_000
 	genMinMeasure = 12_000
@@ -45,15 +43,11 @@ func Generate(seed uint64, index int) *scenario.Scenario {
 	genMachine(rng, s)
 	genOptions(rng, s)
 	genTasks(rng, s)
-	if rng.Float64() < 0.25 {
-		genFaults(rng, s)
-	}
 	if rng.Float64() < 0.40 {
 		genSweep(rng, s)
 	}
 	// Load stanzas draw last so the campaign prefix (machine, options, tasks,
-	// faults, sweep) of a given (seed, index) stays what it was before load
-	// shaping existed — pinned corpus indices keep their geometry.
+	// sweep) of a given (seed, index) does not depend on load shaping.
 	genLoads(rng, s)
 	if err := s.Validate(); err != nil {
 		panic(fmt.Sprintf("scenfuzz: generated invalid scenario (seed %d, index %d): %v", seed, index, err))
@@ -246,38 +240,6 @@ func genLoad(rng *sim.RNG, s *scenario.Scenario) *scenario.LoadSpec {
 		l.ZipfTheta = 0.5 // never emit an empty stanza
 	}
 	return l
-}
-
-// genFaults attaches small per-station fault rates to one or two stations.
-func genFaults(rng *sim.RNG, s *scenario.Scenario) {
-	f := &scenario.Faults{
-		Seed:     1 + rng.Uint64n(1<<16),
-		Stations: map[string]scenario.FaultRates{},
-	}
-	names := scenario.MSCNames()
-	n := 1 + rng.Intn(2)
-	for len(f.Stations) < n {
-		name := pick(rng, names)
-		if _, dup := f.Stations[name]; dup {
-			continue
-		}
-		var r scenario.FaultRates
-		if rng.Float64() < 0.5 {
-			r.Drop = 0.005 + 0.015*rng.Float64()
-		}
-		if rng.Float64() < 0.6 {
-			r.Spike = 0.01 + 0.04*rng.Float64()
-			r.SpikeCycles = uint64(50 + rng.Intn(350))
-		}
-		if rng.Float64() < 0.4 {
-			r.Hold = 0.005 + 0.015*rng.Float64()
-		}
-		if r.Drop == 0 && r.Spike == 0 && r.Hold == 0 {
-			r.Drop = 0.01
-		}
-		f.Stations[name] = r
-	}
-	s.Faults = f
 }
 
 // genSweep adds one two-value sweep axis, chosen so every expanded unit

@@ -9,7 +9,6 @@ import (
 	"os"
 	"strings"
 
-	"pivot/internal/faultinject"
 	"pivot/internal/machine"
 	"pivot/internal/scenario"
 	"pivot/internal/sim"
@@ -133,9 +132,7 @@ func eachUnit(sc *scenario.Scenario, fn func(u *scenario.Scenario, label string)
 
 // equivCheck: for every run unit, a skip-ahead machine and a dense machine
 // must finish with byte-identical serialised state, result snapshot and
-// stats dump. Fault plans attach to both legs (faulted stations pin
-// themselves dense, so the equivalence contract holds under injection); the
-// DefectSkipFaults hook perturbs the skip leg only.
+// stats dump. The DefectSkipExtraCycle hook perturbs the skip leg only.
 func equivCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcript) error {
 	return eachUnit(sc, func(u *scenario.Scenario, label string) error {
 		warmup, measure := windows(u)
@@ -147,37 +144,28 @@ func equivCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcr
 		if err != nil {
 			return fmt.Errorf("building dense machine: %w", err)
 		}
-		faulted := attachFaults(skip, u)
-		attachFaults(dense, u)
-		tr.Logf("%s: warmup=%d measure=%d faults=%v", label, warmup, measure, faulted)
-		if env.Defect == DefectSkipFaults {
-			// Seeded bug: the skip leg silently drops a fraction of accepts.
-			faultinject.Attach(skip, faultinject.Config{Seed: 7, DropProb: 0.01})
+		tr.Logf("%s: warmup=%d measure=%d", label, warmup, measure)
+		skipMeasure := measure
+		if env.Defect == DefectSkipExtraCycle {
+			// Seeded bug: the skip leg measures one cycle too many.
+			skipMeasure++
 			tr.Logf("%s: defect %q armed on skip leg", label, env.Defect)
 		}
-		if err := skip.RunChecked(ctx, warmup, measure); err != nil {
+		if err := skip.RunChecked(ctx, warmup, skipMeasure); err != nil {
 			return fmt.Errorf("skip-ahead run: %w", err)
 		}
 		if err := dense.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("dense run: %w", err)
 		}
-		faultinject.Detach(skip)
-		faultinject.Detach(dense)
 		return compareMachines(tr, label, skip, dense, "skip-ahead", "dense", false, true)
 	})
 }
 
 // checkpointCheck: kill a skip-ahead run at a scenario-derived cycle
 // mid-run, resume it in a fresh machine, and demand the final state equal an
-// uninterrupted run's. Fault-injected scenarios are skipped: injector RNG
-// state lives outside the machine snapshot, so they are (by contract)
-// excluded from checkpointing.
+// uninterrupted run's.
 func checkpointCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcript) error {
 	return eachUnit(sc, func(u *scenario.Scenario, label string) error {
-		if u.Faults != nil {
-			tr.Logf("%s: fault-injected, not checkpointable — skipped", label)
-			return nil
-		}
 		warmup, measure := windows(u)
 		ref, err := build(u, mode{})
 		if err != nil {
@@ -255,16 +243,12 @@ func flightCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transc
 		if err != nil {
 			return fmt.Errorf("building recorder-off machine: %w", err)
 		}
-		attachFaults(on, u)
-		attachFaults(off, u)
 		if err := on.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("recorder-on run: %w", err)
 		}
 		if err := off.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("recorder-off run: %w", err)
 		}
-		faultinject.Detach(on)
-		faultinject.Detach(off)
 		tr.Logf("%s: comparing recorder-on (flight section stripped) vs recorder-off", label)
 		return compareMachines(tr, label, on, off, "recorder-on", "recorder-off", true, false)
 	})
@@ -316,8 +300,6 @@ func stationaryCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Tr
 		if err != nil {
 			return fmt.Errorf("building neutral-shaped machine: %w", err)
 		}
-		attachFaults(a, bare)
-		attachFaults(b, neutral)
 		tr.Logf("%s: stationary vs neutral-shaped (%d task(s) had real shaping stripped)", label, shaped)
 		if err := a.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("stationary run: %w", err)
@@ -325,8 +307,6 @@ func stationaryCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Tr
 		if err := b.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("neutral-shaped run: %w", err)
 		}
-		faultinject.Detach(a)
-		faultinject.Detach(b)
 		ab, err := stateBytes(a, false)
 		if err != nil {
 			return fmt.Errorf("stationary state: %w", err)
@@ -381,7 +361,6 @@ func auditCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcr
 		if err != nil {
 			return fmt.Errorf("building audited machine: %w", err)
 		}
-		attachFaults(m, u)
 		tr.Logf("%s: audit run, watchdog=%d, budget=%d", label, md.watchdog, md.maxCycles)
 		if err := m.RunChecked(ctx, warmup, measure); err != nil {
 			return fmt.Errorf("audited run failed: %w", err)

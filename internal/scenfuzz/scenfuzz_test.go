@@ -29,17 +29,14 @@ func TestGenerateDeterministic(t *testing.T) {
 
 // TestGenerateValidAndDiverse: every generated scenario validates, is
 // executable by the oracle bank, and the population exercises the schema's
-// optional dimensions (faults, sweeps, inline apps, BE co-runners).
+// optional dimensions (sweeps, inline apps, BE co-runners, load stanzas).
 func TestGenerateValidAndDiverse(t *testing.T) {
-	var faults, sweeps, inline, be, loads, shaped int
+	var sweeps, inline, be, loads, shaped int
 	const n = 150
 	for i := 0; i < n; i++ {
 		sc := Generate(7, i) // Generate panics on an invalid scenario
 		if err := Executable(sc); err != nil {
 			t.Fatalf("Generate(7, %d) not executable: %v", i, err)
-		}
-		if sc.Faults != nil {
-			faults++
 		}
 		if len(sc.Sweep) > 0 {
 			sweeps++
@@ -69,7 +66,7 @@ func TestGenerateValidAndDiverse(t *testing.T) {
 			}
 		}
 	}
-	for name, got := range map[string]int{"faults": faults, "sweeps": sweeps, "inline params": inline, "BE tasks": be, "load stanzas": loads, "shaped arrivals": shaped} {
+	for name, got := range map[string]int{"sweeps": sweeps, "inline params": inline, "BE tasks": be, "load stanzas": loads, "shaped arrivals": shaped} {
 		if got == 0 {
 			t.Errorf("no generated scenario out of %d used %s", n, name)
 		}
@@ -80,10 +77,10 @@ func TestGenerateValidAndDiverse(t *testing.T) {
 // must land on a valid fixed point (shrinking the result is a no-op) that
 // still satisfies the predicate it was minimising against.
 func TestShrinkConvergence(t *testing.T) {
-	// Generate(1, 3) is a rich starting point: two LC tasks, a two-station
-	// fault plan, a sweep axis and several options (pinned by determinism).
+	// Generate(1, 3) is a rich starting point: two tasks, a sweep axis and
+	// several options (pinned by determinism).
 	rich := Generate(1, 3)
-	if rich.Faults == nil || len(rich.Sweep) == 0 || len(rich.Tasks) < 2 {
+	if len(rich.Sweep) == 0 || len(rich.Tasks) < 2 {
 		t.Fatalf("Generate(1, 3) no longer rich enough for this test: %s", rich.MustEncode())
 	}
 	cases := []struct {
@@ -93,17 +90,7 @@ func TestShrinkConvergence(t *testing.T) {
 		{"always", func(*scenario.Scenario) bool { return true }},
 		{"keeps-policy", func(c *scenario.Scenario) bool { return c.Policy == rich.Policy }},
 		{"keeps-two-tasks", func(c *scenario.Scenario) bool { return len(c.Tasks) >= 2 }},
-		{"keeps-a-fault-drop", func(c *scenario.Scenario) bool {
-			if c.Faults == nil {
-				return false
-			}
-			for _, r := range c.Faults.Stations {
-				if r.Drop > 0 {
-					return true
-				}
-			}
-			return false
-		}},
+		{"keeps-a-sweep", func(c *scenario.Scenario) bool { return len(c.Sweep) > 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -152,11 +139,11 @@ func TestDefectCaughtShrunkAndReplayable(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("defect scenario invalid: %v", err)
 	}
-	defect := Env{Defect: DefectSkipFaults}
+	defect := Env{Defect: DefectSkipExtraCycle}
 
 	f := CheckAll(ctx, sc, Oracles(), defect)
 	if f == nil {
-		t.Fatalf("seeded defect %q not caught by any oracle", DefectSkipFaults)
+		t.Fatalf("seeded defect %q not caught by any oracle", DefectSkipExtraCycle)
 	}
 	if f.Oracle != "equiv" {
 		t.Fatalf("defect caught by oracle %q, want equiv (detail: %s)", f.Oracle, f.Detail)
@@ -192,7 +179,7 @@ func TestDefectCaughtShrunkAndReplayable(t *testing.T) {
 	if len(entries) != 1 || entries[0].Dir != dir {
 		t.Fatalf("LoadCorpus = %+v, want the one entry at %s", entries, dir)
 	}
-	if entries[0].Meta.Oracle != "equiv" || entries[0].Meta.Defect != DefectSkipFaults {
+	if entries[0].Meta.Oracle != "equiv" || entries[0].Meta.Defect != DefectSkipExtraCycle {
 		t.Fatalf("entry metadata %+v lost oracle/defect attribution", entries[0].Meta)
 	}
 	if !bytes.Equal(entries[0].Scenario.MustEncode(), min.MustEncode()) {

@@ -14,11 +14,10 @@ const maxShrinkSteps = 200
 type Predicate func(*scenario.Scenario) bool
 
 // Shrink greedily minimises a failing scenario: it proposes simplifications
-// in decreasing order of aggressiveness — drop the sweep, drop tasks, drop
-// the fault plan and its stations, collapse thread counts, zero options,
-// halve the run windows — and accepts any candidate that still fails, until
-// no candidate does (a fixed point). The input must satisfy keep; the result
-// does too, and is valid.
+// in decreasing order of aggressiveness — drop the sweep, drop tasks,
+// collapse thread counts, zero options, halve the run windows — and accepts
+// any candidate that still fails, until no candidate does (a fixed point).
+// The input must satisfy keep; the result does too, and is valid.
 func Shrink(sc *scenario.Scenario, keep Predicate) *scenario.Scenario {
 	cur := sc.Clone()
 	for step := 0; step < maxShrinkSteps; step++ {
@@ -73,39 +72,6 @@ func candidates(sc *scenario.Scenario) []*scenario.Scenario {
 				c.Tasks = append(append([]scenario.Task{}, c.Tasks[:i]...), c.Tasks[i+1:]...)
 				c.Sweep = nil
 			})
-		}
-	}
-	if sc.Faults != nil {
-		mut(func(c *scenario.Scenario) { c.Faults = nil })
-		// StationNames order keeps the candidate sequence — and therefore the
-		// shrink result — deterministic.
-		for _, name := range sc.Faults.StationNames() {
-			name := name
-			if len(sc.Faults.Stations) > 1 {
-				mut(func(c *scenario.Scenario) { delete(c.Faults.Stations, name) })
-			}
-			r := sc.Faults.Stations[name]
-			if r.Drop != 0 {
-				mut(func(c *scenario.Scenario) {
-					r := c.Faults.Stations[name]
-					r.Drop = 0
-					c.Faults.Stations[name] = r
-				})
-			}
-			if r.Spike != 0 {
-				mut(func(c *scenario.Scenario) {
-					r := c.Faults.Stations[name]
-					r.Spike, r.SpikeCycles = 0, 0
-					c.Faults.Stations[name] = r
-				})
-			}
-			if r.Hold != 0 {
-				mut(func(c *scenario.Scenario) {
-					r := c.Faults.Stations[name]
-					r.Hold = 0
-					c.Faults.Stations[name] = r
-				})
-			}
 		}
 	}
 	for i := range sc.Tasks {

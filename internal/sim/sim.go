@@ -158,7 +158,7 @@ func (e *Engine) Now() Cycle { return e.now }
 // without skip-ahead.
 //
 // No forecast survives a Step: every slot is polled afresh on entry (so
-// manager actions, restores, SetFault or EnableStats between steps need no
+// manager actions, restores or EnableStats between steps need no
 // wake), and every sleeper is settled on exit, so audits, checkpoints and
 // the watchdog read exact counters.
 func (e *Engine) Step(n Cycle) {

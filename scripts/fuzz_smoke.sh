@@ -34,7 +34,7 @@ echo "== seed corpus replays clean =="
 
 echo "== defect entry still reproduces when re-armed =="
 if "$work/pivot-fuzz" -replay internal/scenfuzz/testdata/corpus \
-    -defect skip-faults > "$work/replay-defect.txt" 2>&1; then
+    -defect skip-extra-cycle > "$work/replay-defect.txt" 2>&1; then
   echo "defect-armed replay passed; the walkthrough entry no longer reproduces" >&2
   cat "$work/replay-defect.txt" >&2
   exit 1
@@ -45,7 +45,7 @@ echo "== bounded fresh campaign =="
     -corpus "$work/corpus" "$@"
 
 echo "== planted defect is still caught =="
-if "$work/pivot-fuzz" -seed 1 -n 1 -oracles equiv -defect skip-faults \
+if "$work/pivot-fuzz" -seed 1 -n 1 -oracles equiv -defect skip-extra-cycle \
     -corpus "$work/defect-corpus" > "$work/defect.txt" 2>&1; then
   echo "defect campaign found nothing; the oracle bank lost its teeth" >&2
   cat "$work/defect.txt" >&2
