@@ -112,3 +112,46 @@ func TestMPAMDisabledIsFCFS(t *testing.T) {
 		t.Fatal("MPAM disabled must stay FCFS")
 	}
 }
+
+// gate refuses every offer until opened.
+type gate struct {
+	open bool
+	got  []*mem.Req
+}
+
+func (g *gate) Accept(r *mem.Req, now sim.Cycle) bool {
+	if !g.open {
+		return false
+	}
+	g.got = append(g.got, r)
+	return true
+}
+
+// TestBlockedHeadKeepsControllerAwake: while the DRAM refuses its head the
+// controller reports work every cycle (its shadowing NextWork must not turn
+// a blocked head into a sleep until the window boundary), keeps rolling its
+// monitoring windows, and forwards as soon as the downstream accepts.
+func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
+	g := &gate{}
+	c := New(testCfg(), g)
+	if !c.Accept(&mem.Req{Part: 1}, 0) {
+		t.Fatal("controller refused with empty queues")
+	}
+	for now := sim.Cycle(0); now < 250; now++ {
+		if _, idle := c.NextWork(now); idle {
+			t.Fatalf("cycle %d: controller idle with a refused head", now)
+		}
+		c.Tick(now)
+	}
+	if len(g.got) != 0 || c.WindowsDone() != 2 {
+		t.Fatalf("blocked: forwarded %d, windows %d; want 0 and 2", len(g.got), c.WindowsDone())
+	}
+	g.open = true
+	c.Tick(250)
+	if len(g.got) != 1 || c.Stats.Forwarded != 1 {
+		t.Fatalf("forwarded %d (stat %d) once the downstream opened, want 1", len(g.got), c.Stats.Forwarded)
+	}
+	if next, idle := c.NextWork(251); !idle || next != 300 {
+		t.Fatalf("drained controller NextWork = (%d, %v), want (300, true)", next, idle)
+	}
+}

@@ -287,6 +287,31 @@ func TestSweepSurvivesPanic(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerialFaultFree pins the determinism contract on a
+// sweep in which no job fails: serial and parallel runs agree unit for unit.
+func TestParallelMatchesSerialFaultFree(t *testing.T) {
+	var specs []exp.RunSpec
+	for _, m := range []exp.Method{exp.MethodDefault(), exp.MethodPIVOT()} {
+		for _, load := range []int{40, 70} {
+			specs = append(specs, exp.RunSpec{
+				Method: m,
+				LCs:    []exp.LCSpec{{App: workload.Masstree, LoadPct: load}},
+				BEs:    []exp.BESpec{{App: workload.IBench, Threads: 2}},
+			})
+		}
+	}
+	serial, _ := runSweep(t, Config{}, specs, nil)
+	par, _ := runSweep(t, Config{Parallel: 4}, specs, nil)
+	if Failed(serial) != 0 || Failed(par) != 0 {
+		t.Fatalf("healthy sweep failed: serial %d, parallel %d", Failed(serial), Failed(par))
+	}
+	for i := range specs {
+		if a, b := decodeRun(t, serial[i]), decodeRun(t, par[i]); !reflect.DeepEqual(a, b) {
+			t.Fatalf("spec %d (%s) diverged under parallelism", i, SpecLabel(specs[i]))
+		}
+	}
+}
+
 // TestExperimentResumeByteIdentical drives the same path pivot-exp uses:
 // experiment tables are what gets cached, so a rerun against the cache
 // prints byte-for-byte what an uncached sweep prints, in text and in CSV,

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"testing"
 
 	"pivot/internal/mem"
@@ -241,6 +242,86 @@ func TestConservationProperty(t *testing.T) {
 		if len(dn.got) != int(s.Stats.Forwarded) {
 			t.Fatalf("trial %d: downstream saw %d, station forwarded %d",
 				trial, len(dn.got), s.Stats.Forwarded)
+		}
+	}
+}
+
+// gate refuses every offer until opened, counting the offers it saw.
+type gate struct {
+	open   bool
+	offers int
+	got    []*mem.Req
+}
+
+func (g *gate) Accept(r *mem.Req, now sim.Cycle) bool {
+	g.offers++
+	if !g.open {
+		return false
+	}
+	g.got = append(g.got, r)
+	return true
+}
+
+// TestStationStaysAwakeWhileHeadRefused: a station whose ready head is
+// refused downstream reports work every cycle, offers again on every Tick
+// and forwards on the first cycle the downstream accepts. The skip-ahead
+// engine relies on this: a station that slept while blocked would miss the
+// cycle its downstream frees up.
+func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
+	for _, prio := range []bool{false, true} {
+		for _, ranked := range []bool{false, true} {
+			for _, bw := range []int{1, 2} {
+				name := fmt.Sprintf("prio=%v/ranked=%v/bw=%d", prio, ranked, bw)
+				t.Run(name, func(t *testing.T) {
+					c := cfg()
+					c.Bandwidth = bw
+					g := &gate{}
+					s := New(c, g)
+					s.PriorityEnabled = true
+					if ranked {
+						s.Ranker = &classRanker{class: [4]int{0, 1, 2, 1}}
+					}
+					a, b := req(prio), req(prio)
+					a.Part, b.Part = 2, 0
+					if !s.Accept(a, 0) || !s.Accept(b, 0) {
+						t.Fatal("station refused with empty queues")
+					}
+					ready := c.Latency
+					for now := sim.Cycle(0); now < ready; now++ {
+						if next, idle := s.NextWork(now); !idle || next != ready {
+							t.Fatalf("cycle %d: NextWork = (%d, %v), want (%d, true)", now, next, idle, ready)
+						}
+						s.Tick(now)
+					}
+					for now := ready; now < ready+10; now++ {
+						if _, idle := s.NextWork(now); idle {
+							t.Fatalf("cycle %d: station idle with a refused head", now)
+						}
+						before := g.offers
+						s.Tick(now)
+						if g.offers == before {
+							t.Fatalf("cycle %d: blocked station did not offer again", now)
+						}
+					}
+					if n, p := s.QueueLen(); n+p != 2 || len(g.got) != 0 {
+						t.Fatalf("refused requests left the queues: normal %d, prio %d, got %d", n, p, len(g.got))
+					}
+					g.open = true
+					open := ready + 10
+					for now := open; len(g.got) < 2 && now < open+5; now++ {
+						s.Tick(now)
+					}
+					if len(g.got) != 2 {
+						t.Fatalf("forwarded %d once the downstream opened, want 2", len(g.got))
+					}
+					if s.Stats.Forwarded != 2 {
+						t.Fatalf("Forwarded = %d, want 2", s.Stats.Forwarded)
+					}
+					if _, idle := s.NextWork(open + 5); !idle {
+						t.Fatal("drained station still reports work")
+					}
+				})
+			}
 		}
 	}
 }
