@@ -61,15 +61,11 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"pivot/internal/cliutil"
 	"pivot/internal/exp"
@@ -78,7 +74,6 @@ import (
 	"pivot/internal/metrics"
 	"pivot/internal/scenario"
 	"pivot/internal/sim"
-	"pivot/internal/stats"
 )
 
 func main() {
@@ -129,15 +124,10 @@ func main() {
 
 	// Live sweep telemetry: /progress on the debug server reports cycles/sec,
 	// ETA and per-unit sweep progress while experiments run.
-	var liveProgress *stats.Progress
-	if *debugAddr != "" {
-		liveProgress = stats.NewProgress()
-		addr, err := stats.ServeDebugWith(*debugAddr, liveProgress)
-		if err != nil {
-			logger.Error("debug server failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("debug server up", "pprof", "http://"+addr+"/debug/pprof/", "progress", "http://"+addr+"/progress")
+	liveProgress, err := cliutil.ServeDebug(*debugAddr, logger)
+	if err != nil {
+		logger.Error("debug server failed", "err", err)
+		os.Exit(1)
 	}
 
 	scale := exp.Full()
@@ -162,21 +152,10 @@ func main() {
 		ctx.FlightSample = *flightSample
 	}
 
-	// Graceful shutdown: the first SIGINT/SIGTERM cancels the sweep — every
-	// in-flight simulation aborts at its next check, flushing a final
-	// checkpoint when -checkpoint-dir is set — then artifacts are written and
-	// the process exits 130. A second signal hard-exits immediately.
-	runCtx, cancelRun := context.WithCancel(context.Background())
+	// Graceful shutdown: the first SIGINT/SIGTERM cancels the sweep, then
+	// artifacts are written and the process exits 130.
+	runCtx, cancelRun := cliutil.CancelOnSignal("pivot-exp")
 	defer cancelRun()
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigCh
-		fmt.Fprintf(os.Stderr, "\npivot-exp: %v: stopping (flushing checkpoints); signal again to force quit\n", s)
-		cancelRun()
-		<-sigCh
-		os.Exit(130)
-	}()
 
 	reg := exp.Registry()
 	if *scenarioPath == "" && args[0] == "list" {
@@ -296,13 +275,13 @@ func main() {
 	}
 
 	if *statsOut != "" {
-		if err := writeStats(ctx, *statsOut); err != nil {
+		if err := cliutil.WriteStats(ctx.LastStats(), *statsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	if *timelineOut != "" {
-		if err := writeTimeline(ctx, *timelineOut); err != nil {
+		if err := cliutil.WriteTimeline(ctx.LastTimeline(), *timelineOut); err != nil {
 			fmt.Fprintf(os.Stderr, "pivot-exp: %v\n", err)
 			os.Exit(1)
 		}
@@ -343,36 +322,6 @@ func indent(s, prefix string) string {
 		lines[i] = prefix + ln
 	}
 	return strings.Join(lines, "\n")
-}
-
-func writeStats(ctx *exp.Context, path string) error {
-	d := ctx.LastStats()
-	if d == nil {
-		return fmt.Errorf("no instrumented run produced a stats dump (experiment ran no co-location simulation)")
-	}
-	var buf bytes.Buffer
-	var err error
-	if strings.HasSuffix(path, ".csv") {
-		err = d.WriteCSV(&buf)
-	} else {
-		err = d.WriteJSON(&buf)
-	}
-	if err != nil {
-		return err
-	}
-	return harness.WriteFileAtomic(path, buf.Bytes(), 0o644)
-}
-
-func writeTimeline(ctx *exp.Context, path string) error {
-	tl := ctx.LastTimeline()
-	if tl == nil {
-		return fmt.Errorf("no instrumented run produced a timeline (experiment ran no co-location simulation)")
-	}
-	var buf bytes.Buffer
-	if err := tl.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return harness.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 func usage() { fmt.Fprint(os.Stderr, usageText()) }

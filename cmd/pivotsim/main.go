@@ -1,5 +1,5 @@
-// Command pivotsim runs a single co-location simulation and reports the
-// metrics the paper uses: per-LC p95 latency, BE throughput, and memory
+// Command pivotsim runs one co-location scenario unit and prints its summary
+// row: per-LC p95 latency and QoS verdict, LC and BE throughput, and memory
 // bandwidth utilisation.
 //
 // Example: one Masstree LC task at a 4000-cycle mean inter-arrival,
@@ -7,8 +7,17 @@
 //
 //	pivotsim -lc masstree -ia 4000 -be ibench -threads 7 -policy pivot
 //
-// Declarative scenario files (see README "Scenarios" and
-// examples/scenarios/) run through `pivot-exp -scenario file.json`.
+// pivotsim is a flag front end over the scenario layer: its run-describing
+// flags (-lc, -ia, -zipf, -be, -threads, -policy, -cores, -warmup,
+// -measure, -neoverse, -seed) build a one-unit scenario, which runs through
+// the same harness path as `pivot-exp -scenario file.json` and prints the
+// same table, byte for byte. So a PIVOT run is offline-profiled exactly as
+// in the figures, and an MBA run searches the throttle ladder for the least
+// throttling that meets QoS. -policy takes any scenario policy name, ignoring case. -ia 0 makes
+// the LC task closed loop, calibrated for its QoS target; -threads 0 leaves
+// out the BE task. Richer mixes, load shapes and sweeps need a scenario file
+// (see README "Scenarios" and examples/scenarios/). -json prints the unit's
+// result record instead of the table.
 //
 // Crash safety: with -checkpoint-dir the run periodically snapshots its full
 // machine state; rerunning the identical command resumes from the newest
@@ -27,53 +36,85 @@
 package main
 
 import (
-	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 
-	"pivot"
-	"pivot/internal/checkpoint"
 	"pivot/internal/cliutil"
-	"pivot/internal/flight"
-	"pivot/internal/load"
+	"pivot/internal/exp"
+	"pivot/internal/harness"
 	"pivot/internal/machine"
-	"pivot/internal/mem"
-	"pivot/internal/metrics"
+	"pivot/internal/scenario"
 	"pivot/internal/sim"
-	"pivot/internal/stats"
+	"pivot/internal/workload"
 )
 
-var policies = map[string]pivot.Policy{
-	"default":      pivot.PolicyDefault,
-	"mba":          pivot.PolicyMBA,
-	"mpam":         pivot.PolicyMPAM,
-	"fullpath":     pivot.PolicyFullPath,
-	"pivot":        pivot.PolicyPIVOT,
-	"cbp":          pivot.PolicyCBP,
-	"cbp-fullpath": pivot.PolicyCBPFullPath,
+// unitFlags are the flags that describe the run; scenario turns them into
+// the one-unit scenario pivotsim executes.
+type unitFlags struct {
+	lc, be, policy  string
+	ia, zipf        float64
+	threads, cores  int
+	warmup, measure uint64
+	seed            uint64
+	neoverse        bool
+}
+
+func (f *unitFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.lc, "lc", workload.Masstree, "LC application (img-dnn|moses|xapian|silo|masstree)")
+	fs.Float64Var(&f.ia, "ia", 4000, "mean request inter-arrival in cycles (0 = closed loop, calibrated for its QoS target)")
+	fs.Float64Var(&f.zipf, "zipf", 0, "Zipf skew theta of the LC task's reference popularity, in [0, 1) (0 = uniform; richer load shapes need a scenario file, run by pivot-exp -scenario)")
+	fs.StringVar(&f.be, "be", workload.IBench, "BE application")
+	fs.IntVar(&f.threads, "threads", 7, "BE thread count (0 = no BE task)")
+	fs.StringVar(&f.policy, "policy", "pivot", "partitioning policy, any case: "+strings.Join(scenario.Policies(), "|"))
+	fs.IntVar(&f.cores, "cores", 8, "core count")
+	fs.Uint64Var(&f.warmup, "warmup", 400_000, "warm-up cycles")
+	fs.Uint64Var(&f.measure, "measure", 600_000, "measured cycles")
+	fs.BoolVar(&f.neoverse, "neoverse", false, "use the ARM Neoverse-like configuration (Table III)")
+	fs.Uint64Var(&f.seed, "seed", 1, "simulation seed (0 = the harness default, 1)")
+}
+
+// scenario builds the one-unit scenario the flags describe. It does not
+// validate: ScenarioJobs does, naming the offending field.
+func (f *unitFlags) scenario() *scenario.Scenario {
+	policy := f.policy
+	for _, p := range scenario.Policies() {
+		if strings.EqualFold(p, f.policy) {
+			policy = p
+		}
+	}
+	lc := scenario.Task{Kind: scenario.KindLC, App: f.lc, Interarrival: f.ia}
+	if f.zipf != 0 {
+		lc.Load = &scenario.LoadSpec{ZipfTheta: f.zipf}
+	}
+	sc := &scenario.Scenario{
+		Version: scenario.Version,
+		Name:    "pivotsim",
+		Machine: scenario.Machine{Cores: f.cores},
+		Policy:  policy,
+		Tasks:   []scenario.Task{lc},
+		Warmup:  f.warmup,
+		Measure: f.measure,
+		Seed:    f.seed,
+	}
+	if f.neoverse {
+		sc.Machine.Preset = scenario.PresetNeoverse
+	}
+	if f.threads != 0 {
+		sc.Tasks = append(sc.Tasks, scenario.Task{Kind: scenario.KindBE, App: f.be, Threads: f.threads})
+	}
+	return sc
 }
 
 func main() {
-	lcName := flag.String("lc", pivot.Masstree, "LC application (img-dnn|moses|xapian|silo|masstree)")
-	ia := flag.Float64("ia", 4000, "mean request inter-arrival in cycles (0 = closed loop)")
-	zipf := flag.Float64("zipf", 0, "Zipf skew theta of the LC task's reference popularity, in [0, 1) (0 = uniform; richer load shapes need a scenario file, run by pivot-exp -scenario)")
-	beName := flag.String("be", pivot.IBench, "BE application")
-	threads := flag.Int("threads", 7, "BE thread count")
-	policyName := flag.String("policy", "pivot", "partitioning policy: "+policyNames())
-	cores := flag.Int("cores", 8, "core count")
-	warmup := flag.Uint64("warmup", 400_000, "warm-up cycles")
-	measure := flag.Uint64("measure", 600_000, "measured cycles")
-	neoverse := flag.Bool("neoverse", false, "use the ARM Neoverse-like configuration (Table III)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	asJSON := flag.Bool("json", false, "emit a machine-readable snapshot instead of text")
-	sample := flag.Int("sample", 0, "print the memory-path cycle split of the first N LC requests")
+	var uf unitFlags
+	uf.register(flag.CommandLine)
+	asJSON := flag.Bool("json", false, "print the unit's result record (JSON) instead of the table")
 	statsOut := flag.String("stats-out", "", "write the run's stats dump here (JSON; CSV with a .csv suffix)")
-	statsEpoch := flag.Uint64("stats-epoch", 0, "stats sampling period in cycles (0 = default)")
+	statsEpoch := flag.Uint64("stats-epoch", uint64(machine.DefaultStatsEpoch), "stats sampling period in cycles")
 	statsTable := flag.Bool("stats-table", false, "print the stats registry as an aligned table after the run")
 	timelineOut := flag.String("timeline-out", "", "write a Chrome trace-event timeline here (open in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/metrics on this address")
@@ -93,104 +134,38 @@ func main() {
 	}
 	logger, err := cliutil.Logger(*logFormat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pivotsim: %v\n", err)
-		os.Exit(2)
+		fail(2, err)
+	}
+	progress, err := cliutil.ServeDebug(*debugAddr, logger)
+	if err != nil {
+		logger.Error("debug server failed", "err", err)
+		os.Exit(1)
 	}
 
-	// Live run telemetry: /progress on the debug server reports the current
-	// cycle, cycles/sec and ETA while the simulation runs.
-	var liveProgress *stats.Progress
-	if *debugAddr != "" {
-		liveProgress = stats.NewProgress()
-		addr, err := stats.ServeDebugWith(*debugAddr, liveProgress)
-		if err != nil {
-			logger.Error("debug server failed", "err", err)
-			os.Exit(1)
-		}
-		logger.Info("debug server up", "pprof", "http://"+addr+"/debug/pprof/", "progress", "http://"+addr+"/progress")
-	}
-
-	pol, ok := policies[*policyName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pivotsim: unknown policy %q\n", *policyName)
-		os.Exit(2)
-	}
-	if *zipf < 0 || *zipf >= 1 {
-		fmt.Fprintf(os.Stderr, "pivotsim: -zipf %v must be in [0, 1)\n", *zipf)
-		os.Exit(2)
-	}
-	lcApp, ok := pivot.LCApps()[*lcName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pivotsim: unknown LC app %q\n", *lcName)
-		os.Exit(2)
-	}
-	beApp, ok := pivot.BEApps()[*beName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pivotsim: unknown BE app %q\n", *beName)
-		os.Exit(2)
-	}
-
-	cfg := pivot.KunpengConfig(*cores)
-	if *neoverse {
-		cfg = pivot.NeoverseConfig(*cores)
-	}
-
-	var potential pivot.CriticalSet
-	if pol == pivot.PolicyPIVOT {
-		logger.Info("running offline profiling", "lc", *lcName)
-		potential = pivot.ProfileLC(cfg, lcApp, *threads, *seed)
-		logger.Info("offline profiling done", "potentialCriticalLoads", len(potential))
-	}
-
-	tasks := []pivot.TaskSpec{{
-		Kind: pivot.TaskLC, LC: lcApp,
-		MeanInterarrival: *ia, Potential: potential, Seed: *seed,
-		Load: load.Spec{ZipfTheta: *zipf},
-	}}
-	for i := 0; i < *threads && len(tasks) < *cores; i++ {
-		tasks = append(tasks, pivot.TaskSpec{Kind: pivot.TaskBE, BE: beApp,
-			Seed: *seed + uint64(10+i)})
-	}
-
-	wantStats := *statsOut != "" || *timelineOut != "" || *statsTable || *statsEpoch > 0
-	if *timelineOut != "" && *sample == 0 {
-		*sample = 64 // lifecycle events come from the request sampler
-	}
-
-	m := pivot.MustNewMachine(cfg, pivot.Options{Policy: pol, SampleRequests: *sample, Dense: *dense}, tasks)
-	if wantStats {
-		m.EnableStats(pivot.Cycle(*statsEpoch), 0)
+	sc := uf.scenario()
+	ctx := exp.NewContext(machine.KunpengConfig(sc.Cores()), exp.Full())
+	ctx.Out = os.Stderr
+	if *statsOut != "" || *timelineOut != "" || *statsTable {
+		ctx.StatsEpoch = sim.Cycle(*statsEpoch)
 	}
 	if *flightOut != "" {
-		m.EnableFlight(flight.Config{TopK: *flightTop, SampleCap: *flightSample})
+		ctx.FlightTop = *flightTop
+		ctx.FlightSample = *flightSample
 	}
-	if liveProgress != nil {
-		liveProgress.SetLabel(fmt.Sprintf("%s %s + %s x%d", pol, *lcName, *beName, *threads))
-		liveProgress.SetGoal(*warmup + *measure)
-		m.SetProgress(liveProgress)
+	ctx.Dense = *dense
+	ctx.CheckpointDir = *ckptDir
+	ctx.CheckpointInterval = sim.Cycle(*ckptInterval)
+	ctx.Progress = progress
+
+	jobs, labels, err := harness.ScenarioJobs(ctx, sc)
+	if err != nil {
+		fail(2, err)
 	}
-
-	// Graceful shutdown: first signal cancels the run (flushing a final
-	// checkpoint when -checkpoint-dir is set), second force-quits.
-	runCtx, cancelRun := context.WithCancel(context.Background())
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigCh
-		fmt.Fprintf(os.Stderr, "\npivotsim: %v: stopping (flushing checkpoint); signal again to force quit\n", s)
-		cancelRun()
-		<-sigCh
-		os.Exit(130)
-	}()
-
-	resumed, err := m.RunCheckpointed(runCtx, pivot.Cycle(*warmup), pivot.Cycle(*measure),
-		machine.CheckpointConfig{Dir: *ckptDir, Interval: sim.Cycle(*ckptInterval)})
+	runCtx, cancelRun := cliutil.CancelOnSignal("pivotsim")
+	res := harness.New(harness.Config{Logger: logger, Progress: progress}).RunContext(runCtx, jobs)[0]
 	interrupted := runCtx.Err() != nil
 	cancelRun()
-	if resumed > 0 {
-		logger.Info("resumed from checkpoint", "cycle", uint64(resumed))
-	}
-	if err != nil {
+	if res.Err != nil {
 		if interrupted {
 			if *ckptDir != "" {
 				logger.Info("interrupted; state saved — rerun the same command to resume")
@@ -199,120 +174,55 @@ func main() {
 			}
 			os.Exit(130)
 		}
-		logger.Error("run failed", "err", err)
+		fmt.Fprintf(os.Stderr, "pivotsim: %v\n", errors.Unwrap(res.Err))
+		var re *harness.RunError
+		if errors.As(res.Err, &re) {
+			if d, ok := re.Diag(); ok {
+				fmt.Fprintln(os.Stderr, d.String())
+			}
+		}
 		os.Exit(1)
 	}
-	if *ckptDir != "" {
-		_ = checkpoint.Remove(*ckptDir) // run complete; nothing left to protect
+	r, err := harness.ValueAs[exp.RunResult](res)
+	if err != nil {
+		fail(1, err)
 	}
 
-	if wantStats {
-		if err := exportStats(m, *statsOut, *timelineOut, *statsTable, *policyName); err != nil {
-			logger.Error("stats export failed", "err", err)
-			os.Exit(1)
+	if *statsOut != "" {
+		if err := cliutil.WriteStats(ctx.LastStats(), *statsOut); err != nil {
+			fail(1, err)
+		}
+	}
+	if *timelineOut != "" {
+		if err := cliutil.WriteTimeline(ctx.LastTimeline(), *timelineOut); err != nil {
+			fail(1, err)
 		}
 	}
 	if *flightOut != "" {
-		if err := cliutil.WriteFlight(flightReport(m, *policyName, *lcName), *flightOut); err != nil {
-			logger.Error("flight export failed", "err", err)
-			os.Exit(1)
+		if err := cliutil.WriteFlight(ctx.LastFlight(), *flightOut); err != nil {
+			fail(1, err)
 		}
+	}
+	if *statsTable {
+		d := ctx.LastStats()
+		if d == nil {
+			fail(1, errors.New("-stats-table: the run recorded no stats (is -stats-epoch 0?)"))
+		}
+		fmt.Println(d.Table("stats registry (measured region)").String())
 	}
 
 	if *asJSON {
-		if err := m.Snapshot().WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pivotsim: %v\n", err)
-			os.Exit(1)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(r); err != nil {
+			fail(1, err)
 		}
 		return
 	}
-	src := m.LCTasks()[0].Source
-	fmt.Printf("policy            %s\n", pol)
-	fmt.Printf("lc app            %s (inter-arrival %.0f cycles)\n", *lcName, *ia)
-	fmt.Printf("be app            %s x%d\n", *beName, *threads)
-	fmt.Printf("requests done     %d\n", src.Completed())
-	if n := src.DroppedLatencies(); n > 0 {
-		fmt.Printf("latency records   %d DROPPED past the 1Mi cap — percentiles cover a truncated prefix\n", n)
-	}
-	fmt.Printf("lc p95 latency    %d cycles\n", m.LCp95(0))
-	fmt.Printf("be throughput     %.4f instructions/cycle\n",
-		float64(m.BECommitted())/float64(m.MeasuredCycles()))
-	fmt.Printf("bandwidth util    %.3f of peak (%.2f GB/s)\n", m.BWUtil(), m.AvgBandwidthGBs())
-	fmt.Printf("\nrequest latency distribution (cycles):\n%s",
-		metrics.Histogram(src.Latencies(), 12, 40))
-
-	if recs := m.SampledRequests(); len(recs) > 0 {
-		fmt.Printf("\nsampled LC memory requests (cycles per component):\n")
-		fmt.Printf("%-12s %-8s %-6s %-6s %-6s %-6s %-8s %-6s %-6s\n",
-			"pc", "critical", "L2", "IC", "Bus", "BWC", "MemCtrl", "DRAM", "total")
-		for _, r := range recs {
-			fmt.Printf("%#-12x %-8v %-6d %-6d %-6d %-6d %-8d %-6d %-6d\n",
-				r.PC, r.Critical,
-				r.Split[mem.CompL2], r.Split[mem.CompInterconnect],
-				r.Split[mem.CompBus], r.Split[mem.CompBWCtrl],
-				r.Split[mem.CompMemCtrl], r.Split[mem.CompDRAM],
-				r.TotalCycles())
-		}
-	}
+	fmt.Print(exp.ScenarioTable(sc, labels, []exp.RunResult{r}).String() + "\n")
 }
 
-// exportStats writes the run's stats dump / timeline artifacts and
-// (optionally) prints the aligned-text summary table.
-func exportStats(m *pivot.Machine, statsOut, timelineOut string, table bool, policy string) error {
-	d := m.StatsDump()
-	if statsOut != "" {
-		f, err := os.Create(statsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if strings.HasSuffix(statsOut, ".csv") {
-			err = d.WriteCSV(f)
-		} else {
-			err = d.WriteJSON(f)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if timelineOut != "" {
-		f, err := os.Create(timelineOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tl := m.BuildTimeline(1, "pivotsim "+policy)
-		// With a flight recorder attached, the slowest requests' span chains
-		// land in the same trace as the epoch counters, under their own pid.
-		if rec := m.FlightRecorder(); rec != nil {
-			rec.AppendTimeline(tl, 2)
-		}
-		if err := tl.WriteJSON(f); err != nil {
-			return err
-		}
-	}
-	if table {
-		fmt.Println(d.Table("stats registry (measured region)").String())
-	}
-	return nil
-}
-
-// flightReport builds the flag-built run's tail-attribution report with a
-// human-readable source label.
-func flightReport(m *pivot.Machine, policy, lc string) *flight.Report {
-	rep := m.FlightReport()
-	if rep != nil {
-		rep.Source = fmt.Sprintf("pivotsim %s %s", policy, lc)
-	}
-	return rep
-}
-
-// policyNames lists the -policy values, sorted so the help text is stable.
-func policyNames() string {
-	out := make([]string, 0, len(policies))
-	for k := range policies {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return strings.Join(out, "|")
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "pivotsim: %v\n", err)
+	os.Exit(code)
 }

@@ -1,18 +1,24 @@
 // Package cliutil holds the small pieces both CLIs (pivotsim, pivot-exp)
-// share: the -log-format structured logger, the -version line, and the
-// suffix-dispatched flight-report exporter.
+// share: the -log-format structured logger, the -version line, the
+// -debug-addr server, graceful signal handling, and the atomic exporters of
+// the last run's stats dump, timeline and flight report.
 package cliutil
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log/slog"
 	"os"
+	"os/signal"
 	"strings"
+	"sync"
+	"syscall"
 
 	"pivot/internal/buildinfo"
 	"pivot/internal/flight"
 	"pivot/internal/harness"
+	"pivot/internal/stats"
 )
 
 // Logger builds the diagnostics logger selected by -log-format: "text"
@@ -32,6 +38,86 @@ func Logger(format string) (*slog.Logger, error) {
 // Version renders the -version line for a CLI.
 func Version(cmd string) string {
 	return cmd + " " + buildinfo.Fingerprint()
+}
+
+// ServeDebug starts the -debug-addr server (net/http/pprof, runtime metrics
+// and /progress) and returns the live progress feed it serves. An empty addr
+// serves nothing and returns a nil feed.
+func ServeDebug(addr string, logger *slog.Logger) (*stats.Progress, error) {
+	if addr == "" {
+		return nil, nil
+	}
+	progress := stats.NewProgress()
+	bound, err := stats.ServeDebugWith(addr, progress)
+	if err != nil {
+		return nil, err
+	}
+	logger.Info("debug server up", "pprof", "http://"+bound+"/debug/pprof/", "progress", "http://"+bound+"/progress")
+	return progress, nil
+}
+
+// CancelOnSignal returns a context the first SIGINT or SIGTERM cancels, so
+// in-flight simulations abort at their next check and flush a final
+// checkpoint when checkpointing is on. A second signal exits 130 at once.
+// stop cancels the context, restores default signal handling and returns
+// once the watching goroutine has exited; it is safe to call more than once.
+func CancelOnSignal(cmd string) (ctx context.Context, stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	done, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		select {
+		case s := <-sigCh:
+			fmt.Fprintf(os.Stderr, "\n%s: %v: stopping (flushing checkpoints); signal again to force quit\n", cmd, s)
+			cancel()
+		case <-done:
+			return
+		}
+		select {
+		case <-sigCh:
+			os.Exit(130)
+		case <-done:
+		}
+	}()
+	return ctx, sync.OnceFunc(func() {
+		signal.Stop(sigCh)
+		close(done)
+		<-exited
+		cancel()
+	})
+}
+
+// WriteStats exports a stats dump to path atomically: CSV with a .csv
+// suffix, JSON otherwise.
+func WriteStats(d *stats.Dump, path string) error {
+	if d == nil {
+		return fmt.Errorf("no instrumented run produced a stats dump (no co-location simulation ran)")
+	}
+	var buf bytes.Buffer
+	var err error
+	if strings.HasSuffix(path, ".csv") {
+		err = d.WriteCSV(&buf)
+	} else {
+		err = d.WriteJSON(&buf)
+	}
+	if err != nil {
+		return err
+	}
+	return harness.WriteFileAtomic(path, buf.Bytes(), 0o644)
+}
+
+// WriteTimeline exports a Chrome trace-event timeline to path atomically.
+func WriteTimeline(tl *stats.Timeline, path string) error {
+	if tl == nil {
+		return fmt.Errorf("no instrumented run produced a timeline (no co-location simulation ran)")
+	}
+	var buf bytes.Buffer
+	if err := tl.WriteJSON(&buf); err != nil {
+		return err
+	}
+	return harness.WriteFileAtomic(path, buf.Bytes(), 0o644)
 }
 
 // WriteFlight exports a tail-attribution report to path, dispatching on the

@@ -73,9 +73,6 @@ type entry struct {
 	enq  sim.Cycle
 	bank int
 	row  int64
-	// ready is the earliest cycle the entry may be served. Accept sets it to
-	// enq; it is kept because the serialised queue entry carries it.
-	ready sim.Cycle
 	// rank is the Ranker's rank for req as of the controller's rankGen
 	// (normal queue only; 0 when unranked).
 	rank int
@@ -291,7 +288,7 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 		return false
 	}
 	bank, row := c.decode(r.Addr)
-	e := entry{req: r, enq: now, bank: bank, row: row, ready: now}
+	e := entry{req: r, enq: now, bank: bank, row: row}
 	if !usePrio && c.Ranker != nil {
 		e.rank = c.Ranker.Rank(r)
 	}
@@ -439,12 +436,9 @@ func (c *Controller) runPendingClaims(now sim.Cycle) {
 // QueueLen reports queue occupancy (normal, priority).
 func (c *Controller) QueueLen() (int, int) { return len(c.normal), len(c.prio) }
 
-// rowOpenFor reports whether e may be served now: its ready cycle has
-// arrived and its bank holds its row, open and ready.
+// rowOpenFor reports whether e may be served now: its bank holds its row,
+// open and ready.
 func (c *Controller) rowOpenFor(e *entry, now sim.Cycle) bool {
-	if e.ready > now {
-		return false
-	}
 	b := &c.banks[e.bank]
 	return b.openRow == e.row && b.readyAt <= now
 }
@@ -563,9 +557,8 @@ func (c *Controller) claim(e *entry, now sim.Cycle, next *sim.Cycle) bool {
 //
 // When it finds nothing, at is the earliest cycle the same scan could
 // succeed with the queues, banks and ranks unchanged (NeverWork if never):
-// the first cycle a candidate whose row is already open has both its bank
-// and its own ready cycle reached, or a blocked channel's starving head may
-// be promoted. Candidates whose rows are closed need an
+// the first cycle a candidate whose row is already open has its bank ready,
+// or a blocked channel's starving head may be promoted. Candidates whose rows are closed need an
 // activation first, which the activation memo bounds (see NextWork).
 func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cycle) {
 	at = sim.NeverWork
@@ -608,7 +601,7 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cy
 				// The head jumps these priority rows once it starves.
 				e := &c.normal[0]
 				if c.channelOf(e.bank) == ch && c.banks[e.bank].openRow == e.row {
-					if t := max(e.enq+c.cfg.MaxWait+1, e.ready, c.banks[e.bank].readyAt); t < at {
+					if t := max(e.enq+c.cfg.MaxWait+1, c.banks[e.bank].readyAt); t < at {
 						at = t
 					}
 				}
@@ -643,12 +636,11 @@ func (c *Controller) servableAt(e *entry, now sim.Cycle, at *sim.Cycle) bool {
 	if b.openRow != e.row {
 		return false
 	}
-	t := max(e.ready, b.readyAt)
-	if t <= now {
+	if b.readyAt <= now {
 		return true
 	}
-	if t < *at {
-		*at = t
+	if b.readyAt < *at {
+		*at = b.readyAt
 	}
 	return false
 }

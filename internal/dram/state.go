@@ -13,11 +13,10 @@ type BankStateSnap struct {
 
 // QueueEntryState is one queued request in serialisable form.
 type QueueEntryState struct {
-	Req   mem.ReqState
-	Enq   sim.Cycle
-	Bank  int
-	Row   int64
-	Ready sim.Cycle
+	Req  mem.ReqState
+	Enq  sim.Cycle
+	Bank int
+	Row  int64
 }
 
 // RespEntryState is one completed request waiting out the response latency.
@@ -43,8 +42,7 @@ type ControllerState struct {
 func snapQueue(q []entry) []QueueEntryState {
 	out := make([]QueueEntryState, len(q))
 	for i, e := range q {
-		out[i] = QueueEntryState{Req: e.req.State(), Enq: e.enq,
-			Bank: e.bank, Row: e.row, Ready: e.ready}
+		out[i] = QueueEntryState{Req: e.req.State(), Enq: e.enq, Bank: e.bank, Row: e.row}
 	}
 	return out
 }
@@ -52,8 +50,7 @@ func snapQueue(q []entry) []QueueEntryState {
 func restoreQueue(q []QueueEntryState) []entry {
 	out := make([]entry, len(q))
 	for i, e := range q {
-		out[i] = entry{req: e.Req.Materialize(), enq: e.Enq,
-			bank: e.Bank, row: e.Row, ready: e.Ready}
+		out[i] = entry{req: e.Req.Materialize(), enq: e.Enq, bank: e.Bank, row: e.Row}
 	}
 	return out
 }

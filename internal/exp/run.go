@@ -250,6 +250,11 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 	res = RunResult{AllQoS: true}
 	for i := range spec.LCs {
 		src := m.LCTasks()[i].Source
+		if n := src.DroppedLatencies(); n > 0 {
+			// Percentiles over the kept prefix would misreport the tail.
+			return RunResult{}, fmt.Errorf("exp: %s: LC task %d dropped %d latency records past the cap; shorten the measured window",
+				spec.Method.Name, i, n)
+		}
 		lat := src.Latencies()
 		qs := metrics.Quantiles(lat, 50, 95, 99) // one sort for all three
 		p95 := qs[1]

@@ -17,6 +17,7 @@ import (
 	"pivot/internal/exp"
 	"pivot/internal/machine"
 	"pivot/internal/metrics"
+	"pivot/internal/scenario"
 	"pivot/internal/workload"
 )
 
@@ -370,6 +371,48 @@ func TestSpecLabel(t *testing.T) {
 	}
 	if got := SpecLabel(spec); got != "PIVOT+masstree@60+ibenchx3" {
 		t.Fatalf("SpecLabel = %q", got)
+	}
+}
+
+// TestScenarioMBASearchesLadder: a scenario's MBA unit with no mba_level
+// runs the throttle-ladder search, not the unthrottled level 100.
+func TestScenarioMBASearchesLadder(t *testing.T) {
+	ctx := exp.NewContext(machine.KunpengConfig(8), exp.Quick())
+	sc, err := scenario.Parse([]byte(`{
+  "version": 1, "name": "mba-ladder", "machine": {"cores": 4}, "policy": "MBA",
+  "warmup": 100000, "measure": 150000,
+  "tasks": [
+    {"kind": "lc", "app": "masstree", "load_pct": 70},
+    {"kind": "be", "app": "ibench", "threads": 3}
+  ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := ScenarioJobs(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeRun(t, New(Config{}).Run(jobs)[0])
+
+	spec, err := ctx.SpecForUnit(sc.MustExpand()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, _, err := ctx.RunBestMBA(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Method = exp.MethodMBA(100)
+	unthrottled, err := ctx.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, best) {
+		t.Errorf("MBA unit = %+v, want RunBestMBA's %+v", got, best)
+	}
+	if reflect.DeepEqual(got, unthrottled) {
+		t.Errorf("MBA unit equals the unthrottled level-100 run %+v", unthrottled)
 	}
 }
 

@@ -44,10 +44,12 @@ func SpecJobs(ctx *exp.Context, specs []exp.RunSpec) []Job {
 // ScenarioJobs expands a validated scenario into one job per run unit,
 // against the context the scenario's machine stanza selects. The returned
 // labels parallel the jobs (labels[i] names jobs[i]'s unit) and feed
-// exp.ScenarioTable once the harness delivers the results. Each job is keyed
-// for the result cache (CachedJobs) by its unit's content; when the running
-// executable cannot be read for a build key the jobs stay unkeyed, and
-// OpenCache refuses to open, so no unkeyed job ever meets a cache.
+// exp.ScenarioTable once the harness delivers the results. Each unit runs
+// as the figures run it (exp.RunBestMBA): an MBA unit with no mba_level
+// searches the throttle ladder for the best level meeting QoS. Each job is
+// keyed for the result cache (CachedJobs) by its unit's content; when the
+// running executable cannot be read for a build key the jobs stay unkeyed,
+// and OpenCache refuses to open, so no unkeyed job ever meets a cache.
 func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
@@ -72,7 +74,8 @@ func ScenarioJobs(ctx *exp.Context, sc *scenario.Scenario) ([]Job, []string, err
 		jobs[i] = Job{
 			ID: fmt.Sprintf("%03d:%s", i, labels[i]),
 			Run: func(rc context.Context) (any, error) {
-				return rctx.WithRunContext(rc).Run(spec)
+				r, _, err := rctx.WithRunContext(rc).RunBestMBA(spec)
+				return r, err
 			},
 		}
 		if buildErr == nil {

@@ -25,9 +25,6 @@ func (m *Machine) EnableFlight(cfg flight.Config) {
 // FlightEnabled reports whether a flight recorder is attached.
 func (m *Machine) FlightEnabled() bool { return m.flightRec != nil }
 
-// FlightRecorder returns the attached recorder (nil when disabled).
-func (m *Machine) FlightRecorder() *flight.Recorder { return m.flightRec }
-
 // FlightReport builds the tail-attribution report from everything recorded
 // since the last ResetStats, or nil when the recorder is disabled.
 func (m *Machine) FlightReport() *flight.Report {

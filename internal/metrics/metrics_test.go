@@ -112,41 +112,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("empty sparkline should be empty")
-	}
-	s := Sparkline([]float64{0, 1, 2, 3})
-	runes := []rune(s)
-	if len(runes) != 4 {
-		t.Fatalf("sparkline length %d, want 4", len(runes))
-	}
-	if runes[0] >= runes[3] {
-		t.Fatal("ascending series must render ascending blocks")
-	}
-	// A flat series renders a flat line without panicking on span 0.
-	flat := []rune(Sparkline([]float64{5, 5, 5}))
-	if flat[0] != flat[1] || flat[1] != flat[2] {
-		t.Fatal("flat series not flat")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	if got := Histogram(nil, 4, 10); !strings.Contains(got, "no samples") {
-		t.Fatalf("empty histogram = %q", got)
-	}
-	out := Histogram([]uint32{1, 1, 1, 1, 100, 100, 200}, 4, 20)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("histogram rows = %d, want 4", len(lines))
-	}
-	if !strings.Contains(lines[0], "####") {
-		t.Fatalf("densest bucket has no bar: %q", lines[0])
-	}
-	// Identical samples must not divide by zero.
-	_ = Histogram([]uint32{7, 7, 7}, 3, 10)
-}
-
 func TestTableCSV(t *testing.T) {
 	tb := &Table{Headers: []string{"a", "b"}}
 	tb.AddRow("plain", `needs "quoting", really`)
