@@ -45,7 +45,7 @@ type Config struct {
 }
 
 // Controller is the bandwidth-controller MSC. It embeds a Station, so it is
-// an interconnect.Acceptor and a sim.Ticker.
+// an interconnect.Downstream and a sim.Ticker.
 type Controller struct {
 	*interconnect.Station
 	cfg Config
@@ -69,13 +69,14 @@ type Controller struct {
 	gen uint64
 
 	// OnRankGen, when set, runs after a window roll bumps gen. It is
-	// wiring: a consumer whose engine sleep depends on the cached ranks
-	// (the DRAM controller) must be woken by the bump.
+	// wiring: every consumer whose engine sleep depends on the cached ranks
+	// (the DRAM controller, and a ranked station blocked on its pick) must
+	// be woken by the bump.
 	OnRankGen func()
 }
 
 // New wires a controller that forwards into down.
-func New(cfg Config, down interconnect.Acceptor) *Controller {
+func New(cfg Config, down interconnect.Downstream) *Controller {
 	if cfg.WindowCycles == 0 {
 		cfg.WindowCycles = 100_000
 	}

@@ -1,6 +1,8 @@
 package bwctrl
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"pivot/internal/interconnect"
@@ -14,6 +16,9 @@ func (s *sink) Accept(r *mem.Req, now sim.Cycle) bool {
 	s.got = append(s.got, r)
 	return true
 }
+
+func (s *sink) SetRetry(func())              {}
+func (s *sink) ChargeRefused(_, _ sim.Cycle) {}
 
 func testCfg() Config {
 	return Config{
@@ -113,26 +118,45 @@ func TestMPAMDisabledIsFCFS(t *testing.T) {
 	}
 }
 
-// gate refuses every offer until opened.
+// gate refuses every offer until opened, recording the cycle of each offer
+// and counting the refusals charged for skipped re-offers. With atOnce it
+// asks for a re-offer from inside each refusal; else openUp calls the
+// retry hook.
 type gate struct {
-	open bool
-	got  []*mem.Req
+	open, atOnce bool
+	offers       []sim.Cycle
+	charged      int
+	got          []*mem.Req
+	retry        func()
 }
 
 func (g *gate) Accept(r *mem.Req, now sim.Cycle) bool {
+	g.offers = append(g.offers, now)
 	if !g.open {
+		if g.atOnce {
+			g.retry()
+		}
 		return false
 	}
 	g.got = append(g.got, r)
 	return true
 }
 
-// TestBlockedHeadKeepsControllerAwake: while the DRAM refuses its head the
-// controller reports work every cycle (its shadowing NextWork must not turn
-// a blocked head into a sleep until the window boundary), keeps rolling its
-// monitoring windows, and forwards as soon as the downstream accepts.
+func (g *gate) openUp() {
+	g.open = true
+	g.retry()
+}
+
+func (g *gate) SetRetry(retry func())            { g.retry = retry }
+func (g *gate) ChargeRefused(from, to sim.Cycle) { g.charged += int(to - from) }
+
+// TestBlockedHeadKeepsControllerAwake: while a downstream that asks for a
+// retry at once refuses its head, the controller reports work every cycle
+// (its shadowing NextWork must not turn the blocked head into a sleep until
+// the window boundary), keeps rolling its monitoring windows, and forwards
+// as soon as the downstream accepts.
 func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
-	g := &gate{}
+	g := &gate{atOnce: true}
 	c := New(testCfg(), g)
 	if !c.Accept(&mem.Req{Part: 1}, 0) {
 		t.Fatal("controller refused with empty queues")
@@ -143,8 +167,9 @@ func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
 		}
 		c.Tick(now)
 	}
-	if len(g.got) != 0 || c.WindowsDone() != 2 {
-		t.Fatalf("blocked: forwarded %d, windows %d; want 0 and 2", len(g.got), c.WindowsDone())
+	if len(g.got) != 0 || c.WindowsDone() != 2 || len(g.offers) != 250 {
+		t.Fatalf("blocked: forwarded %d, windows %d, offers %d; want 0, 2 and 250",
+			len(g.got), c.WindowsDone(), len(g.offers))
 	}
 	g.open = true
 	c.Tick(250)
@@ -153,5 +178,45 @@ func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
 	}
 	if next, idle := c.NextWork(251); !idle || next != 300 {
 		t.Fatalf("drained controller NextWork = (%d, %v), want (300, true)", next, idle)
+	}
+}
+
+// TestBlockedHeadSleepsThroughWindows: while the DRAM, which promises a
+// retry, refuses its head, the controller sleeps from window boundary to
+// window boundary — it re-offers only on the boundary ticks that roll its
+// monitor — and forwards on the cycle the retry arrives. A dense run ends
+// in the same state, having made every re-offer the sleeping run charged.
+func TestBlockedHeadSleepsThroughWindows(t *testing.T) {
+	run := func(dense bool) (*Controller, *gate) {
+		g := &gate{}
+		c := New(testCfg(), g)
+		if !c.Accept(&mem.Req{Part: 1}, 0) {
+			t.Fatal("controller refused with empty queues")
+		}
+		eng := sim.NewEngine()
+		eng.Register(c)
+		eng.Register(sim.TickFunc(func(now sim.Cycle) {
+			if now == 250 {
+				g.openUp()
+			}
+		}))
+		eng.SetDense(dense)
+		eng.Step(300)
+		return c, g
+	}
+	c, g := run(false)
+	if want := []sim.Cycle{0, 100, 200, 251}; !slices.Equal(g.offers, want) {
+		t.Fatalf("offers at %v, want %v", g.offers, want)
+	}
+	if len(g.got) != 1 || c.WindowsDone() != 2 {
+		t.Fatalf("forwarded %d, windows %d; want 1 and 2", len(g.got), c.WindowsDone())
+	}
+	d, dg := run(true)
+	if len(dg.offers) != len(g.offers)+g.charged {
+		t.Errorf("dense run offered %d times; the sleeping run offered %d and charged %d",
+			len(dg.offers), len(g.offers), g.charged)
+	}
+	if got, want := c.SnapshotState(), d.SnapshotState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("state differs from dense:\nskip  %+v\ndense %+v", got, want)
 	}
 }

@@ -51,13 +51,17 @@ const (
 	metaDirty = 1 << 1
 )
 
-// invalidTag occupies the tags slot of every invalid line, so the Lookup fast
-// path is a pure tag scan — no per-way metadata load just to reject a stale
-// tag. A real tag would need a block address in the top 64 - lineBits bits of
-// the address space; no modelled workload allocates there. The meta valid bit
-// stays authoritative for serialisation; New, Insert, Invalidate and
-// RestoreState keep the two representations coherent.
-const invalidTag = ^uint64(0)
+// The tags array holds each line's block address complemented (see index),
+// and invalidTag, the zero value, occupies the slot of every invalid line:
+// the Lookup fast path is a pure tag scan — no per-way metadata load just to
+// reject a stale tag — and New gets an all-invalid cache from freshly
+// zeroed arrays without writing (or faulting in) a page of them. No real
+// tag collides with it: a block address has its top lineBits bits clear, so
+// its complement is never zero. The meta valid bit stays authoritative for
+// serialisation, which records block addresses and the all-ones sentinel
+// for invalid lines; Insert, Invalidate and RestoreState keep the
+// representations coherent.
+const invalidTag = 0
 
 // Cache is a set-associative, LRU, write-back (timing-only) cache.
 // It is not safe for concurrent use; the simulator is single-goroutine.
@@ -105,9 +109,6 @@ func New(cfg Config) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 	}
-	for j := range c.tags {
-		c.tags[j] = invalidTag
-	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
@@ -138,11 +139,11 @@ func (c *Cache) SetWayMask(p mem.PartID, mask uint64) {
 // WayMask returns the allocation mask for PartID p (0 = unrestricted).
 func (c *Cache) WayMask(p mem.PartID) uint64 { return c.wayMask[p] }
 
-// index returns the first line slot of addr's set and the (full block
-// address) tag — simple and unambiguous.
+// index returns the first line slot of addr's set and its tag: the full
+// block address, complemented as the tags array stores it (see invalidTag).
 func (c *Cache) index(addr uint64) (base int, tag uint64) {
 	blk := addr >> c.lineBits
-	return int(blk&c.setMask) * c.ways, blk
+	return int(blk&c.setMask) * c.ways, ^blk
 }
 
 func (c *Cache) bumpStats(p mem.PartID, hit bool) {
@@ -274,7 +275,7 @@ func (c *Cache) Insert(addr uint64, p mem.PartID, dirty bool) (evicted uint64, w
 	}
 	j := base + victim
 	if c.meta[j]&metaValid != 0 {
-		evicted = c.tags[j] << c.lineBits
+		evicted = ^c.tags[j] << c.lineBits
 		wasValid = true
 	}
 	c.tags[j] = tag

@@ -13,12 +13,11 @@ import "pivot/internal/stats"
 // arbitrary (swap-remove); snapshots sort by address, so serialisation stays
 // deterministic.
 type MSHRFile struct {
-	max     int
-	entries []MSHREntry // live entries; backing array never reallocates
-
-	// popped hands Fill's removed entry to the caller; its waiter slice is
-	// recycled into the next Allocate once the caller is done with it.
-	popped MSHREntry
+	max int
+	// entries holds the live entries; its backing array never reallocates,
+	// and each slot keeps its waiter slice's backing array across reuse
+	// (Fill swaps the removed entry past the end, Allocate truncates).
+	entries []MSHREntry
 }
 
 // MSHREntry is one outstanding miss with its coalesced waiters. Waiters are
@@ -63,10 +62,10 @@ func (m *MSHRFile) Allocate(addr uint64) (*MSHREntry, bool) {
 	if m.Full() {
 		return nil, false
 	}
-	w := m.popped.Waiters[:0] // recycle the last filled entry's waiter slice
-	m.popped.Waiters = nil
-	m.entries = append(m.entries, MSHREntry{Addr: addr, Waiters: w})
-	return &m.entries[len(m.entries)-1], true
+	m.entries = m.entries[:len(m.entries)+1]
+	e := &m.entries[len(m.entries)-1]
+	e.Addr, e.Waiters = addr, e.Waiters[:0]
+	return e, true
 }
 
 // RegisterStats registers the file's occupancy gauge under prefix: sustained
@@ -84,11 +83,9 @@ func (m *MSHRFile) Fill(addr uint64) *MSHREntry {
 			continue
 		}
 		last := len(m.entries) - 1
-		m.popped = m.entries[i]
-		m.entries[i] = m.entries[last]
-		m.entries[last] = MSHREntry{} // drop the stale waiter reference
+		m.entries[i], m.entries[last] = m.entries[last], m.entries[i]
 		m.entries = m.entries[:last]
-		return &m.popped
+		return &m.entries[:last+1][last]
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func (c *Cache) SnapshotState() CacheState {
 	}
 	for j := range c.tags {
 		s.Lines[j] = LineState{
-			Tag: c.tags[j], Valid: c.meta[j]&metaValid != 0,
+			Tag: ^c.tags[j], Valid: c.meta[j]&metaValid != 0,
 			Dirty: c.meta[j]&metaDirty != 0,
 			Part:  c.part[j], LRU: c.lru[j],
 		}
@@ -62,7 +62,7 @@ func (c *Cache) RestoreState(s CacheState) error {
 		// invalidTag); normalise here so snapshots from either representation
 		// restore into a coherent cache.
 		if ls.Valid {
-			c.tags[j] = ls.Tag
+			c.tags[j] = ^ls.Tag
 		} else {
 			c.tags[j] = invalidTag
 		}
@@ -106,7 +106,6 @@ func (m *MSHRFile) SnapshotState() MSHRState {
 // RestoreState replaces the file's contents with the snapshot's.
 func (m *MSHRFile) RestoreState(s MSHRState) {
 	m.entries = make([]MSHREntry, 0, m.max)
-	m.popped = MSHREntry{}
 	for _, e := range s.Entries {
 		m.entries = append(m.entries,
 			MSHREntry{Addr: e.Addr, Waiters: append([]uint64(nil), e.Waiters...)})

@@ -403,7 +403,7 @@ func (c *Core) commit(now sim.Cycle) {
 		if c.lastWriter[e.op.Dest] == e.seq {
 			c.lastWriter[e.op.Dest] = 0
 		}
-		e.waiters = nil
+		e.waiters = e.waiters[:0]
 		c.head = (c.head + 1) % c.cfg.ROBSize
 		c.headSeq++
 		c.count--
@@ -585,7 +585,9 @@ func (c *Core) dispatch(now sim.Cycle) {
 			c.head = idx
 		}
 		e := &c.rob[idx]
-		*e = robEntry{op: op, seq: seq, state: stWaiting}
+		// Keep the slot's waiter backing array: every dispatch would
+		// otherwise allocate a fresh one for its first dependent.
+		*e = robEntry{op: op, seq: seq, state: stWaiting, waiters: e.waiters[:0]}
 
 		// Resolve source dependences.
 		deps := 0

@@ -126,6 +126,10 @@ type Controller struct {
 	// Ranker's generation moves (see NextWork and RanksChanged).
 	waker sim.Waker
 
+	// retry is the upstream's retry hook (interconnect.Downstream), called
+	// after a Tick that served a request and so freed a queue slot.
+	retry func()
+
 	// pendingResp holds completed requests waiting out the response latency,
 	// kept sorted by due cycle (appends are naturally in order because
 	// completions are issued in bus order). A ring: every completion pops
@@ -272,11 +276,16 @@ func (c *Controller) channelOf(bank int) int { return int(c.bankCh[bank]) }
 // SetWaker implements sim.Wakeable.
 func (c *Controller) SetWaker(w sim.Waker) { c.waker = w }
 
+// SetRetry implements interconnect.Downstream.
+func (c *Controller) SetRetry(retry func()) { c.retry = retry }
+
+// ChargeRefused implements interconnect.Downstream.
+func (c *Controller) ChargeRefused(from, to sim.Cycle) { c.Stats.Refused += uint64(to - from) }
+
 // Accept implements the MSC queue interface.
 func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	// Capacity check before the address decode: a full queue refuses without
-	// paying for the (pure) bank/row computation, and full-queue refusals are
-	// retried every cycle under back-pressure.
+	// paying for the (pure) bank/row computation.
 	usePrio := c.PriorityEnabled && r.Critical
 	if usePrio {
 		if len(c.prio) >= c.cfg.CapPrio {
@@ -718,6 +727,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// only the starvation guard's head, and a serve that changes the head
 	// lowers or drops the activation memo (repairAfterServe), which
 	// NextWork also honours.
+	served := false
 	for ch := range c.busFreeAt {
 		if c.busFreeAt[ch] > now {
 			c.Stats.BusyCycles++
@@ -761,6 +771,10 @@ func (c *Controller) Tick(now sim.Cycle) {
 			c.respHead = done + c.cfg.RespLatency
 		}
 		c.pendingResp.Push(respEntry{req: e.req, due: done + c.cfg.RespLatency})
+		served = true
+	}
+	if served && c.retry != nil {
+		c.retry()
 	}
 }
 

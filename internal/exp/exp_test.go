@@ -315,3 +315,17 @@ func TestAloneMeanInterpolation(t *testing.T) {
 		t.Fatalf("mean interpolation broken: %v, %v", lo, hi)
 	}
 }
+
+// TestSpecLabelNamesArrivals: a run label names each LC task's arrivals as
+// they were set — load percentage, explicit inter-arrival or closed loop —
+// not a 0% load for the latter two.
+func TestSpecLabelNamesArrivals(t *testing.T) {
+	spec := RunSpec{Method: MethodPIVOT(), LCs: []LCSpec{
+		{App: "masstree", LoadPct: 70},
+		{App: "silo", Interarrival: 4000},
+		{App: "xapian"},
+	}}
+	if got, want := specLabel(spec), "PIVOT masstree@70% silo@ia=4000 xapian@closed-loop"; got != want {
+		t.Fatalf("specLabel = %q, want %q", got, want)
+	}
+}

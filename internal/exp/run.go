@@ -315,11 +315,20 @@ func (ctx *Context) captureStats(m *machine.Machine, spec RunSpec) {
 		fmt.Sprintf("run %d: %s", cap.statsRuns, specLabel(spec)))
 }
 
-// specLabel names a run for report headers and timeline process names.
+// specLabel names a run for report headers and timeline process names: each
+// LC task by its load percentage, its explicit inter-arrival, or as a
+// closed loop (neither set).
 func specLabel(spec RunSpec) string {
 	label := spec.Method.Name
 	for _, lc := range spec.LCs {
-		label += fmt.Sprintf(" %s@%d%%", lc.App, lc.LoadPct)
+		switch {
+		case lc.Interarrival > 0:
+			label += fmt.Sprintf(" %s@ia=%g", lc.App, lc.Interarrival)
+		case lc.LoadPct == 0:
+			label += fmt.Sprintf(" %s@closed-loop", lc.App)
+		default:
+			label += fmt.Sprintf(" %s@%d%%", lc.App, lc.LoadPct)
+		}
 	}
 	return label
 }

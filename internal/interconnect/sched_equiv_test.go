@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pivot/internal/mem"
+	"pivot/internal/ring"
 	"pivot/internal/sim"
 )
 
@@ -28,26 +29,73 @@ func (k *classRanker) flip(rng *rand.Rand) {
 }
 
 // flakySink refuses offers at random, seeded, so the station under test
-// spends cycles blocked on a ready pick — the case the scan memo resumes.
+// spends cycles blocked on a ready pick. It cannot tell when it will accept
+// next, so it asks for a retry from inside every refusal.
 type flakySink struct {
-	rng *rand.Rand
-	got []uint64
+	rng   *rand.Rand
+	got   []uint64
+	retry func()
 }
 
 func (s *flakySink) Accept(r *mem.Req, now sim.Cycle) bool {
 	if s.rng.Intn(3) != 0 {
+		if s.retry != nil {
+			s.retry()
+		}
 		return false
 	}
 	s.got = append(s.got, r.PC)
 	return true
 }
 
-// refPickNormal and refTick are the station's grant loop before the
-// ranked-pick memo: a full ranked scan every grant with ranks read live
-// through rank (nil = unranked). They are the reference the memoised
-// station must match grant for grant.
+func (s *flakySink) SetRetry(retry func())        { s.retry = retry }
+func (s *flakySink) ChargeRefused(_, _ sim.Cycle) {}
 
-func refPickNormal(s *Station, rank func(*mem.Req) int, now sim.Cycle) int {
+// refStation is the station as it was before class lanes: one FCFS normal
+// queue and, every grant, a full ranked scan with ranks read live through
+// rank (nil = unranked). It is the oracle the lane-based station must
+// match grant for grant.
+type refStation struct {
+	cfg          Config
+	down         Acceptor
+	prioEnabled  bool
+	normal, prio ring.Ring[entry]
+	Stats        Stats
+}
+
+func newRefStation(cfg Config, down Acceptor) *refStation {
+	return &refStation{cfg: cfg, down: down,
+		normal: ring.New[entry](cfg.CapNormal), prio: ring.New[entry](cfg.CapPrio)}
+}
+
+func (s *refStation) Accept(r *mem.Req, now sim.Cycle) bool {
+	q, capacity := &s.normal, s.cfg.CapNormal
+	if s.prioEnabled && r.Critical {
+		q, capacity = &s.prio, s.cfg.CapPrio
+	}
+	if q.Len() >= capacity {
+		s.Stats.Refused++
+		return false
+	}
+	q.Push(entry{req: r, ready: now + s.cfg.Latency, enq: now})
+	r.Enter(s.cfg.Component, now)
+	s.Stats.Accepted++
+	return true
+}
+
+func (s *refStation) snapshot() StationState {
+	st := StationState{Normal: make([]EntryState, s.normal.Len()),
+		Prio: make([]EntryState, s.prio.Len()), Stats: s.Stats}
+	for i := range st.Normal {
+		st.Normal[i] = entryState(s.normal.At(i))
+	}
+	for i := range st.Prio {
+		st.Prio[i] = entryState(s.prio.At(i))
+	}
+	return st
+}
+
+func refPickNormal(s *refStation, rank func(*mem.Req) int, now sim.Cycle) int {
 	n := s.normal.Len()
 	if n == 0 {
 		return -1
@@ -81,10 +129,10 @@ scan:
 	return best
 }
 
-func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
+func refTick(s *refStation, rank func(*mem.Req) int, now sim.Cycle) {
 	for n := 0; n < s.cfg.Bandwidth; n++ {
 		var e *entry
-		var fromPrio bool
+		var fromPrio, promoted bool
 		idx := 0
 
 		var hn *entry
@@ -92,8 +140,7 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 			hn = s.normal.At(0)
 		}
 		if hn != nil && s.cfg.MaxWait != 0 && hn.ready <= now && now-hn.enq > s.cfg.MaxWait {
-			e = hn
-			s.Stats.Promoted++
+			e, promoted = hn, true
 		} else if s.prio.Len() > 0 {
 			if hp := s.prio.At(0); hp.ready <= now {
 				e, fromPrio = hp, true
@@ -117,6 +164,9 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 		}
 		r.Depart(s.cfg.Component, enq, now, s.cfg.Latency)
 		s.Stats.WaitCycles += uint64(now - enq)
+		if promoted {
+			s.Stats.Promoted++
+		}
 		if fromPrio {
 			s.prio.PopHead()
 		} else if idx == 0 {
@@ -128,7 +178,7 @@ func refTick(s *Station, rank func(*mem.Req) int, now sim.Cycle) {
 	}
 }
 
-// TestRankedPickMemoMatchesFullScan drives the memoised station and the
+// TestRankedPickMemoMatchesFullScan drives the lane-based station and the
 // full-scan reference with the same seeded traffic — accepts on either side
 // of each Tick, priority entries, heads past MaxWait, a downstream that
 // refuses at random, classes flipped at random cycles, and a snapshot
@@ -150,14 +200,14 @@ func runPickEquiv(t *testing.T, ranked bool, bw int, seed int64) {
 	t.Helper()
 	cfg := Config{Name: "t", Component: mem.CompBus, Latency: 3, Bandwidth: bw,
 		CapNormal: 16, CapPrio: 4, MaxWait: 60}
-	memoDown := &flakySink{rng: rand.New(rand.NewSource(seed + 100))}
+	laneDown := &flakySink{rng: rand.New(rand.NewSource(seed + 100))}
 	refDown := &flakySink{rng: rand.New(rand.NewSource(seed + 100))}
-	memo, ref := New(cfg, memoDown), New(cfg, refDown)
-	memo.PriorityEnabled, ref.PriorityEnabled = true, true
+	lanes, ref := New(cfg, laneDown), newRefStation(cfg, refDown)
+	lanes.PriorityEnabled, ref.prioEnabled = true, true
 	classes := &classRanker{class: [4]int{0, 1, 2, 1}}
 	var rank func(*mem.Req) int
 	if ranked {
-		memo.Ranker = classes
+		lanes.Ranker = classes
 		rank = classes.Rank
 	}
 
@@ -168,8 +218,8 @@ func runPickEquiv(t *testing.T, ranked bool, bw int, seed int64) {
 			id++
 			r := mem.Req{PC: id, Part: mem.PartID(rng.Intn(4)), Critical: rng.Intn(6) == 0}
 			a, b := r, r
-			if okA, okB := memo.Accept(&a, now), ref.Accept(&b, now); okA != okB {
-				t.Fatalf("seed %d cycle %d: accept of req %d: memo %v, reference %v", seed, now, id, okA, okB)
+			if okA, okB := lanes.Accept(&a, now), ref.Accept(&b, now); okA != okB {
+				t.Fatalf("seed %d cycle %d: accept of req %d: lanes %v, reference %v", seed, now, id, okA, okB)
 			}
 		}
 	}
@@ -178,26 +228,26 @@ func runPickEquiv(t *testing.T, ranked bool, bw int, seed int64) {
 			classes.flip(rng)
 		}
 		if rng.Intn(250) == 0 {
-			memo.RestoreState(memo.SnapshotState())
+			lanes.RestoreState(lanes.SnapshotState())
 		}
 		offer(now)
-		memo.Tick(now)
+		lanes.Tick(now)
 		refTick(ref, rank, now)
 		offer(now)
-		if !reflect.DeepEqual(memoDown.got, refDown.got) {
-			t.Fatalf("seed %d cycle %d: grant order diverged:\nmemo %v\nref  %v", seed, now, memoDown.got, refDown.got)
+		if !reflect.DeepEqual(laneDown.got, refDown.got) {
+			t.Fatalf("seed %d cycle %d: grant order diverged:\nmemo %v\nref  %v", seed, now, laneDown.got, refDown.got)
 		}
-		if memo.Stats != ref.Stats {
-			t.Fatalf("seed %d cycle %d: stats diverged:\nmemo %+v\nref  %+v", seed, now, memo.Stats, ref.Stats)
+		if lanes.Stats != ref.Stats {
+			t.Fatalf("seed %d cycle %d: stats diverged:\nmemo %+v\nref  %+v", seed, now, lanes.Stats, ref.Stats)
 		}
-		if now%32 == 0 && !reflect.DeepEqual(memo.SnapshotState(), ref.SnapshotState()) {
+		if now%32 == 0 && !reflect.DeepEqual(lanes.SnapshotState(), ref.snapshot()) {
 			t.Fatalf("seed %d cycle %d: station state diverged", seed, now)
 		}
 	}
-	if !reflect.DeepEqual(memo.SnapshotState(), ref.SnapshotState()) {
+	if !reflect.DeepEqual(lanes.SnapshotState(), ref.snapshot()) {
 		t.Fatalf("seed %d: final station state diverged", seed)
 	}
-	if memo.Stats.Forwarded < 500 {
-		t.Fatalf("seed %d: only %d requests forwarded; the traffic does not load the station", seed, memo.Stats.Forwarded)
+	if lanes.Stats.Forwarded < 500 {
+		t.Fatalf("seed %d: only %d requests forwarded; the traffic does not load the station", seed, lanes.Stats.Forwarded)
 	}
 }

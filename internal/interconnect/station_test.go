@@ -2,6 +2,8 @@ package interconnect
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pivot/internal/mem"
@@ -21,6 +23,10 @@ func (s *sink) Accept(r *mem.Req, now sim.Cycle) bool {
 	s.got = append(s.got, r)
 	return true
 }
+
+// A capped sink never frees a slot, so it never calls the retry hook.
+func (s *sink) SetRetry(func())              {}
+func (s *sink) ChargeRefused(_, _ sim.Cycle) {}
 
 func cfg() Config {
 	return Config{Name: "t", Component: mem.CompBus, Latency: 3, Bandwidth: 1,
@@ -246,27 +252,42 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-// gate refuses every offer until opened, counting the offers it saw.
+// gate refuses every offer until opened, recording the cycle of each offer
+// it saw and counting the refusals charged for the re-offers a sleeping
+// station skipped. It keeps the refusal contract: with atOnce it asks for a
+// re-offer from inside each refusal, else openAt calls the retry hook.
 type gate struct {
-	open   bool
-	offers int
-	got    []*mem.Req
+	open, atOnce bool
+	offers       []sim.Cycle
+	charged      int
+	got          []*mem.Req
+	retry        func()
 }
 
 func (g *gate) Accept(r *mem.Req, now sim.Cycle) bool {
-	g.offers++
+	g.offers = append(g.offers, now)
 	if !g.open {
+		if g.atOnce {
+			g.retry()
+		}
 		return false
 	}
 	g.got = append(g.got, r)
 	return true
 }
 
-// TestStationStaysAwakeWhileHeadRefused: a station whose ready head is
-// refused downstream reports work every cycle, offers again on every Tick
-// and forwards on the first cycle the downstream accepts. The skip-ahead
-// engine relies on this: a station that slept while blocked would miss the
-// cycle its downstream frees up.
+func (g *gate) openUp() {
+	g.open = true
+	g.retry()
+}
+
+func (g *gate) SetRetry(retry func())            { g.retry = retry }
+func (g *gate) ChargeRefused(from, to sim.Cycle) { g.charged += int(to - from) }
+
+// TestStationStaysAwakeWhileHeadRefused: a downstream that cannot tell when
+// it will accept asks for a retry from inside each refusal. A station whose
+// ready head it refuses reports work every cycle, offers again on every
+// Tick and forwards on the first cycle the downstream accepts.
 func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 	for _, prio := range []bool{false, true} {
 		for _, ranked := range []bool{false, true} {
@@ -275,7 +296,7 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					c := cfg()
 					c.Bandwidth = bw
-					g := &gate{}
+					g := &gate{atOnce: true}
 					s := New(c, g)
 					s.PriorityEnabled = true
 					if ranked {
@@ -295,11 +316,11 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 					}
 					for now := ready; now < ready+10; now++ {
 						if _, idle := s.NextWork(now); idle {
-							t.Fatalf("cycle %d: station idle with a refused head", now)
+							t.Fatalf("cycle %d: station idle with a head refused for a retry at once", now)
 						}
-						before := g.offers
+						before := len(g.offers)
 						s.Tick(now)
-						if g.offers == before {
+						if len(g.offers) == before {
 							t.Fatalf("cycle %d: blocked station did not offer again", now)
 						}
 					}
@@ -323,5 +344,111 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// wakeStep is one scripted input: at cycle at, after the station's turn.
+type wakeStep struct {
+	at sim.Cycle
+	do func(s *Station, g *gate, k *classRanker, now sim.Cycle)
+}
+
+// scriptFeeder applies the steps in a slot ordered after the station, as
+// the machine orders a station's upstream after it.
+type scriptFeeder struct {
+	s     *Station
+	g     *gate
+	k     *classRanker
+	steps []wakeStep
+}
+
+func (d *scriptFeeder) Tick(now sim.Cycle) {
+	for _, st := range d.steps {
+		if st.at == now {
+			st.do(d.s, d.g, d.k, now)
+		}
+	}
+}
+
+func accept(part mem.PartID, crit bool) func(*Station, *gate, *classRanker, sim.Cycle) {
+	return func(s *Station, _ *gate, _ *classRanker, now sim.Cycle) {
+		s.Accept(&mem.Req{Part: part, Critical: crit}, now)
+	}
+}
+
+// TestRefusedHeadSleepsUntilWoken: a station whose head a promising
+// downstream refused sleeps, and re-offers only at a wake source — the
+// downstream's retry, an Accept that adds a head which can take the
+// refused head's place (once it is ready), a class-generation bump, the
+// cycle its oldest normal entry starves, and the ready cycle of a queued
+// priority head or lower-rank entry — never for an entry queued behind a
+// head. Each script runs in a skip-ahead engine, whose offer cycles must
+// be exactly the expected ones, and in a dense engine, which must end in
+// the same state having seen every skipped re-offer the sleeping run
+// charged to the downstream.
+func TestRefusedHeadSleepsUntilWoken(t *testing.T) {
+	open := func(_ *Station, g *gate, _ *classRanker, _ sim.Cycle) { g.openUp() }
+	flip := func(s *Station, _ *gate, k *classRanker, _ sim.Cycle) {
+		k.class[2], k.gen = 0, k.gen+1
+		s.RanksChanged()
+	}
+	cases := []struct {
+		name    string
+		ranked  bool
+		maxWait sim.Cycle
+		steps   []wakeStep
+		offers  []sim.Cycle
+	}{
+		{"downstream retry", false, 0,
+			[]wakeStep{{0, accept(1, false)}, {10, open}}, []sim.Cycle{3, 11}},
+		{"entry behind the head", false, 0,
+			[]wakeStep{{0, accept(1, false)}, {6, accept(1, false)}, {20, open}}, []sim.Cycle{3, 21, 22}},
+		{"priority arrival", false, 0,
+			[]wakeStep{{0, accept(1, false)}, {10, accept(1, true)}}, []sim.Cycle{3, 13}},
+		{"lower-rank arrival", true, 0,
+			[]wakeStep{{0, accept(2, false)}, {10, accept(0, false)}}, []sim.Cycle{3, 13}},
+		{"higher-rank arrival", true, 0,
+			[]wakeStep{{0, accept(1, false)}, {10, accept(2, false)}, {30, open}}, []sim.Cycle{3, 31, 32}},
+		{"queued priority head ready", false, 0,
+			[]wakeStep{{0, accept(1, false)}, {2, accept(1, true)}}, []sim.Cycle{3, 5}},
+		{"queued lower-rank entry ready", true, 0,
+			[]wakeStep{{0, accept(2, false)}, {2, accept(0, false)}}, []sim.Cycle{3, 5}},
+		{"class flip", true, 0,
+			[]wakeStep{{0, accept(1, false)}, {0, accept(2, false)}, {10, flip}}, []sim.Cycle{3, 11}},
+		{"starvation", false, 20,
+			[]wakeStep{{0, accept(1, true)}, {0, accept(1, false)}}, []sim.Cycle{3, 21}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(dense bool) (*Station, *gate) {
+				c := cfg()
+				c.MaxWait = tc.maxWait
+				g := &gate{}
+				s := New(c, g)
+				s.PriorityEnabled = true
+				k := &classRanker{class: [4]int{0, 1, 2, 1}}
+				if tc.ranked {
+					s.Ranker = k
+				}
+				eng := sim.NewEngine()
+				eng.Register(s)
+				eng.Register(&scriptFeeder{s: s, g: g, k: k, steps: tc.steps})
+				eng.SetDense(dense)
+				eng.Step(60)
+				return s, g
+			}
+			s, g := run(false)
+			if !slices.Equal(g.offers, tc.offers) {
+				t.Fatalf("offers at %v, want %v", g.offers, tc.offers)
+			}
+			d, dg := run(true)
+			if len(dg.offers) != len(g.offers)+g.charged {
+				t.Errorf("dense run offered %d times; the sleeping run offered %d and charged %d",
+					len(dg.offers), len(g.offers), g.charged)
+			}
+			if got, want := s.SnapshotState(), d.SnapshotState(); !reflect.DeepEqual(got, want) {
+				t.Errorf("state differs from dense:\nskip  %+v\ndense %+v", got, want)
+			}
+		})
 	}
 }

@@ -14,25 +14,50 @@ import (
 
 // refusingLink sits between a station and its downstream and refuses an
 // offer whenever a hash of the cycle falls under per1024/1024, so the
-// station keeps its head and retries: back-pressure that no queue's
-// capacity caused. The verdict is a pure function of the cycle, so a dense
-// and a skip-ahead run of the same machine see the same refusals.
+// station keeps its head: back-pressure that no queue's capacity caused.
+// The verdict is a pure function of the cycle, so a dense and a skip-ahead
+// run of the same machine see the same refusals. It keeps the refusal
+// contract: a hash refusal calls the station's retry hook at once (the
+// link may accept on the very next cycle), a refusal from behind the link
+// is the downstream's promise, and skipped re-offers are charged cycle by
+// cycle to whichever of the two a dense re-offer would have met.
 type refusingLink struct {
-	down    interconnect.Acceptor
+	down    interconnect.Downstream
 	per1024 uint64
 	refused uint64
+	retry   func()
 }
 
-func (l *refusingLink) Accept(r *mem.Req, now sim.Cycle) bool {
+func (l *refusingLink) refuses(now sim.Cycle) bool {
 	x := uint64(now) * 0x9E3779B97F4A7C15
 	x ^= x >> 31
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 29
-	if x%1024 < l.per1024 {
+	return x%1024 < l.per1024
+}
+
+func (l *refusingLink) Accept(r *mem.Req, now sim.Cycle) bool {
+	if l.refuses(now) {
 		l.refused++
+		l.retry()
 		return false
 	}
 	return l.down.Accept(r, now)
+}
+
+func (l *refusingLink) SetRetry(retry func()) {
+	l.retry = retry
+	l.down.SetRetry(retry)
+}
+
+func (l *refusingLink) ChargeRefused(from, to sim.Cycle) {
+	for c := from; c < to; c++ {
+		if l.refuses(c) {
+			l.refused++
+		} else {
+			l.down.ChargeRefused(c, c+1)
+		}
+	}
 }
 
 // memLinks names every station-to-downstream hop of the memory path and
@@ -42,7 +67,7 @@ var memLinks = []struct {
 	install func(m *Machine, l *refusingLink)
 }{
 	{"ic-llc", func(m *Machine, l *refusingLink) {
-		l.down = interconnect.AcceptorFunc(m.llcAccept)
+		l.down = llcLink{m}
 		m.ic.SetDownstream(l)
 	}},
 	{"bus-bwctrl", func(m *Machine, l *refusingLink) {
@@ -115,8 +140,9 @@ func TestWatchdogAbortsWedgedLink(t *testing.T) {
 }
 
 // TestDownstreamRefusalSkipEquivalence: a station blocked on a refused head
-// must retry every cycle under skip-ahead exactly as the dense loop does, so
-// with refusals on any hop both engines finish byte-identical.
+// sleeps under skip-ahead until the link or the queue behind it signals a
+// retry, and charges the skipped re-offers' refusals, so with refusals on
+// any hop both engines finish byte-identical — link refusals included.
 func TestDownstreamRefusalSkipEquivalence(t *testing.T) {
 	for _, tc := range ckptCases()[:2] {
 		for _, link := range memLinks {

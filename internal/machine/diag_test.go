@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"pivot/internal/interconnect"
 	"pivot/internal/mem"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
@@ -24,9 +23,16 @@ func wedgedMachine(t *testing.T, opt Options) *Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ic.SetDownstream(interconnect.AcceptorFunc(func(*mem.Req, sim.Cycle) bool { return false }))
+	m.ic.SetDownstream(wedge{})
 	return m
 }
+
+// wedge refuses every offer and never signals a retry.
+type wedge struct{}
+
+func (wedge) Accept(*mem.Req, sim.Cycle) bool    { return false }
+func (wedge) SetRetry(func())                    {}
+func (wedge) ChargeRefused(sim.Cycle, sim.Cycle) {}
 
 func TestWatchdogAbortsStalledMachine(t *testing.T) {
 	m := wedgedMachine(t, Options{Policy: PolicyDefault, WatchdogWindow: 5_000})

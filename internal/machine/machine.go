@@ -246,7 +246,7 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 	m.mc.Respond = m.onResp
 	m.bw = bwctrl.New(cons.BW, m.mc)
 	m.bus = interconnect.New(cons.Bus, m.bw)
-	m.ic = interconnect.New(cons.IC, interconnect.AcceptorFunc(m.llcAccept))
+	m.ic = interconnect.New(cons.IC, llcLink{m})
 	m.thr = mba.New(m.ic, cfg.DRAM.TBurst)
 
 	m.applyPolicy()
@@ -393,7 +393,11 @@ func (m *Machine) applyPolicy() {
 		m.ic.Ranker = m.bw
 		m.bus.Ranker = m.bw
 		m.mc.Ranker = m.bw
-		m.bw.OnRankGen = m.mc.RanksChanged
+		m.bw.OnRankGen = func() {
+			m.mc.RanksChanged()
+			m.bus.RanksChanged()
+			m.ic.RanksChanged()
+		}
 	}
 
 	// LLC partitioning: every policy except Default reserves the LLC for LC
@@ -593,7 +597,17 @@ func (m *Machine) auxTick(now sim.Cycle) {
 	}
 }
 
-// llcAccept is the interconnect's downstream: the shared LLC lookup.
+// llcLink is the interconnect's downstream: the shared LLC lookup, whose
+// misses go on to the bus. An LLC hit is always accepted, so only the bus
+// refuses, and the refusal contract (retry hook, skipped-refusal charge) is
+// the bus's.
+type llcLink struct{ m *Machine }
+
+func (l llcLink) Accept(r *mem.Req, now sim.Cycle) bool { return l.m.llcAccept(r, now) }
+func (l llcLink) SetRetry(retry func())                 { l.m.bus.SetRetry(retry) }
+func (l llcLink) ChargeRefused(from, to sim.Cycle)      { l.m.bus.ChargeRefused(from, to) }
+
+// llcAccept looks r up in the shared LLC and forwards a miss to the bus.
 func (m *Machine) llcAccept(r *mem.Req, now sim.Cycle) bool {
 	if !r.LLCChecked {
 		r.LLCChecked = true

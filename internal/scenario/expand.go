@@ -298,7 +298,17 @@ func (s *Scenario) setParam(ref paramRef, raw json.RawMessage, path string) erro
 		s.Policy = v
 		return s.validatePolicy(path)
 	case paramSeed:
-		return unmarshalField(raw, &s.Seed, path)
+		var v uint64
+		if err := unmarshalField(raw, &v, path); err != nil {
+			return err
+		}
+		if v == 0 {
+			// Seed 0 means "keep the scale's seed", so the unit would
+			// silently rerun another value's seed.
+			return errf(path, "seed 0 would run the scale's seed; sweep seeds from 1")
+		}
+		s.Seed = v
+		return nil
 	case paramWarmup:
 		return unmarshalField(raw, &s.Warmup, path)
 	case paramMeasure:

@@ -62,6 +62,8 @@ func TestMachineSweepAxisErrors(t *testing.T) {
 			"must be positive"},
 		{"be_ways negative", `{"param":"machine.be_ways","values":[-1]}`,
 			"must not be negative"},
+		{"seed zero", `{"param":"seed","values":[0,1]}`,
+			"seed 0 would run the scale's seed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

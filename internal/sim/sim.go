@@ -43,7 +43,8 @@ type IdleReporter interface {
 
 // Skipper is the optional compensation interface for IdleReporters whose
 // idle Tick still bumps pure book-keeping counters (stall attribution,
-// refused-probe statistics, ...). SkipCycles(from, to) must apply exactly the
+// refused-probe statistics, the refusals a blocked station's re-offers
+// would have met downstream, ...). SkipCycles(from, to) must apply exactly the
 // counter updates that to-from consecutive idle Ticks would have applied, so
 // that a skipping run is bit-identical to a dense one.
 //
