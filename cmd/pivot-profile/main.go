@@ -15,13 +15,16 @@ import (
 )
 
 func main() {
+	// The selection starts from the harness's parameters, RRBP cap included,
+	// so the printed set is the one PIVOT runs with.
+	params := profile.DefaultParams()
 	lcName := flag.String("lc", pivot.Masstree, "LC application to profile")
 	threads := flag.Int("stress-threads", 7, "stress-copy BE thread count")
 	cores := flag.Int("cores", 8, "core count")
 	cycles := flag.Uint64("cycles", uint64(machine.ProfileCycles), "profiling duration in cycles")
-	execFreq := flag.Float64("min-exec-freq", 0.005, "minimal execution frequency")
-	missRate := flag.Float64("min-miss-rate", 0.10, "minimal LLC miss rate")
-	stallFrac := flag.Float64("top-stall", 0.05, "top stall-cycle ranking fraction")
+	flag.Float64Var(&params.MinExecFreq, "min-exec-freq", params.MinExecFreq, "minimal execution frequency")
+	flag.Float64Var(&params.MinLLCMissRate, "min-miss-rate", params.MinLLCMissRate, "minimal LLC miss rate")
+	flag.Float64Var(&params.TopStallFrac, "top-stall", params.TopStallFrac, "top stall-cycle ranking fraction")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	top := flag.Int("top", 20, "per-load statistics rows to print")
 	flag.Parse()
@@ -33,11 +36,6 @@ func main() {
 	}
 
 	prof := machine.RunProfiler(machine.KunpengConfig(*cores), app, *threads, *seed, sim.Cycle(*cycles))
-	params := profile.Params{
-		MinExecFreq:    *execFreq,
-		MinLLCMissRate: *missRate,
-		TopStallFrac:   *stallFrac,
-	}
 	set := prof.Select(params)
 
 	fmt.Printf("app                 %s\n", *lcName)

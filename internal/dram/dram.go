@@ -185,6 +185,18 @@ type Controller struct {
 	// Derived state: never serialised.
 	serveAt []sim.Cycle
 
+	// rankCount[r] counts the normal-queue entries whose cached rank is r,
+	// and bankRank0[b] those of rank 0 on bank b (every entry is rank 0
+	// unranked). They bound the ranked scans: pick's FR-FCFS loop stops once
+	// no unseen entry can outrank its candidate, its rank-0 loops and
+	// startActivates' stop after the last rank-0 entry, and repairAfterServe
+	// stops at a bank's first entry when the bank holds no rank-0 entry.
+	// rankCount grows to the highest rank seen (mem.Ranker allows any
+	// non-negative rank). Derived state: never serialised; recount rebuilds
+	// them from the queue.
+	rankCount []int
+	bankRank0 []int
+
 	Stats Stats
 }
 
@@ -203,6 +215,8 @@ func New(cfg Config, lineBytes int) *Controller {
 		banks:       make([]bankState, cfg.Banks*cfg.Channels),
 		busFreeAt:   make([]sim.Cycle, cfg.Channels),
 		serveAt:     make([]sim.Cycle, cfg.Channels),
+		rankCount:   make([]int, 1),
+		bankRank0:   make([]int, cfg.Banks*cfg.Channels),
 		pendingResp: ring.New[respEntry](cfg.CapNormal + cfg.CapPrio),
 		respHead:    sim.NeverWork,
 	}
@@ -307,6 +321,7 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 		c.prio = append(c.prio, e)
 	} else {
 		c.normal = append(c.normal, e)
+		c.count(&e, 1)
 	}
 	// A new normal-queue tail may claim a previously idle bank. While the
 	// activation memo is valid, the next Tick only needs to run
@@ -339,6 +354,27 @@ func (c *Controller) invalidateAct() {
 	c.pendClaimN = c.pendClaimN[:0]
 }
 
+// count adds d to the occupancy counts of normal-queue entry e, growing the
+// rank table to e's rank. A serve only decrements, so it never allocates.
+func (c *Controller) count(e *entry, d int) {
+	for e.rank >= len(c.rankCount) {
+		c.rankCount = append(c.rankCount, 0)
+	}
+	c.rankCount[e.rank] += d
+	if e.rank == 0 {
+		c.bankRank0[e.bank] += d
+	}
+}
+
+// recount rebuilds the occupancy counts from the normal queue.
+func (c *Controller) recount() {
+	clear(c.rankCount)
+	clear(c.bankRank0)
+	for i := range c.normal {
+		c.count(&c.normal[i], 1)
+	}
+}
+
 // repairAfterServe keeps the activation memo alive across a normal-queue
 // serve — the hottest invalidation by far — on the priority-empty path.
 // Removing entry i changes exactly two things a full re-scan would see: its
@@ -369,11 +405,13 @@ func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
 	c.pendClaimN = keep
 	c.claimed[bank] = false
 	// The scan-order-first claimant: the first rank-0 entry on the bank,
-	// else the first entry of any rank (all ranks are 0 when unranked).
+	// else the first entry of any rank (all ranks are 0 when unranked). On a
+	// bank holding no rank-0 entry that is its first entry.
+	anyRank := c.bankRank0[bank] == 0
 	winner := -1
 	for j := range c.normal {
 		if c.normal[j].bank == bank {
-			if c.normal[j].rank == 0 {
+			if anyRank || c.normal[j].rank == 0 {
 				winner = j
 				break
 			}
@@ -420,12 +458,14 @@ func (c *Controller) claimsBefore(a, b int32) bool {
 	return a < b
 }
 
-// rerank refreshes every cached normal-queue rank for generation g and
-// drops the activation memo, whose scan order the ranks define.
+// rerank refreshes every cached normal-queue rank for generation g, with
+// the occupancy counts, and drops the activation memo, whose scan order the
+// ranks define.
 func (c *Controller) rerank(g uint64) {
 	for i := range c.normal {
 		c.normal[i].rank = c.Ranker.Rank(c.normal[i].req)
 	}
+	c.recount()
 	c.rankGen = g
 	c.invalidateAct()
 }
@@ -499,14 +539,13 @@ func (c *Controller) startActivates(now sim.Cycle) sim.Cycle {
 	if c.Ranker != nil {
 		// Class-ordered activation: high-class (LC) normal requests claim
 		// their banks ahead of best-effort traffic.
-		for i := range c.normal {
-			if nClaimed >= nb {
-				break
+		for i, left := 0, c.rankCount[0]; left > 0 && nClaimed < nb; i++ {
+			if c.normal[i].rank != 0 {
+				continue
 			}
-			if c.normal[i].rank == 0 {
-				if c.claim(&c.normal[i], now, &next) {
-					nClaimed++
-				}
+			left--
+			if c.claim(&c.normal[i], now, &next) {
+				nClaimed++
 			}
 		}
 	}
@@ -599,9 +638,13 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cy
 			// slip) without making PIVOT idle the bus when co-located LC
 			// tasks' non-critical traffic could use it.
 			if c.Ranker != nil {
-				for i := range c.normal {
+				for i, left := 0, c.rankCount[0]; left > 0; i++ {
 					e := &c.normal[i]
-					if c.channelOf(e.bank) == ch && e.rank == 0 && c.servableAt(e, now, &at) {
+					if e.rank != 0 {
+						continue
+					}
+					left--
+					if c.channelOf(e.bank) == ch && c.servableAt(e, now, &at) {
 						return &c.normal, i, 0
 					}
 				}
@@ -618,16 +661,24 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cy
 			return nil, -1, at // this channel idles while its priority rows activate
 		}
 	}
-	// FR-FCFS within a rank. Ranks are non-negative, so the first row-open
-	// rank-0 entry wins outright (every entry is rank 0 when unranked).
+	// FR-FCFS within a rank: the first row-open entry of the lowest rank.
+	// FCFS holds within a rank, so the scan stops once no unseen entry has a
+	// lower rank than the candidate; left counts those (before a candidate,
+	// every unseen entry). Ranks are non-negative, so the first row-open
+	// rank-0 entry wins outright (every entry is rank 0 unranked).
 	best, bestRank := -1, int(^uint(0)>>1)
+	left := len(c.normal)
 	for i := range c.normal {
 		e := &c.normal[i]
-		if e.rank >= bestRank || c.channelOf(e.bank) != ch || !c.servableAt(e, now, &at) {
+		if e.rank >= bestRank {
 			continue
 		}
-		best, bestRank = i, e.rank
-		if bestRank == 0 {
+		left--
+		if c.channelOf(e.bank) == ch && c.servableAt(e, now, &at) {
+			best, bestRank = i, e.rank
+			left = c.outrankersAfter(i)
+		}
+		if left == 0 {
 			break
 		}
 	}
@@ -635,6 +686,24 @@ func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cy
 		return &c.normal, best, 0
 	}
 	return nil, -1, at
+}
+
+// outrankersAfter counts the normal entries behind entry i whose rank is
+// lower than its own: the queue's counts of those ranks, less the ones ahead
+// of i. The counts span every channel, so for a per-channel scan the result
+// is an upper bound. It walks the entries ahead of i only when the queue
+// holds a lower rank at all.
+func (c *Controller) outrankersAfter(i int) int {
+	r, n := c.normal[i].rank, 0
+	for k := range r {
+		n += c.rankCount[k]
+	}
+	for j := 0; j < i && n > 0; j++ {
+		if c.normal[j].rank < r {
+			n--
+		}
+	}
+	return n
 }
 
 // servableAt is rowOpenFor for pick's scans: it reports whether e may be
@@ -741,6 +810,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 		}
 		e := remove(q, i)
 		if q == &c.normal {
+			c.count(&e, -1)
 			c.repairAfterServe(i, e.bank, now)
 		} else {
 			c.invalidateAct() // a priority serve shifts the activation window

@@ -20,9 +20,13 @@ type classRanker struct {
 func (k *classRanker) Rank(r *mem.Req) int { return k.class[r.Part] }
 func (k *classRanker) RankGen() uint64     { return k.gen }
 
-func (k *classRanker) flip(rng *rand.Rand) {
+// denseClasses are the MPAM-like classes most tests flip between.
+var denseClasses = []int{0, 1, 2}
+
+// flip gives every partition a class drawn from levels.
+func (k *classRanker) flip(rng *rand.Rand, levels []int) {
 	for p := range k.class {
-		k.class[p] = rng.Intn(3)
+		k.class[p] = levels[rng.Intn(len(levels))]
 	}
 	k.gen++
 }
@@ -173,30 +177,42 @@ func refTick(c *Controller, rank func(*mem.Req) int, now sim.Cycle) {
 
 // equivCase is one seeded traffic mix for the differential test.
 type equivCase struct {
-	ranked, prio, refresh bool
-	channels              int
+	// ranked names the Ranker: "false" (none), "true" (classes 0-2) or
+	// "sparse" (classes 0, 3 and 9, and every other flip leaves no partition
+	// at rank 0).
+	ranked                 string
+	prio, refresh, restore bool
+	channels               int
 }
 
 // TestSchedulerMemoMatchesFullScan drives the memoised controller and the
 // full-scan reference with the same seeded traffic — bursts of accepts on
 // either side of each Tick, priority entries, heads past MaxWait, refresh,
 // and (ranked) classes flipped at random cycles — and requires identical
-// grant order, bank state, queues and Stats after every cycle. The unranked
-// cases pin the activation memo's accept and serve repairs on their own.
+// grant order, bank state, queues and Stats after every cycle, and occupancy
+// counts that match the memoised controller's queue. The unranked cases pin
+// the activation memo's accept and serve repairs on their own. The restore
+// cases move the memoised controller's snapshot into a fresh controller at
+// random cycles and carry on against the same reference.
 func TestSchedulerMemoMatchesFullScan(t *testing.T) {
 	var cases []equivCase
-	for _, ranked := range []bool{false, true} {
-		for _, prio := range []bool{false, true} {
-			for _, refresh := range []bool{false, true} {
-				for _, channels := range []int{1, 2} {
-					cases = append(cases, equivCase{ranked, prio, refresh, channels})
+	for _, restore := range []bool{false, true} {
+		for _, ranked := range []string{"false", "true", "sparse"} {
+			for _, prio := range []bool{false, true} {
+				for _, refresh := range []bool{false, true} {
+					for _, channels := range []int{1, 2} {
+						cases = append(cases, equivCase{ranked, prio, refresh, restore, channels})
+					}
 				}
 			}
 		}
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("ranked=%v/prio=%v/refresh=%v/ch=%d",
+		name := fmt.Sprintf("ranked=%s/prio=%v/refresh=%v/ch=%d",
 			tc.ranked, tc.prio, tc.refresh, tc.channels)
+		if tc.restore {
+			name += "/restore"
+		}
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 6; seed++ {
 				runSchedEquiv(t, tc, seed)
@@ -216,13 +232,22 @@ func runSchedEquiv(t *testing.T, tc equivCase, seed int64) {
 		cfg.RefreshInterval, cfg.RefreshLatency = 700, 30
 	}
 	var got, want []uint64
-	memo, ref := New(cfg, 64), New(cfg, 64)
-	memo.Respond = func(r *mem.Req, now sim.Cycle) { got = append(got, r.PC) }
+	newMemo := func() *Controller {
+		c := New(cfg, 64)
+		c.Respond = func(r *mem.Req, now sim.Cycle) { got = append(got, r.PC) }
+		c.PriorityEnabled = tc.prio
+		return c
+	}
+	memo, ref := newMemo(), New(cfg, 64)
 	ref.Respond = func(r *mem.Req, now sim.Cycle) { want = append(want, r.PC) }
-	memo.PriorityEnabled, ref.PriorityEnabled = tc.prio, tc.prio
+	ref.PriorityEnabled = tc.prio
 	classes := &classRanker{class: [4]int{0, 1, 2, 1}}
+	levels := denseClasses
+	if tc.ranked == "sparse" {
+		classes.class, levels = [4]int{0, 3, 9, 3}, []int{0, 3, 9}
+	}
 	var rank func(*mem.Req) int
-	if tc.ranked {
+	if tc.ranked != "false" {
 		memo.Ranker = classes
 		rank = classes.Rank
 	}
@@ -244,13 +269,24 @@ func runSchedEquiv(t *testing.T, tc equivCase, seed int64) {
 		}
 	}
 	for now := sim.Cycle(0); now < 4000; now++ {
-		if tc.ranked && rng.Intn(150) == 0 {
-			classes.flip(rng)
+		if rank != nil && rng.Intn(150) == 0 {
+			if tc.ranked == "sparse" && rng.Intn(2) == 0 {
+				classes.flip(rng, levels[1:])
+			} else {
+				classes.flip(rng, levels)
+			}
+		}
+		if tc.restore && rng.Intn(300) == 0 {
+			fresh := newMemo()
+			fresh.Ranker = memo.Ranker
+			fresh.RestoreState(memo.SnapshotState())
+			memo = fresh
 		}
 		offer(now)
 		memo.Tick(now)
 		refTick(ref, rank, now)
 		offer(now)
+		checkCounts(t, memo)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d cycle %d: grant order diverged:\nmemo %v\nref  %v", seed, now, got, want)
 		}
@@ -269,5 +305,26 @@ func runSchedEquiv(t *testing.T, tc equivCase, seed int64) {
 	}
 	if memo.Stats.Served < 300 {
 		t.Fatalf("seed %d: only %d requests served; the traffic does not load the controller", seed, memo.Stats.Served)
+	}
+}
+
+// checkCounts requires c's occupancy counts to match a recount of its
+// normal queue's cached ranks.
+func checkCounts(t *testing.T, c *Controller) {
+	t.Helper()
+	ranks := make([]int, len(c.rankCount))
+	bank0 := make([]int, len(c.banks))
+	for _, e := range c.normal {
+		if e.rank >= len(ranks) {
+			t.Fatalf("rank %d queued beyond the %d-entry rank table", e.rank, len(ranks))
+		}
+		ranks[e.rank]++
+		if e.rank == 0 {
+			bank0[e.bank]++
+		}
+	}
+	if !reflect.DeepEqual(ranks, c.rankCount) || !reflect.DeepEqual(bank0, c.bankRank0) {
+		t.Fatalf("occupancy counts drifted from the queue:\nranks %v, want %v\nbank rank-0 %v, want %v",
+			c.rankCount, ranks, c.bankRank0, bank0)
 	}
 }

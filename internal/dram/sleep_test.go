@@ -107,7 +107,7 @@ type sleepDriver struct {
 
 func (d *sleepDriver) Tick(now sim.Cycle) {
 	if d.tc.ranked && d.rng.Intn(300) == 0 {
-		d.classes.flip(d.rng)
+		d.classes.flip(d.rng, denseClasses)
 		d.c.RanksChanged()
 	}
 	rate := 40

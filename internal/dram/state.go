@@ -102,5 +102,7 @@ func (c *Controller) RestoreState(s ControllerState) {
 	c.invalidateAct() // derived memo; rebuild from the restored queues
 	if c.Ranker != nil {
 		c.rerank(c.Ranker.RankGen())
+	} else {
+		c.recount()
 	}
 }

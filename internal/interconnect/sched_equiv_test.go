@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pivot/internal/mem"
-	"pivot/internal/ring"
 	"pivot/internal/sim"
 )
 
@@ -59,13 +58,12 @@ type refStation struct {
 	cfg          Config
 	down         Acceptor
 	prioEnabled  bool
-	normal, prio ring.Ring[entry]
+	normal, prio []entry
 	Stats        Stats
 }
 
 func newRefStation(cfg Config, down Acceptor) *refStation {
-	return &refStation{cfg: cfg, down: down,
-		normal: ring.New[entry](cfg.CapNormal), prio: ring.New[entry](cfg.CapPrio)}
+	return &refStation{cfg: cfg, down: down}
 }
 
 func (s *refStation) Accept(r *mem.Req, now sim.Cycle) bool {
@@ -73,57 +71,50 @@ func (s *refStation) Accept(r *mem.Req, now sim.Cycle) bool {
 	if s.prioEnabled && r.Critical {
 		q, capacity = &s.prio, s.cfg.CapPrio
 	}
-	if q.Len() >= capacity {
+	if len(*q) >= capacity {
 		s.Stats.Refused++
 		return false
 	}
-	q.Push(entry{req: r, ready: now + s.cfg.Latency, enq: now})
+	*q = append(*q, entry{req: r, ready: now + s.cfg.Latency, enq: now})
 	r.Enter(s.cfg.Component, now)
 	s.Stats.Accepted++
 	return true
 }
 
 func (s *refStation) snapshot() StationState {
-	st := StationState{Normal: make([]EntryState, s.normal.Len()),
-		Prio: make([]EntryState, s.prio.Len()), Stats: s.Stats}
+	st := StationState{Normal: make([]EntryState, len(s.normal)),
+		Prio: make([]EntryState, len(s.prio)), Stats: s.Stats}
 	for i := range st.Normal {
-		st.Normal[i] = entryState(s.normal.At(i))
+		st.Normal[i] = entryState(&s.normal[i])
 	}
 	for i := range st.Prio {
-		st.Prio[i] = entryState(s.prio.At(i))
+		st.Prio[i] = entryState(&s.prio[i])
 	}
 	return st
 }
 
 func refPickNormal(s *refStation, rank func(*mem.Req) int, now sim.Cycle) int {
-	n := s.normal.Len()
-	if n == 0 {
+	if len(s.normal) == 0 {
 		return -1
 	}
 	if rank == nil {
-		if s.normal.At(0).ready <= now {
+		if s.normal[0].ready <= now {
 			return 0
 		}
 		return -1
 	}
 	best := -1
 	bestRank := int(^uint(0) >> 1)
-	a, b := s.normal.Slices()
-	i := 0
-scan:
-	for _, seg := range [2][]entry{a, b} {
-		for k := range seg {
-			e := &seg[k]
-			if e.ready > now {
-				break scan
+	for i := range s.normal {
+		e := &s.normal[i]
+		if e.ready > now {
+			break
+		}
+		if r := rank(e.req); r < bestRank {
+			best, bestRank = i, r
+			if r <= 0 {
+				break
 			}
-			if r := rank(e.req); r < bestRank {
-				best, bestRank = i, r
-				if r <= 0 {
-					break scan
-				}
-			}
-			i++
 		}
 	}
 	return best
@@ -136,13 +127,13 @@ func refTick(s *refStation, rank func(*mem.Req) int, now sim.Cycle) {
 		idx := 0
 
 		var hn *entry
-		if s.normal.Len() > 0 {
-			hn = s.normal.At(0)
+		if len(s.normal) > 0 {
+			hn = &s.normal[0]
 		}
 		if hn != nil && s.cfg.MaxWait != 0 && hn.ready <= now && now-hn.enq > s.cfg.MaxWait {
 			e, promoted = hn, true
-		} else if s.prio.Len() > 0 {
-			if hp := s.prio.At(0); hp.ready <= now {
+		} else if len(s.prio) > 0 {
+			if hp := &s.prio[0]; hp.ready <= now {
 				e, fromPrio = hp, true
 			}
 		}
@@ -152,7 +143,7 @@ func refTick(s *refStation, rank func(*mem.Req) int, now sim.Cycle) {
 					e = hn
 				}
 			} else if i := refPickNormal(s, rank, now); i >= 0 {
-				e, idx = s.normal.At(i), i
+				e, idx = &s.normal[i], i
 			}
 		}
 		if e == nil {
@@ -168,11 +159,9 @@ func refTick(s *refStation, rank func(*mem.Req) int, now sim.Cycle) {
 			s.Stats.Promoted++
 		}
 		if fromPrio {
-			s.prio.PopHead()
-		} else if idx == 0 {
-			s.normal.PopHead()
+			s.prio = s.prio[1:]
 		} else {
-			s.normal.RemoveAt(idx)
+			s.normal = append(s.normal[:idx], s.normal[idx+1:]...)
 		}
 		s.Stats.Forwarded++
 	}

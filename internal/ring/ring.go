@@ -49,36 +49,6 @@ func (r *Ring[T]) PopHead() T {
 	return v
 }
 
-// RemoveAt deletes the i-th element in FIFO order, shifting the shorter side.
-func (r *Ring[T]) RemoveAt(i int) {
-	if i <= r.n-1-i {
-		// Shift the head side toward the gap.
-		for j := i; j > 0; j-- {
-			*r.At(j) = *r.At(j - 1)
-		}
-		var zero T
-		r.buf[r.head] = zero
-		r.head = (r.head + 1) & r.mask
-	} else {
-		for j := i; j < r.n-1; j++ {
-			*r.At(j) = *r.At(j + 1)
-		}
-		var zero T
-		*r.At(r.n - 1) = zero
-	}
-	r.n--
-}
-
-// Slices returns the queued elements as up to two contiguous segments in
-// FIFO order, for scans too hot to pay At's index arithmetic per element.
-// The segments alias the backing slice: valid until the next mutation.
-func (r *Ring[T]) Slices() ([]T, []T) {
-	if r.head+r.n <= len(r.buf) {
-		return r.buf[r.head : r.head+r.n], nil
-	}
-	return r.buf[r.head:], r.buf[:r.head+r.n-len(r.buf)]
-}
-
 // Reset empties the ring, zeroing the backing slice so no references leak.
 func (r *Ring[T]) Reset() {
 	var zero T

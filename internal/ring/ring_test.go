@@ -34,33 +34,6 @@ func TestWrapAround(t *testing.T) {
 	}
 }
 
-func TestRemoveAt(t *testing.T) {
-	for remove := 0; remove < 7; remove++ {
-		r := New[int](8)
-		// Force a non-zero head so both shift directions cross the wrap.
-		for i := 0; i < 6; i++ {
-			r.Push(-1)
-		}
-		for i := 0; i < 6; i++ {
-			r.PopHead()
-		}
-		for i := 0; i < 7; i++ {
-			r.Push(i)
-		}
-		r.RemoveAt(remove)
-		want := 0
-		for i := 0; i < 6; i++ {
-			if want == remove {
-				want++
-			}
-			if got := *r.At(i); got != want {
-				t.Fatalf("remove %d: At(%d) = %d, want %d", remove, i, got, want)
-			}
-			want++
-		}
-	}
-}
-
 func TestReset(t *testing.T) {
 	r := New[*int](4)
 	v := 7
