@@ -1,7 +1,7 @@
 // Package cache implements the set-associative cache model used for the
 // private L1/L2 caches and the shared, way-partitionable LLC, plus the MSHR
-// file that bounds outstanding misses. Only tags are modelled; the simulator
-// never moves data, it moves timing.
+// file that bounds outstanding misses. Only tags and recency are modelled;
+// the simulator never moves data, it moves timing.
 package cache
 
 import (
@@ -22,11 +22,17 @@ type Config struct {
 	MSHRs     int // max outstanding misses
 }
 
+// maxWays bounds associativity: a set's recency order packs one 4-bit way
+// index per way into a single word.
+const maxWays = 16
+
 // Validate reports a descriptive error for impossible geometries.
 func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0:
 		return fmt.Errorf("cache %s: non-positive geometry", c.Name)
+	case c.Ways > maxWays:
+		return fmt.Errorf("cache %s: %d ways, at most %d supported", c.Name, c.Ways, maxWays)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by ways*line", c.Name, c.SizeBytes)
 	default:
@@ -45,48 +51,51 @@ type Stats struct {
 	Misses uint64
 }
 
-// Line-meta bits (one byte per line in Cache.meta).
-const (
-	metaValid = 1 << 0
-	metaDirty = 1 << 1
-)
-
-// The tags array holds each line's block address complemented (see index),
-// and invalidTag, the zero value, occupies the slot of every invalid line:
-// the Lookup fast path is a pure tag scan — no per-way metadata load just to
-// reject a stale tag — and New gets an all-invalid cache from freshly
-// zeroed arrays without writing (or faulting in) a page of them. No real
-// tag collides with it: a block address has its top lineBits bits clear, so
-// its complement is never zero. The meta valid bit stays authoritative for
-// serialisation, which records block addresses and the all-ones sentinel
-// for invalid lines; Insert, Invalidate and RestoreState keep the
-// representations coherent.
+// invalidTag marks an invalid line. The tags array holds each line's tag —
+// its block address above the set index — complemented, so invalidTag, the
+// zero value, is the slot of every invalid line: a tag match alone proves a
+// hit, and New gets an all-invalid cache from freshly zeroed arrays without
+// writing (or faulting in) a page of them. index rejects the one tag whose
+// complement would be zero, so no address aliases an invalid line.
 const invalidTag = 0
 
-// Cache is a set-associative, LRU, write-back (timing-only) cache.
-// It is not safe for concurrent use; the simulator is single-goroutine.
+// maxTag is the first tag index rejects: its complement is invalidTag, and
+// every larger one does not fit the 32-bit tag.
+const maxTag = 1<<32 - 1
+
+// Recency words. A set's LRU order is the list of its way indices from most
+// to least recently used, one 4-bit nibble each, the most recent in the low
+// nibble. The order array stores it XORed with identOrder, the order
+// 0, 1, ..., 15, so a zeroed word is a valid order; nibbles at positions
+// Ways and above keep their identity values, which name no way. A fill or
+// a hit moves its way to the front, so among valid lines the order is the
+// order of their last touches, which is all LRU compares.
+const (
+	identOrder = 0xFEDCBA9876543210
+	nibbleOnes = 0x1111111111111111
+)
+
+// Cache is a set-associative, LRU, timing-only cache with per-partition
+// allocation way masks. It is not safe for concurrent use; the simulator is
+// single-goroutine.
 //
-// Lines are stored structure-of-arrays, set-major: the Lookup fast path
-// scans a set's `ways` consecutive tags (one or two cache lines of the
-// host's memory) and touches the metadata byte only on a tag match. The
-// array-of-structs layout this replaced dragged valid/dirty/part/lru through
-// the scan for every probe, and Lookup+Insert were the hottest simulator
-// leaves under bandwidth-saturated mixes.
+// It keeps only what the simulation reads: a 32-bit tag per line, stored
+// set-major so a set's tags are consecutive (a 16-way set is one 64-byte
+// host line), and one recency word per set. The lookup scan touches the
+// recency word only on a hit.
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // [set*ways+way]
-	lru      []uint64 // last-touch stamp; larger = more recent
-	meta     []uint8  // metaValid | metaDirty
-	part     []mem.PartID
+	tags     []uint32 // [set*ways+way], complemented (see invalidTag)
+	order    []uint64 // [set], recency order XOR identOrder
 	ways     int
 	setMask  uint64
+	setBits  uint
 	lineBits uint
-	stamp    uint64
 
 	// wayMask[p] restricts which ways PartID p may *allocate* into
 	// (lookups hit in any way, matching Intel CAT semantics).
 	// A zero mask means "all ways allowed".
-	wayMask [256]uint64
+	wayMask [256]uint16
 
 	Stats     Stats
 	PartStats [8]Stats // indexed by PartID for small machines
@@ -99,20 +108,15 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	n := nsets * cfg.Ways
-	c := &Cache{
-		cfg:     cfg,
-		tags:    make([]uint64, n),
-		lru:     make([]uint64, n),
-		meta:    make([]uint8, n),
-		part:    make([]mem.PartID, n),
-		ways:    cfg.Ways,
-		setMask: uint64(nsets - 1),
-	}
-	for b := cfg.LineBytes; b > 1; b >>= 1 {
-		c.lineBits++
-	}
-	return c, nil
+	return &Cache{
+		cfg:      cfg,
+		tags:     make([]uint32, nsets*cfg.Ways),
+		order:    make([]uint64, nsets),
+		ways:     cfg.Ways,
+		setMask:  uint64(nsets - 1),
+		setBits:  uint(bits.TrailingZeros(uint(nsets))),
+		lineBits: uint(bits.Len(uint(cfg.LineBytes)) - 1),
+	}, nil
 }
 
 // MustNew is New panicking on error, for callers whose configuration was
@@ -128,22 +132,64 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// fullMask is the allocation mask of every way.
+func (c *Cache) fullMask() uint64 { return uint64(1)<<uint(c.ways) - 1 }
+
 // SetWayMask restricts PartID p to allocate only into ways whose bit is set
 // in mask. Passing 0 restores "all ways". This models Intel CAT / MPAM cache
 // portion partitioning.
 func (c *Cache) SetWayMask(p mem.PartID, mask uint64) {
-	full := uint64(1)<<uint(c.ways) - 1
-	c.wayMask[p] = mask & full
+	c.wayMask[p] = uint16(mask & c.fullMask())
 }
 
 // WayMask returns the allocation mask for PartID p (0 = unrestricted).
-func (c *Cache) WayMask(p mem.PartID) uint64 { return c.wayMask[p] }
+func (c *Cache) WayMask(p mem.PartID) uint64 { return uint64(c.wayMask[p]) }
 
-// index returns the first line slot of addr's set and its tag: the full
-// block address, complemented as the tags array stores it (see invalidTag).
-func (c *Cache) index(addr uint64) (base int, tag uint64) {
+// index returns addr's set and its tag, complemented as the tags array
+// stores it. An address whose tag does not fit 32 bits panics rather than
+// alias another line.
+func (c *Cache) index(addr uint64) (set int, tag uint32) {
 	blk := addr >> c.lineBits
-	return int(blk&c.setMask) * c.ways, ^blk
+	hi := blk >> c.setBits
+	if hi >= maxTag {
+		panic(tooWide{c.cfg.Name, addr})
+	}
+	return int(blk & c.setMask), ^uint32(hi)
+}
+
+// tooWide is the panic value of an address whose tag does not fit 32 bits.
+type tooWide struct {
+	cache string
+	addr  uint64
+}
+
+func (e tooWide) Error() string {
+	return fmt.Sprintf("cache %s: address %#x exceeds the 32-bit tag range", e.cache, e.addr)
+}
+
+// setTags returns set's tags.
+func (c *Cache) setTags(set int) []uint32 {
+	base := set * c.ways
+	return c.tags[base : base+c.ways : base+c.ways]
+}
+
+// touch makes way w the most recently used of set's ways.
+func (c *Cache) touch(set, w int) {
+	c.order[set] = moveToFront(c.order[set]^identOrder, w) ^ identOrder
+}
+
+// moveToFront moves way w to the front of order o. w's position is the one
+// zero nibble of o ^ w·nibbleOnes (the order is a permutation), and the
+// borrow test flags the lowest zero nibble exactly.
+func moveToFront(o uint64, w int) uint64 {
+	x := o ^ uint64(w)*nibbleOnes
+	return promote(o, uint(bits.TrailingZeros64((x-nibbleOnes)&^x&(nibbleOnes<<3)))&^3)
+}
+
+// promote moves the nibble at bit offset pos of order o to the front.
+func promote(o uint64, pos uint) uint64 {
+	lo := uint64(1)<<pos - 1 // the positions ahead of pos
+	return o&^(lo<<4|0xF) | (o&lo)<<4 | o>>pos&0xF
 }
 
 func (c *Cache) bumpStats(p mem.PartID, hit bool) {
@@ -164,13 +210,10 @@ func (c *Cache) bumpStats(p mem.PartID, hit bool) {
 // Lookup probes the cache for addr, updating LRU on a hit.
 // It returns whether the access hit.
 func (c *Cache) Lookup(addr uint64, p mem.PartID) bool {
-	base, tag := c.index(addr)
-	c.stamp++
-	// Reslice the set once so the scan loop runs without bounds checks;
-	// invalid lines hold invalidTag, so a tag match alone proves a hit.
-	for i, t := range c.tags[base : base+c.ways] {
+	set, tag := c.index(addr)
+	for i, t := range c.setTags(set) {
 		if t == tag {
-			c.lru[base+i] = c.stamp
+			c.touch(set, i)
 			c.bumpStats(p, true)
 			return true
 		}
@@ -181,43 +224,19 @@ func (c *Cache) Lookup(addr uint64, p mem.PartID) bool {
 
 // SkipMissProbes applies the side effects of n elided Lookup calls that are
 // known to miss (a core re-probing its L1 for a refused memory op under
-// skip-ahead): the LRU stamp advances and the miss counters grow exactly as
-// n dense Lookups would have left them. Valid only while no line's recency
-// actually changes, which holds because a missing probe touches no line.
+// skip-ahead): a missing probe touches no recency, so only the miss
+// counters grow.
 func (c *Cache) SkipMissProbes(p mem.PartID, n uint64) {
-	c.stamp += n
 	c.Stats.Misses += n
 	if int(p) < len(c.PartStats) {
 		c.PartStats[p].Misses += n
 	}
 }
 
-// Touch is Lookup followed, on a hit, by Insert(addr, p, dirty=true) — the
-// store-hit fast path — collapsed into one set scan. Bit-compatibility with
-// the two-call sequence requires the stamp to advance twice on a hit (Lookup
-// bumps it, then Insert bumps it again before refreshing the line), so the
-// line's recency lands on the second stamp. On a miss only the Lookup half
-// happened, so the stamp advances once and the miss counters grow.
-func (c *Cache) Touch(addr uint64, p mem.PartID) bool {
-	base, tag := c.index(addr)
-	c.stamp++
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == tag {
-			c.bumpStats(p, true)
-			c.stamp++
-			c.lru[base+i] = c.stamp
-			c.meta[base+i] |= metaDirty
-			return true
-		}
-	}
-	c.bumpStats(p, false)
-	return false
-}
-
 // Contains probes without updating LRU or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	base, tag := c.index(addr)
-	for _, t := range c.tags[base : base+c.ways] {
+	set, tag := c.index(addr)
+	for _, t := range c.setTags(set) {
 		if t == tag {
 			return true
 		}
@@ -227,78 +246,46 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // Insert fills addr into the cache on behalf of PartID p, honouring p's way
 // mask, and returns the evicted block address and whether an eviction of a
-// valid line occurred.
-func (c *Cache) Insert(addr uint64, p mem.PartID, dirty bool) (evicted uint64, wasValid bool) {
-	base, tag := c.index(addr)
-	c.stamp++
-	allowed := c.wayMask[p]
-	if allowed == 0 {
-		allowed = uint64(1)<<uint(c.ways) - 1
-	}
-
-	// Refresh if the line is already present (e.g. a racing fill) — a pure
-	// tag scan, branch-predictable and free of mask tests.
-	tags := c.tags[base : base+c.ways]
-	meta := c.meta[base : base+c.ways : base+c.ways]
-	lru := c.lru[base : base+c.ways : base+c.ways]
+// valid line occurred. The victim is the lowest-index invalid allowed way,
+// else the least recently used allowed way.
+func (c *Cache) Insert(addr uint64, p mem.PartID) (evicted uint64, wasValid bool) {
+	set, tag := c.index(addr)
+	tags := c.setTags(set)
+	// Refresh if the line is already present (e.g. a racing fill), noting
+	// the invalid ways on the way.
+	var free uint64
 	for i, t := range tags {
 		if t == tag {
-			lru[i] = c.stamp
-			if dirty {
-				meta[i] |= metaDirty
-			}
+			c.touch(set, i)
 			return 0, false
 		}
-	}
-	// Miss: pick the victim by walking only the allowed ways' set bits —
-	// the first (lowest-index) invalid allowed way wins outright, else the
-	// least-recently-used allowed way (first minimum, matching the ascending
-	// scan the dense-mask version did).
-	victim := -1
-	var victimLRU uint64 = ^uint64(0)
-	for a := allowed; a != 0; a &= a - 1 {
-		i := bits.TrailingZeros64(a)
-		if i >= c.ways {
-			break
-		}
-		if tags[i] == invalidTag {
-			victim = i
-			break
-		}
-		if lru[i] < victimLRU {
-			victim, victimLRU = i, lru[i]
+		if t == invalidTag {
+			free |= 1 << uint(i)
 		}
 	}
-	if victim < 0 {
-		// Mask excluded every way; fall back to way 0 to stay functional.
-		victim = 0
+	allowed := uint64(c.wayMask[p])
+	if allowed == 0 {
+		allowed = c.fullMask()
 	}
-	j := base + victim
-	if c.meta[j]&metaValid != 0 {
-		evicted = ^c.tags[j] << c.lineBits
-		wasValid = true
+	if f := free & allowed; f != 0 {
+		w := bits.TrailingZeros64(f)
+		tags[w] = tag
+		c.touch(set, w)
+		return 0, false
 	}
-	c.tags[j] = tag
-	c.lru[j] = c.stamp
-	c.part[j] = p
-	c.meta[j] = metaValid
-	if dirty {
-		c.meta[j] |= metaDirty
+	// Every allowed way is valid: evict the allowed way nearest the back of
+	// the order. Positions below Ways hold exactly the set's ways, so the
+	// walk finds one.
+	o := c.order[set] ^ identOrder
+	pos := uint(4 * (c.ways - 1))
+	for allowed>>(o>>pos&0xF)&1 == 0 {
+		pos -= 4
 	}
-	return evicted, wasValid
-}
-
-// Invalidate removes addr if present, returning whether it was there.
-func (c *Cache) Invalidate(addr uint64) bool {
-	base, tag := c.index(addr)
-	for j := base; j < base+c.ways; j++ {
-		if c.tags[j] == tag {
-			c.meta[j] &^= metaValid
-			c.tags[j] = invalidTag
-			return true
-		}
-	}
-	return false
+	w := int(o >> pos & 0xF)
+	evicted = (uint64(^tags[w])<<c.setBits | uint64(set)) << c.lineBits
+	tags[w] = tag
+	c.order[set] = promote(o, pos) ^ identOrder
+	return evicted, true
 }
 
 // RegisterStats registers the cache's instruments under prefix (e.g. "llc"):

@@ -19,6 +19,7 @@ func TestValidate(t *testing.T) {
 		{Name: "zero"},
 		{Name: "odd", SizeBytes: 4096 + 64, Ways: 4, LineBytes: 64},
 		{Name: "npo2", SizeBytes: 3 * 64 * 4, Ways: 4, LineBytes: 64},
+		{Name: "32way", SizeBytes: 4 * 32 * 64, Ways: 32, LineBytes: 64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -32,7 +33,7 @@ func TestLookupInsert(t *testing.T) {
 	if c.Lookup(0x1000, 0) {
 		t.Fatal("hit in empty cache")
 	}
-	c.Insert(0x1000, 0, false)
+	c.Insert(0x1000, 0)
 	if !c.Lookup(0x1000, 0) {
 		t.Fatal("miss after insert")
 	}
@@ -50,10 +51,10 @@ func TestLRUEviction(t *testing.T) {
 	// Fill one set (stride = sets*line = 1024).
 	addrs := []uint64{0, 1024, 2048, 3072}
 	for _, a := range addrs {
-		c.Insert(a, 0, false)
+		c.Insert(a, 0)
 	}
 	c.Lookup(0, 0) // make address 0 most recent
-	ev, valid := c.Insert(4096, 0, false)
+	ev, valid := c.Insert(4096, 0)
 	if !valid || ev != 1024 {
 		t.Fatalf("evicted %#x (valid=%v), want LRU 0x400", ev, valid)
 	}
@@ -68,7 +69,7 @@ func TestWayPartitioning(t *testing.T) {
 
 	// Part 1 streams through one set: at most 2 lines survive.
 	for i := uint64(0); i < 8; i++ {
-		c.Insert(i*1024, 1, false)
+		c.Insert(i*1024, 1)
 	}
 	live := 0
 	for i := uint64(0); i < 8; i++ {
@@ -83,11 +84,11 @@ func TestWayPartitioning(t *testing.T) {
 	// Unrestricted part 0 lines in other ways are not disturbed.
 	c2 := MustNew(testConfig())
 	c2.SetWayMask(1, 0b0001)
-	c2.Insert(0, 0, false)    // way 0 (first free)
-	c2.Insert(1024, 0, false) // way 1
-	c2.Insert(2048, 0, false) // way 2
-	c2.Insert(3072, 0, false) // way 3
-	c2.Insert(4096, 1, false) // part 1 must evict way 0 only
+	c2.Insert(0, 0)    // way 0 (first free)
+	c2.Insert(1024, 0) // way 1
+	c2.Insert(2048, 0) // way 2
+	c2.Insert(3072, 0) // way 3
+	c2.Insert(4096, 1) // part 1 must evict way 0 only
 	if c2.Contains(0) {
 		t.Fatal("masked insert did not evict from its own way")
 	}
@@ -102,20 +103,6 @@ func TestWayPartitioning(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(testConfig())
-	c.Insert(0x40, 0, true)
-	if !c.Invalidate(0x40) {
-		t.Fatal("invalidate missed present line")
-	}
-	if c.Contains(0x40) {
-		t.Fatal("line survives invalidate")
-	}
-	if c.Invalidate(0x40) {
-		t.Fatal("invalidate of absent line reported true")
-	}
-}
-
 // TestCacheInclusionProperty: after any insert sequence, a line is present
 // iff it was inserted and not evicted since — checked against a reference
 // model implementing the same LRU-within-allowed-ways policy.
@@ -126,7 +113,7 @@ func TestCacheInclusionProperty(t *testing.T) {
 		for _, op := range ops {
 			addr := uint64(op%512) * 64
 			if op%3 == 0 {
-				ev, valid := c.Insert(addr, mem.PartID(op%2), false)
+				ev, valid := c.Insert(addr, mem.PartID(op%2))
 				present[addr] = true
 				if valid {
 					if !present[ev] {
@@ -151,7 +138,7 @@ func TestCacheInclusionProperty(t *testing.T) {
 func TestMissRateAndReset(t *testing.T) {
 	c := MustNew(testConfig())
 	c.Lookup(0, 3)
-	c.Insert(0, 3, false)
+	c.Insert(0, 3)
 	c.Lookup(0, 3)
 	if got := c.Stats.MissRate(); got != 0.5 {
 		t.Fatalf("miss rate = %v, want 0.5", got)

@@ -3,82 +3,112 @@ package cache
 import (
 	"fmt"
 	"sort"
-
-	"pivot/internal/mem"
 )
 
-// LineState mirrors one cache line for checkpointing.
+// LineState mirrors one cache line for checkpointing: its block address
+// (zero for an invalid line) and whether it is valid.
 type LineState struct {
 	Tag   uint64
 	Valid bool
-	Dirty bool
-	Part  mem.PartID
-	LRU   uint64
 }
 
 // CacheState is the serialisable form of a Cache: every line (set-major, way
-// order), the LRU stamp, the partition way masks and the access counters.
-// Geometry is configuration, not state — Restore checks it matches.
+// order), every set's recency order, the partition way masks and the access
+// counters. Order[s] lists set s's way indices from most to least recently
+// used, one 4-bit nibble each, the most recent in the low nibble; nibbles
+// at positions Ways and above hold their own position. Geometry is
+// configuration, not state — RestoreState checks it matches.
 type CacheState struct {
 	Lines     []LineState
-	Stamp     uint64
+	Order     []uint64
 	WayMask   [256]uint64
 	Stats     Stats
 	PartStats [8]Stats
 }
 
-// StateLines reports the line count a snapshot of this cache must hold, so
-// composers can validate geometry before mutating anything.
-func (c *Cache) StateLines() int { return len(c.tags) }
-
 // SnapshotState captures the cache's complete mutable state.
 func (c *Cache) SnapshotState() CacheState {
 	s := CacheState{
 		Lines:     make([]LineState, len(c.tags)),
-		Stamp:     c.stamp,
-		WayMask:   c.wayMask,
+		Order:     make([]uint64, len(c.order)),
 		Stats:     c.Stats,
 		PartStats: c.PartStats,
 	}
-	for j := range c.tags {
-		s.Lines[j] = LineState{
-			Tag: ^c.tags[j], Valid: c.meta[j]&metaValid != 0,
-			Dirty: c.meta[j]&metaDirty != 0,
-			Part:  c.part[j], LRU: c.lru[j],
+	for j, t := range c.tags {
+		if t != invalidTag {
+			set := uint64(j / c.ways)
+			s.Lines[j] = LineState{Tag: uint64(^t)<<c.setBits | set, Valid: true}
 		}
+	}
+	for set, o := range c.order {
+		s.Order[set] = o ^ identOrder
+	}
+	for p, m := range c.wayMask {
+		s.WayMask[p] = uint64(m)
 	}
 	return s
 }
 
-// RestoreState overwrites the cache's mutable state from a snapshot taken on
-// an identically configured cache.
-func (c *Cache) RestoreState(s CacheState) error {
+// ValidateState reports why s cannot be restored into this cache: a line or
+// set count that does not match the geometry (a snapshot without Order
+// among them), an order that is not a permutation of the set's ways, a valid
+// line whose block maps to another set or whose tag does not fit, or a way
+// mask naming ways the cache lacks. Composers call it before mutating
+// anything.
+func (c *Cache) ValidateState(s CacheState) error {
 	if len(s.Lines) != len(c.tags) {
 		return fmt.Errorf("cache %s: snapshot has %d lines, geometry holds %d",
 			c.cfg.Name, len(s.Lines), len(c.tags))
 	}
-	for j, ls := range s.Lines {
-		// Invalid lines carry the sentinel tag in the live arrays (see
-		// invalidTag); normalise here so snapshots from either representation
-		// restore into a coherent cache.
-		if ls.Valid {
-			c.tags[j] = ^ls.Tag
-		} else {
-			c.tags[j] = invalidTag
-		}
-		c.lru[j] = ls.LRU
-		c.part[j] = ls.Part
-		var m uint8
-		if ls.Valid {
-			m |= metaValid
-		}
-		if ls.Dirty {
-			m |= metaDirty
-		}
-		c.meta[j] = m
+	if len(s.Order) != len(c.order) {
+		return fmt.Errorf("cache %s: snapshot has %d set orders, geometry holds %d sets",
+			c.cfg.Name, len(s.Order), len(c.order))
 	}
-	c.stamp = s.Stamp
-	c.wayMask = s.WayMask
+	full := c.fullMask()
+	for set, o := range s.Order {
+		var seen uint64
+		for k := 0; k < c.ways; k++ {
+			seen |= 1 << (o >> uint(4*k) & 0xF)
+		}
+		if seen != full || (o^identOrder)>>uint(4*c.ways) != 0 {
+			return fmt.Errorf("cache %s: set %d order %#x is not a permutation of its %d ways",
+				c.cfg.Name, set, o, c.ways)
+		}
+	}
+	for j, ls := range s.Lines {
+		if ls.Valid && (int(ls.Tag&c.setMask) != j/c.ways || ls.Tag>>c.setBits >= maxTag) {
+			return fmt.Errorf("cache %s: line %d holds block %#x, which does not map to it",
+				c.cfg.Name, j, ls.Tag)
+		}
+	}
+	for p, m := range s.WayMask {
+		if m&^full != 0 {
+			return fmt.Errorf("cache %s: partition %d way mask %#x exceeds %d ways",
+				c.cfg.Name, p, m, c.ways)
+		}
+	}
+	return nil
+}
+
+// RestoreState overwrites the cache's mutable state from a snapshot taken on
+// an identically configured cache. A snapshot ValidateState rejects leaves
+// the cache untouched.
+func (c *Cache) RestoreState(s CacheState) error {
+	if err := c.ValidateState(s); err != nil {
+		return err
+	}
+	for j, ls := range s.Lines {
+		c.tags[j] = invalidTag
+		if ls.Valid {
+			c.tags[j] = ^uint32(ls.Tag >> c.setBits)
+		}
+	}
+	for set, o := range s.Order {
+		c.order[set] = o ^ identOrder
+	}
+	for p, m := range s.WayMask {
+		c.wayMask[p] = uint16(m)
+	}
 	c.Stats = s.Stats
 	c.PartStats = s.PartStats
 	return nil

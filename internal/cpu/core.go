@@ -219,8 +219,16 @@ func (c *Core) slotOf(seq uint64) *robEntry {
 	if seq < c.headSeq || seq >= c.headSeq+uint64(c.count) {
 		return nil
 	}
-	idx := (c.head + int(seq-c.headSeq)) % c.cfg.ROBSize
-	return &c.rob[idx]
+	return &c.rob[c.wrap(c.head+int(seq-c.headSeq))]
+}
+
+// wrap folds a ROB index in [0, 2*ROBSize) back into the ring. ROB sizes
+// need not be powers of two, and a compare is cheaper than a divide.
+func (c *Core) wrap(i int) int {
+	if i >= len(c.rob) {
+		i -= len(c.rob)
+	}
+	return i
 }
 
 // depReady reports whether the producer of seq has completed (or retired).
@@ -404,7 +412,7 @@ func (c *Core) commit(now sim.Cycle) {
 			c.lastWriter[e.op.Dest] = 0
 		}
 		e.waiters = e.waiters[:0]
-		c.head = (c.head + 1) % c.cfg.ROBSize
+		c.head = c.wrap(c.head + 1)
 		c.headSeq++
 		c.count--
 		committed++
@@ -579,7 +587,7 @@ func (c *Core) dispatch(now sim.Cycle) {
 
 		c.nextSeq++
 		seq := c.nextSeq
-		idx := (c.head + c.count) % c.cfg.ROBSize
+		idx := c.wrap(c.head + c.count)
 		if c.count == 0 {
 			c.headSeq = seq
 			c.head = idx

@@ -186,15 +186,17 @@ type Controller struct {
 	serveAt []sim.Cycle
 
 	// rankCount[r] counts the normal-queue entries whose cached rank is r,
-	// and bankRank0[b] those of rank 0 on bank b (every entry is rank 0
-	// unranked). They bound the ranked scans: pick's FR-FCFS loop stops once
-	// no unseen entry can outrank its candidate, its rank-0 loops and
-	// startActivates' stop after the last rank-0 entry, and repairAfterServe
-	// stops at a bank's first entry when the bank holds no rank-0 entry.
-	// rankCount grows to the highest rank seen (mem.Ranker allows any
-	// non-negative rank). Derived state: never serialised; recount rebuilds
-	// them from the queue.
+	// bankCount[b] the entries on bank b, and bankRank0[b] those of rank 0
+	// on bank b (every entry is rank 0 unranked). They bound the ranked
+	// scans: pick's FR-FCFS loop stops once no unseen entry can outrank its
+	// candidate, its rank-0 loops and startActivates' stop after the last
+	// rank-0 entry, and repairAfterServe skips an emptied bank and stops at
+	// a bank's first entry when the bank holds no rank-0 entry. rankCount
+	// grows to the highest rank seen (mem.Ranker allows any non-negative
+	// rank). Derived state: never serialised; recount rebuilds them from the
+	// queue.
 	rankCount []int
+	bankCount []int
 	bankRank0 []int
 
 	Stats Stats
@@ -216,6 +218,7 @@ func New(cfg Config, lineBytes int) *Controller {
 		busFreeAt:   make([]sim.Cycle, cfg.Channels),
 		serveAt:     make([]sim.Cycle, cfg.Channels),
 		rankCount:   make([]int, 1),
+		bankCount:   make([]int, cfg.Banks*cfg.Channels),
 		bankRank0:   make([]int, cfg.Banks*cfg.Channels),
 		pendingResp: ring.New[respEntry](cfg.CapNormal + cfg.CapPrio),
 		respHead:    sim.NeverWork,
@@ -361,6 +364,7 @@ func (c *Controller) count(e *entry, d int) {
 		c.rankCount = append(c.rankCount, 0)
 	}
 	c.rankCount[e.rank] += d
+	c.bankCount[e.bank] += d
 	if e.rank == 0 {
 		c.bankRank0[e.bank] += d
 	}
@@ -369,6 +373,7 @@ func (c *Controller) count(e *entry, d int) {
 // recount rebuilds the occupancy counts from the normal queue.
 func (c *Controller) recount() {
 	clear(c.rankCount)
+	clear(c.bankCount)
 	clear(c.bankRank0)
 	for i := range c.normal {
 		c.count(&c.normal[i], 1)
@@ -405,23 +410,17 @@ func (c *Controller) repairAfterServe(i, bank int, now sim.Cycle) {
 	c.pendClaimN = keep
 	c.claimed[bank] = false
 	// The scan-order-first claimant: the first rank-0 entry on the bank,
-	// else the first entry of any rank (all ranks are 0 when unranked). On a
-	// bank holding no rank-0 entry that is its first entry.
-	anyRank := c.bankRank0[bank] == 0
-	winner := -1
-	for j := range c.normal {
-		if c.normal[j].bank == bank {
-			if anyRank || c.normal[j].rank == 0 {
-				winner = j
+	// else the first entry of any rank (all ranks are 0 when unranked). The
+	// counts say which one exists, so the walk stops at it, and an emptied
+	// bank needs no walk.
+	if c.bankCount[bank] > 0 {
+		anyRank := c.bankRank0[bank] == 0
+		for j := range c.normal {
+			if e := &c.normal[j]; e.bank == bank && (anyRank || e.rank == 0) {
+				c.insertPendClaim(int32(j))
 				break
 			}
-			if winner < 0 {
-				winner = j
-			}
 		}
-	}
-	if winner >= 0 {
-		c.insertPendClaim(int32(winner))
 	}
 	if c.cfg.MaxWait > 0 && len(c.normal) > 0 {
 		starveAt := c.normal[0].enq + c.cfg.MaxWait + 1

@@ -313,18 +313,21 @@ func runSchedEquiv(t *testing.T, tc equivCase, seed int64) {
 func checkCounts(t *testing.T, c *Controller) {
 	t.Helper()
 	ranks := make([]int, len(c.rankCount))
+	banks := make([]int, len(c.banks))
 	bank0 := make([]int, len(c.banks))
 	for _, e := range c.normal {
 		if e.rank >= len(ranks) {
 			t.Fatalf("rank %d queued beyond the %d-entry rank table", e.rank, len(ranks))
 		}
 		ranks[e.rank]++
+		banks[e.bank]++
 		if e.rank == 0 {
 			bank0[e.bank]++
 		}
 	}
-	if !reflect.DeepEqual(ranks, c.rankCount) || !reflect.DeepEqual(bank0, c.bankRank0) {
-		t.Fatalf("occupancy counts drifted from the queue:\nranks %v, want %v\nbank rank-0 %v, want %v",
-			c.rankCount, ranks, c.bankRank0, bank0)
+	if !reflect.DeepEqual(ranks, c.rankCount) || !reflect.DeepEqual(banks, c.bankCount) ||
+		!reflect.DeepEqual(bank0, c.bankRank0) {
+		t.Fatalf("occupancy counts drifted from the queue:\nranks %v, want %v\nbanks %v, want %v\nbank rank-0 %v, want %v",
+			c.rankCount, ranks, c.bankCount, banks, c.bankRank0, bank0)
 	}
 }

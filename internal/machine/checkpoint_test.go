@@ -433,3 +433,40 @@ func TestRestoreRejectsForeignGeometry(t *testing.T) {
 		t.Error("rejected restore still mutated the machine")
 	}
 }
+
+// TestTryRestoreDiscardsCheckpointWithoutCacheOrder: a checkpoint whose
+// caches carry no recency order, as an older build's payload decodes, is
+// removed by TryRestore, which falls back to from-scratch with the machine
+// untouched.
+func TestTryRestoreDiscardsCheckpointWithoutCacheOrder(t *testing.T) {
+	tc := ckptCases()[0]
+	a := tc.build(t)
+	if err := a.StepChecked(context.Background(), 10_000); err != nil {
+		t.Fatal(err)
+	}
+	s := a.SnapshotState()
+	s.Ports[len(s.Ports)-1].L2.Order = nil // the last cache validated
+	payload, err := encodeState(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path, err := checkpoint.Write(dir, checkpoint.Checkpoint{
+		Cycle: uint64(a.Engine.Now()), Fingerprint: a.Fingerprint(), Payload: payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := tc.build(t)
+	before := stateBytes(t, b)
+	if restored, _, err := b.TryRestore(dir); err != nil || restored {
+		t.Fatalf("TryRestore = (%v, %v), want a from-scratch fallback", restored, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("unusable checkpoint not removed: %v", err)
+	}
+	if string(stateBytes(t, b)) != string(before) {
+		t.Error("refused restore mutated the machine")
+	}
+}

@@ -633,20 +633,19 @@ func (m *Machine) onResp(r *mem.Req, now sim.Cycle) {
 		m.recycle(r, now)
 		return
 	}
-	m.llc.Insert(r.Addr, r.Part, false)
+	m.llc.Insert(r.Addr, r.Part)
 	m.deliver(r, now, true)
 }
 
 // deliver fills the private caches, wakes MSHR waiters and recycles r.
 func (m *Machine) deliver(r *mem.Req, now sim.Cycle, llcMiss bool) {
 	// Wake the core before the fill, even for a waiter-less one (a
-	// prefetch): the freed MSHR may unblock a structurally refused load,
-	// and the wake settles the elided retries' L1 miss probes, which
-	// advance the LRU stamp the Insert reads.
+	// prefetch): the freed MSHR or the filled line may unblock a
+	// structurally refused load.
 	m.Cores[r.CoreID].WakeIdle()
 	p := m.ports[r.CoreID]
-	p.l2.Insert(r.Addr, r.Part, false)
-	p.l1.Insert(r.Addr, r.Part, false)
+	p.l2.Insert(r.Addr, r.Part)
+	p.l1.Insert(r.Addr, r.Part)
 	if e := p.mshr.Fill(r.Addr); e != nil {
 		for _, w := range e.Waiters {
 			m.Cores[r.CoreID].CompleteLoad(w, llcMiss, now)

@@ -272,12 +272,11 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 }
 
 // fillLocal completes an L2-hit: fill L1 and wake all coalesced waiters.
-// The core is woken first, even for a waiter-less fill: the freed MSHR may
-// unblock a structurally refused load, and the wake settles the elided
-// retries' L1 miss probes, which advance the LRU stamp the Insert reads.
+// The core is woken first, even for a waiter-less fill: the freed MSHR or
+// the filled line may unblock a structurally refused load.
 func (p *corePort) fillLocal(line uint64, now sim.Cycle) {
 	p.m.Cores[p.id].WakeIdle()
-	p.l1.Insert(line, mem.PartID(p.id), false)
+	p.l1.Insert(line, mem.PartID(p.id))
 	if e := p.mshr.Fill(line); e != nil {
 		for _, w := range e.Waiters {
 			p.m.Cores[p.id].CompleteLoad(w, false, now)
@@ -299,8 +298,8 @@ func (p *corePort) RetryReady(kind cpu.OpKind, addr uint64) bool {
 }
 
 // SkipRetries implements cpu.RetryPort: account for n elided retry attempts
-// of a blocked op. Each dense-loop attempt performs one mutating L1 miss
-// probe (LRU stamp + miss counters) before being structurally refused —
+// of a blocked op. Each dense-loop attempt performs one L1 miss probe
+// (miss counters only) before being structurally refused —
 // Loads via the l1.Lookup at the top of Load, Stores likewise — so n
 // attempts compensate as n miss probes. Everything else on the refusal path
 // (MSHR lookup, capacity checks) is pure.
@@ -314,7 +313,7 @@ func (p *corePort) SkipRetries(kind cpu.OpKind, addr uint64, n uint64) {
 func (p *corePort) Store(addr, pc uint64, now sim.Cycle) bool {
 	line := p.lineOf(addr)
 	part := mem.PartID(p.id)
-	if p.l1.Touch(line, part) { // Lookup + refresh/mark-dirty in one scan
+	if p.l1.Lookup(line, part) { // a store hit only refreshes recency
 		return true
 	}
 	if len(p.out) >= p.m.Cfg.PortOutCap {

@@ -234,15 +234,15 @@ func (m *Machine) validateState(s *MachineState) error {
 	if len(s.BEs) != len(m.bes) {
 		return fmt.Errorf("machine: snapshot has %d BE slots, machine has %d", len(s.BEs), len(m.bes))
 	}
-	if got, want := len(s.LLC.Lines), m.llc.StateLines(); got != want {
-		return fmt.Errorf("machine: LLC snapshot has %d lines, geometry holds %d", got, want)
+	if err := m.llc.ValidateState(s.LLC); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
 	for i, ps := range s.Ports {
-		if got, want := len(ps.L1.Lines), m.ports[i].l1.StateLines(); got != want {
-			return fmt.Errorf("machine: core %d L1 snapshot has %d lines, geometry holds %d", i, got, want)
+		if err := m.ports[i].l1.ValidateState(ps.L1); err != nil {
+			return fmt.Errorf("machine: core %d: %w", i, err)
 		}
-		if got, want := len(ps.L2.Lines), m.ports[i].l2.StateLines(); got != want {
-			return fmt.Errorf("machine: core %d L2 snapshot has %d lines, geometry holds %d", i, got, want)
+		if err := m.ports[i].l2.ValidateState(ps.L2); err != nil {
+			return fmt.Errorf("machine: core %d: %w", i, err)
 		}
 		if (ps.PF != nil) != (m.ports[i].pf != nil) {
 			return fmt.Errorf("machine: core %d prefetcher presence differs from snapshot", i)
