@@ -52,12 +52,10 @@
 // run the sweep ends on. With -scenario, -csv-out also writes the unit table
 // as CSV.
 //
-// Crash safety: -checkpoint-dir makes each co-location run periodically
-// write its full machine state (every -checkpoint-interval cycles) so a
-// killed sweep resumes mid-run, not just mid-sweep; combined with
-// -cache-dir no completed or partial work is lost. The first SIGINT or
-// SIGTERM shuts down gracefully — in-flight runs flush a final checkpoint
-// and the process exits 130; a second signal force-quits immediately.
+// Shutdown: the first SIGINT or SIGTERM aborts the in-flight runs, jobs that
+// already finished stay in -cache-dir (a rerun with the same directory
+// replays them and computes the rest), and the process exits 130; a second
+// signal force-quits immediately.
 package main
 
 import (
@@ -89,8 +87,6 @@ func main() {
 	statsEpoch := flag.Uint64("stats-epoch", uint64(machine.DefaultStatsEpoch), "stats sampling period in cycles")
 	timelineOut := flag.String("timeline-out", "", "write the last run's Chrome trace-event timeline here (open in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/metrics on this address (e.g. localhost:6060)")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint in-flight runs here; a rerun resumes them mid-simulation")
-	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
 	scenarioPath := flag.String("scenario", "", "run a user scenario file (JSON) through the harness instead of experiment ids")
 	cacheDir := flag.String("cache-dir", "", "content-addressed result cache; finished, unchanged jobs replay instead of recomputing")
@@ -144,8 +140,6 @@ func main() {
 	ctx.Watchdog = sim.Cycle(*watchdog)
 	ctx.Audit = *audit
 	ctx.Dense = *dense
-	ctx.CheckpointDir = *ckptDir
-	ctx.CheckpointInterval = sim.Cycle(*ckptInterval)
 	ctx.Progress = liveProgress
 	if *flightOut != "" {
 		ctx.FlightTop = *flightTop
@@ -340,7 +334,6 @@ func usageText() string {
 	}
 	return `usage: pivot-exp [-quick] [-cores n] [-quiet] [-parallel n] [-timeout d]
                  [-cache-dir d] [-audit] [-watchdog n]
-                 [-checkpoint-dir d] [-checkpoint-interval n]
                  [-stats-out f] [-timeline-out f]
                  [-flight-out f [-flight-top n] [-flight-sample n]]
                  [-csv-out f] [-debug-addr a] [-log-format text|json] [-version]

@@ -2,9 +2,9 @@
 // differential oracles and replays recorded findings.
 //
 // Campaign mode generates -n random valid scenarios from -seed and checks
-// each against the six-oracle bank (codec round-trip, skip-ahead vs dense
-// equivalence, checkpoint kill-and-resume, flight-recorder purity,
-// stationary-load neutrality, invariant audit). Failures are shrunk to
+// each against the five-oracle bank (codec round-trip, skip-ahead vs dense
+// equivalence, flight-recorder purity, stationary-load neutrality,
+// invariant audit). Failures are shrunk to
 // minimal reproductions and recorded under -corpus as replayable
 // directories:
 //

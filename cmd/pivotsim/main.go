@@ -19,11 +19,10 @@
 // (see README "Scenarios" and examples/scenarios/). -json prints the unit's
 // result record instead of the table.
 //
-// Crash safety: with -checkpoint-dir the run periodically snapshots its full
-// machine state; rerunning the identical command resumes from the newest
-// good checkpoint with bit-identical final results. The first SIGINT or
-// SIGTERM stops the run gracefully (flushing a final checkpoint, exit 130);
-// a second signal force-quits.
+// Shutdown: the first SIGINT or SIGTERM aborts the run and the process exits
+// 130; a second signal force-quits. pivotsim keeps no result cache, so a
+// rerun starts the unit over; `pivot-exp -scenario -cache-dir` keeps
+// finished units.
 //
 // Observability: -flight-out arms the per-request flight recorder — every
 // memory-path transition becomes a queue-wait/service span — and writes the
@@ -118,8 +117,6 @@ func main() {
 	statsTable := flag.Bool("stats-table", false, "print the stats registry as an aligned table after the run")
 	timelineOut := flag.String("timeline-out", "", "write a Chrome trace-event timeline here (open in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/metrics on this address")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the run here; an identical rerun resumes mid-simulation")
-	ckptInterval := flag.Uint64("checkpoint-interval", uint64(machine.DefaultCheckpointInterval), "cycles between checkpoints")
 	dense := flag.Bool("dense", false, "force the naive per-cycle tick loop instead of quiescence-aware skip-ahead (bit-identical results, slower)")
 	flightOut := flag.String("flight-out", "", "record per-request span chains and write the tail-attribution report here (.json/.csv/text by suffix)")
 	flightTop := flag.Int("flight-top", 32, "with -flight-out: keep full span chains for the N slowest requests")
@@ -153,8 +150,6 @@ func main() {
 		ctx.FlightSample = *flightSample
 	}
 	ctx.Dense = *dense
-	ctx.CheckpointDir = *ckptDir
-	ctx.CheckpointInterval = sim.Cycle(*ckptInterval)
 	ctx.Progress = progress
 
 	jobs, labels, err := harness.ScenarioJobs(ctx, sc)
@@ -167,11 +162,7 @@ func main() {
 	cancelRun()
 	if res.Err != nil {
 		if interrupted {
-			if *ckptDir != "" {
-				logger.Info("interrupted; state saved — rerun the same command to resume")
-			} else {
-				logger.Info("interrupted")
-			}
+			logger.Info("interrupted")
 			os.Exit(130)
 		}
 		fmt.Fprintf(os.Stderr, "pivotsim: %v\n", errors.Unwrap(res.Err))

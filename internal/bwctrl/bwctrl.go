@@ -64,8 +64,8 @@ type Controller struct {
 	windowsDone uint64
 
 	// gen is the class generation RankGen reports: bumped whenever a window
-	// roll changes any class and on every RestoreState. Derived state, never
-	// serialised — consumers only compare it for equality.
+	// roll changes any class. Derived state, never serialised — consumers
+	// only compare it for equality.
 	gen uint64
 
 	// OnRankGen, when set, runs after a window roll bumps gen. It is
@@ -134,7 +134,7 @@ func (c *Controller) Rank(r *mem.Req) int {
 }
 
 // RankGen implements mem.Ranker: the class generation, which changes only
-// when a window roll moves some partition's class or a snapshot is restored.
+// when a window roll moves some partition's class.
 func (c *Controller) RankGen() uint64 { return c.gen }
 
 // Accept counts the request against its partition's monitor, then enqueues.

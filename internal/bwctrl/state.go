@@ -31,15 +31,3 @@ func (c *Controller) SnapshotState() ControllerState {
 		WindowsDone: c.windowsDone,
 	}
 }
-
-// RestoreState overwrites the controller's mutable state from a snapshot.
-func (c *Controller) RestoreState(s ControllerState) {
-	c.Station.RestoreState(s.Station)
-	c.alloc = s.Alloc
-	c.counted = s.Counted
-	c.usage = s.Usage
-	c.class = s.Class
-	c.windowStart = s.WindowStart
-	c.windowsDone = s.WindowsDone
-	c.gen++ // classes may have changed under every cached rank
-}

@@ -198,8 +198,7 @@ func TestRejectsTooWideAddress(t *testing.T) {
 }
 
 // TestRestoreRejectsBadState: a snapshot that does not fit the cache —
-// one without Order, as an older build's checkpoint decodes, among them —
-// is refused and leaves the cache untouched.
+// one without Order among them — is refused and leaves the cache untouched.
 func TestRestoreRejectsBadState(t *testing.T) {
 	src := MustNew(testConfig())
 	for i := uint64(0); i < 40; i++ {

@@ -23,7 +23,7 @@ type MSHRFile struct {
 // MSHREntry is one outstanding miss with its coalesced waiters. Waiters are
 // opaque load sequence numbers (cpu.LoadRequest.Seq); the owner interprets
 // them. Plain integers rather than callbacks keep in-flight misses
-// serialisable for checkpointing.
+// serialisable in the machine's state snapshot.
 type MSHREntry struct {
 	Addr    uint64
 	Waiters []uint64

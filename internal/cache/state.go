@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// LineState mirrors one cache line for checkpointing: its block address
+// LineState mirrors one cache line in a snapshot: its block address
 // (zero for an invalid line) and whether it is valid.
 type LineState struct {
 	Tag   uint64
@@ -49,13 +49,13 @@ func (c *Cache) SnapshotState() CacheState {
 	return s
 }
 
-// ValidateState reports why s cannot be restored into this cache: a line or
+// validateState reports why s cannot be restored into this cache: a line or
 // set count that does not match the geometry (a snapshot without Order
 // among them), an order that is not a permutation of the set's ways, a valid
 // line whose block maps to another set or whose tag does not fit, or a way
-// mask naming ways the cache lacks. Composers call it before mutating
+// mask naming ways the cache lacks. RestoreState calls it before mutating
 // anything.
-func (c *Cache) ValidateState(s CacheState) error {
+func (c *Cache) validateState(s CacheState) error {
 	if len(s.Lines) != len(c.tags) {
 		return fmt.Errorf("cache %s: snapshot has %d lines, geometry holds %d",
 			c.cfg.Name, len(s.Lines), len(c.tags))
@@ -91,10 +91,10 @@ func (c *Cache) ValidateState(s CacheState) error {
 }
 
 // RestoreState overwrites the cache's mutable state from a snapshot taken on
-// an identically configured cache. A snapshot ValidateState rejects leaves
+// an identically configured cache. A snapshot validateState rejects leaves
 // the cache untouched.
 func (c *Cache) RestoreState(s CacheState) error {
-	if err := c.ValidateState(s); err != nil {
+	if err := c.validateState(s); err != nil {
 		return err
 	}
 	for j, ls := range s.Lines {
@@ -131,13 +131,4 @@ func (m *MSHRFile) SnapshotState() MSHRState {
 	}
 	sort.Slice(s.Entries, func(i, j int) bool { return s.Entries[i].Addr < s.Entries[j].Addr })
 	return s
-}
-
-// RestoreState replaces the file's contents with the snapshot's.
-func (m *MSHRFile) RestoreState(s MSHRState) {
-	m.entries = make([]MSHREntry, 0, m.max)
-	for _, e := range s.Entries {
-		m.entries = append(m.entries,
-			MSHREntry{Addr: e.Addr, Waiters: append([]uint64(nil), e.Waiters...)})
-	}
 }

@@ -21,13 +21,3 @@ func (p *Predictor) SnapshotState() PredictorState {
 		Lookups:     p.Lookups,
 	}
 }
-
-// RestoreState overwrites the predictor's mutable state from a snapshot taken
-// on an identically configured predictor.
-func (p *Predictor) RestoreState(s PredictorState) {
-	copy(p.counters, s.Counters)
-	p.lastRefresh = s.LastRefresh
-	p.LongStalls = s.LongStalls
-	p.Flagged = s.Flagged
-	p.Lookups = s.Lookups
-}

@@ -57,8 +57,9 @@ func ServeDebug(addr string, logger *slog.Logger) (*stats.Progress, error) {
 }
 
 // CancelOnSignal returns a context the first SIGINT or SIGTERM cancels, so
-// in-flight simulations abort at their next check and flush a final
-// checkpoint when checkpointing is on. A second signal exits 130 at once.
+// in-flight simulations abort at their next check; jobs that already
+// finished stay in the -cache-dir result cache, and the CLI exits 130. A
+// second signal exits 130 at once.
 // stop cancels the context, restores default signal handling and returns
 // once the watching goroutine has exited; it is safe to call more than once.
 func CancelOnSignal(cmd string) (ctx context.Context, stop func()) {
@@ -70,7 +71,7 @@ func CancelOnSignal(cmd string) (ctx context.Context, stop func()) {
 		defer close(exited)
 		select {
 		case s := <-sigCh:
-			fmt.Fprintf(os.Stderr, "\n%s: %v: stopping (flushing checkpoints); signal again to force quit\n", cmd, s)
+			fmt.Fprintf(os.Stderr, "\n%s: %v: stopping (in-flight runs abort; finished jobs stay in -cache-dir); signal again to force quit\n", cmd, s)
 			cancel()
 		case <-done:
 			return

@@ -86,8 +86,7 @@ type LoadRequest struct {
 	PC       uint64
 	Critical bool
 	// Seq identifies the load's ROB entry. The port completes the load by
-	// calling Core.CompleteLoad(Seq, ...) exactly once — a plain descriptor
-	// rather than a callback, so in-flight loads are checkpointable.
+	// calling Core.CompleteLoad(Seq, ...) exactly once.
 	Seq uint64
 }
 
@@ -153,7 +152,7 @@ type Core struct {
 	// reslice: reslicing walks the backing array's capacity away, forcing a
 	// reallocation every ~cap pushes under steady issue traffic. The head
 	// indices are not serialised — snapshots store the live readyQ[readyH:]
-	// suffix and restore compacted.
+	// suffix.
 	readyQ   []uint64 // seqs ready to issue (FIFO)
 	readyH   int
 	retryQ   []uint64 // mem ops refused by the port, retried first
@@ -169,7 +168,7 @@ type Core struct {
 	// O(ROB) per cycle.
 	aluWheel [256][]uint64
 	// aluPending counts seqs currently parked in aluWheel, so quiescence
-	// detection never scans the wheel. Derived state: recomputed on restore.
+	// detection never scans the wheel. Derived state, never serialised.
 	aluPending int
 
 	// Cached optional capabilities of mem/src, resolved once.

@@ -67,36 +67,3 @@ func (c *Core) SnapshotState() CoreState {
 	}
 	return s
 }
-
-// RestoreState overwrites the core's mutable state from a snapshot taken on
-// an identically configured core (same ROBSize).
-func (c *Core) RestoreState(s CoreState) {
-	for i := range c.rob {
-		var e ROBEntryState
-		if i < len(s.ROB) {
-			e = s.ROB[i]
-		}
-		c.rob[i] = robEntry{
-			op: e.Op, seq: e.Seq, state: entryState(e.State), doneAt: e.DoneAt,
-			pending: e.Pending, waiters: append([]uint64(nil), e.Waiters...),
-			stall: e.Stall, llcMiss: e.LLCMiss,
-		}
-	}
-	c.head = s.Head
-	c.count = s.Count
-	c.nextSeq = s.NextSeq
-	c.headSeq = s.HeadSeq
-	c.lastWriter = s.LastWriter
-	c.readyQ, c.readyH = append(c.readyQ[:0], s.ReadyQ...), 0
-	c.retryQ, c.retryH = append(c.retryQ[:0], s.RetryQ...), 0
-	c.lqUsed = s.LQUsed
-	c.sqUsed = s.SQUsed
-	c.fetchBuf = s.FetchBuf
-	c.fetched = s.Fetched
-	c.aluPending = 0
-	for slot := range c.aluWheel {
-		c.aluWheel[slot] = append(c.aluWheel[slot][:0], s.ALUWheel[slot]...)
-		c.aluPending += len(c.aluWheel[slot])
-	}
-	c.Stats = s.Stats
-}

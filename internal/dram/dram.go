@@ -934,9 +934,8 @@ func (c *Controller) RegisterStats(reg *stats.Registry, prefix string) {
 }
 
 // EachReq visits every request the controller holds in deterministic order
-// (priority queue, normal queue, then the response pipe, each FCFS), for
-// checkpoint layers that must enumerate in-flight requests identically before
-// a snapshot and after its restore.
+// (priority queue, normal queue, then the response pipe, each FCFS), so the
+// machine's in-flight walk enumerates identically in identical states.
 func (c *Controller) EachReq(f func(*mem.Req)) {
 	for i := range c.prio {
 		f(c.prio[i].req)

@@ -217,19 +217,6 @@ type Context struct {
 	// machine.Options.Dense). Results are bit-identical either way.
 	Dense bool
 
-	// CheckpointDir, when set, makes every checkpointable co-location run
-	// crash-safe: it periodically writes its full machine state to a per-run
-	// subdirectory and, on a later identical invocation, resumes from the
-	// newest good checkpoint instead of restarting. Checkpointing never
-	// perturbs results — a resumed run's statistics are bit-identical to an
-	// uninterrupted one's. Manager-driven runs are excluded (their state
-	// lives outside the machine snapshot).
-	CheckpointDir string
-
-	// CheckpointInterval is the simulated-cycle checkpoint period;
-	// 0 = machine.DefaultCheckpointInterval.
-	CheckpointInterval sim.Cycle
-
 	// runCtx bounds every simulation this Context executes (wall-clock
 	// deadline / cancellation); nil means context.Background().
 	runCtx context.Context

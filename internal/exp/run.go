@@ -2,11 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"hash/fnv"
-	"path/filepath"
 	"runtime/debug"
 
-	"pivot/internal/checkpoint"
 	"pivot/internal/flight"
 	"pivot/internal/load"
 	"pivot/internal/machine"
@@ -224,22 +221,8 @@ func (ctx *Context) run(spec RunSpec, v variant) (res RunResult, err error) {
 	case "CLITE":
 		mgr = manager.NewCLITE(targets)
 	}
-	// A split-filtered run accumulates statistics a plain run of the same
-	// spec does not, so it never shares that run's checkpoints.
 	if mgr != nil {
 		err = manager.RunChecked(rc, mgr, m, warmup, measure, ctx.Scale.Epoch)
-	} else if dir := ctx.checkpointDir(m, spec, warmup, measure); dir != "" && v.splitFilter == nil {
-		var resumed sim.Cycle
-		resumed, err = m.RunCheckpointed(rc, warmup, measure,
-			machine.CheckpointConfig{Dir: dir, Interval: ctx.CheckpointInterval})
-		if resumed > 0 {
-			ctx.logf("  %s: resumed from checkpoint at cycle %d", spec.Method.Name, resumed)
-		}
-		if err == nil {
-			// The run completed and its result goes back to the caller;
-			// its checkpoints have nothing left to protect.
-			_ = checkpoint.Remove(dir)
-		}
 	} else {
 		err = m.RunChecked(rc, warmup, measure)
 	}
@@ -335,9 +318,9 @@ func specLabel(spec RunSpec) string {
 
 // captureFlight records the tail-attribution report of the just-finished
 // flight-recorded run. Source deliberately excludes the build fingerprint and
-// run counters — the report must be byte-identical across dense, skip-ahead
-// and kill-and-resume invocations of the same spec (callers add provenance
-// when exporting).
+// run counters — the report must be byte-identical across dense and
+// skip-ahead invocations of the same spec (callers add provenance when
+// exporting).
 func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 	if !m.FlightEnabled() {
 		return
@@ -353,26 +336,6 @@ func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 	if m.StatsEnabled() && cap.timeline != nil {
 		rep.AppendTimeline(cap.timeline, 1000+cap.statsRuns)
 	}
-}
-
-// checkpointDir derives the per-run checkpoint subdirectory for a spec, or
-// "" when checkpointing is off or the run cannot be checkpointed (manager
-// runs mutate allocation state between epochs from outside the machine). The
-// name hashes the machine fingerprint together with the post-construction
-// knobs (method name, static MBA level) and the run lengths, so an identical
-// re-invocation resumes its own checkpoints and different specs never
-// collide — even when several harness workers checkpoint concurrently.
-func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, measure sim.Cycle) string {
-	if ctx.CheckpointDir == "" || spec.Method.Manager != "" {
-		return ""
-	}
-	h := fnv.New64a()
-	// Flight config is part of the key: a recorder snapshot only restores into
-	// a recorder with the same TopK/SampleCap, so runs with different flight
-	// settings must not share checkpoints.
-	fmt.Fprintf(h, "%016x|%s|%d|%d|%d|%d|%d", m.Fingerprint(), spec.Method.Name,
-		spec.Method.MBALevel, warmup, measure, ctx.FlightTop, ctx.FlightSample)
-	return filepath.Join(ctx.CheckpointDir, fmt.Sprintf("run-%016x", h.Sum64()))
 }
 
 // mbaLevels is the descending throttle ladder RunBestMBA searches.

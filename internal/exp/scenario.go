@@ -187,7 +187,7 @@ func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 }
 
 // sibling builds a context over another machine configuration: every knob
-// (scale, robustness, observability, checkpointing, run context) carries
+// (scale, robustness, observability, run context) carries
 // over, but the calibration caches start empty, since knees shift with the
 // machine. The capture of the most recent instrumented run is
 // shared, so LastStats/LastTimeline/LastFlight on the original context see

@@ -11,9 +11,8 @@
 // observational (attaching it cannot change a simulated result), it is
 // deterministic (identical request streams produce byte-identical reports —
 // the reservoir RNG is a fixed-seed xorshift64 and every export sorts), and
-// it is checkpoint-aware (SnapshotState/RestoreState round-trip everything,
-// including the span chains of still-in-flight requests, so a killed and
-// resumed run reports exactly what an uninterrupted one does).
+// its State snapshot covers everything, including the span chains of
+// still-in-flight requests, so the differential oracles compare it too.
 package flight
 
 import (
@@ -119,9 +118,6 @@ func New(cfg Config) *Recorder {
 		perPC: make(map[uint64]*PCAgg),
 	}
 }
-
-// Cfg returns the recorder's (defaulted) configuration.
-func (rec *Recorder) Cfg() Config { return rec.cfg }
 
 // StartTrace hands out a (pooled) span buffer to attach to a new request.
 func (rec *Recorder) StartTrace() *mem.Trace {

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"fmt"
 	"sort"
 
 	"pivot/internal/mem"
@@ -14,10 +13,10 @@ type TraceState struct {
 
 // RecorderState is the recorder's fully exported serialisable form. It holds
 // no maps (per-PC aggregates are sorted by PC) so its gob encoding is
-// deterministic, matching the machine checkpoint layer's byte-compare
-// discipline. Live carries the span chains of requests that were in flight
-// at snapshot time, in the machine's deterministic walk order, so a resumed
-// run finishes recording them exactly as an uninterrupted one would.
+// deterministic, matching the machine state's byte-compare discipline. Live
+// carries the span chains of requests that were in flight at snapshot time,
+// in the machine's deterministic walk order, so two engines that disagree
+// about an unfinished request's history produce different state.
 type RecorderState struct {
 	Cfg        Config
 	Seq        uint64
@@ -59,49 +58,4 @@ func (rec *Recorder) State(live []*mem.Trace) *RecorderState {
 		}
 	}
 	return s
-}
-
-// Validate sanity-checks the state against a recorder configuration.
-func (s *RecorderState) Validate(cfg Config) error {
-	cfg = cfg.withDefaults()
-	if s.Cfg.withDefaults() != cfg {
-		return fmt.Errorf("flight: snapshot config %+v does not match recorder config %+v", s.Cfg, cfg)
-	}
-	if len(s.Top) > cfg.TopK {
-		return fmt.Errorf("flight: snapshot holds %d top-K entries, cap is %d", len(s.Top), cfg.TopK)
-	}
-	if len(s.Res) > cfg.SampleCap {
-		return fmt.Errorf("flight: snapshot holds %d reservoir entries, cap is %d", len(s.Res), cfg.SampleCap)
-	}
-	return nil
-}
-
-// Restore replaces the recorder's contents with the snapshot and returns the
-// in-flight span chains to reattach, in the same walk order State saw them.
-func (rec *Recorder) Restore(s *RecorderState) []*mem.Trace {
-	rec.cfg = s.Cfg.withDefaults()
-	rec.seq = s.Seq
-	rec.prefetches = s.Prefetches
-	rec.writes = s.Writes
-	rec.sumLat = s.SumLat
-	rec.maxLat = s.MaxLat
-	rec.split = s.Split
-	rec.wait = s.Wait
-	rec.rng = s.Rng
-	rec.top = make([]SlowReq, len(s.Top))
-	for i, t := range s.Top {
-		rec.top[i] = t
-		rec.top[i].Spans = append([]mem.Span(nil), t.Spans...)
-	}
-	rec.res = append(rec.res[:0], s.Res...)
-	rec.perPC = make(map[uint64]*PCAgg, len(s.PCs))
-	for i := range s.PCs {
-		agg := s.PCs[i]
-		rec.perPC[agg.PC] = &agg
-	}
-	live := make([]*mem.Trace, len(s.Live))
-	for i, ts := range s.Live {
-		live[i] = &mem.Trace{Spans: append([]mem.Span(nil), ts.Spans...)}
-	}
-	return live
 }

@@ -153,10 +153,10 @@ func (r *Runner) Run(jobs []Job) []Result {
 }
 
 // RunContext is Run bounded by a parent context: cancelling it aborts
-// in-flight jobs (their simulations flush a final checkpoint when
-// checkpointing is on, so a resumed sweep loses no work) and fails not-yet-
-// started jobs immediately with the cancellation cause. Per-job timeouts
-// still apply on top of the parent deadline.
+// in-flight jobs and fails not-yet-started jobs immediately with the
+// cancellation cause; jobs that already finished keep their results (and,
+// through CachedJobs, their cache entries). Per-job timeouts still apply on
+// top of the parent deadline.
 func (r *Runner) RunContext(ctx context.Context, jobs []Job) []Result {
 	if ctx == nil {
 		ctx = context.Background()

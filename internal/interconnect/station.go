@@ -435,9 +435,8 @@ func (s *Station) RegisterStats(reg *stats.Registry, prefix string) {
 }
 
 // EachReq visits every queued request in deterministic order (priority queue
-// first, then normal, both in arrival order), for checkpoint layers that
-// must enumerate in-flight requests identically before a snapshot and after
-// its restore.
+// first, then normal, both in arrival order), so the machine's in-flight walk
+// enumerates identically in identical states.
 func (s *Station) EachReq(f func(*mem.Req)) {
 	for i, n := 0, s.prio.Len(); i < n; i++ {
 		f(s.prio.At(i).req)

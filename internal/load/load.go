@@ -1,5 +1,5 @@
-// Package load defines the declarative load-shape layer: deterministic,
-// checkpointable arrival-rate models that drive latency-critical request
+// Package load defines the declarative load-shape layer: deterministic
+// arrival-rate models that drive latency-critical request
 // sources. The historical engine hardwired a stationary open/closed-loop
 // Poisson process into the load generator; this package hoists that
 // assumption into a Spec (base rate plus optional phase curves, on-off
@@ -11,9 +11,9 @@
 //   - Determinism: all randomness flows through one sim.RNG owned by the
 //     model, so a given (Spec, seed) pair always produces the identical
 //     arrival sequence.
-//   - Checkpointability: SnapshotState/RestoreState capture the complete
-//     mutable state (RNG cursor plus modulator position), so kill-and-resume
-//     is byte-identical.
+//   - Observability of state: SnapshotState captures the complete mutable
+//     state (RNG cursor plus modulator position), so the differential
+//     oracles can demand byte-identical state from two engines.
 //   - Skip-ahead exactness: arrivals are drawn eagerly (NextArrival returns
 //     the exact cycle of the following arrival), so an idle core can sleep
 //     to precisely that instant — rate changes, bursts and churn events are
@@ -82,7 +82,7 @@ type Window struct {
 
 // Spec is the declarative description of one task's load. It is a pure
 // value (no pointers), so it formats deterministically with %+v and may be
-// embedded in checkpoint fingerprints.
+// embedded in the machine fingerprint.
 //
 // Mean is the base mean inter-arrival time in cycles; Mean <= 0 selects the
 // closed loop (a new request the moment the previous one drains), in which

@@ -205,54 +205,6 @@ func TestCeaseOnTerminalZero(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreContinuesIdentically: restoring mid-sequence must
-// reproduce the original continuation exactly, for every model kind.
-func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
-	specs := map[string]Spec{
-		"stationary": {Mean: 700},
-		"phased": {Mean: 400, Repeat: true, Phases: []Phase{
-			{Shape: ShapeFlat, Cycles: 20_000, Scale: 1.2},
-			{Shape: ShapeSine, Cycles: 40_000, Scale: 0.8, Amp: 0.5, Period: 10_000},
-		}},
-		"onoff":   {Mean: 300, OnOff: OnOff{OnMean: 5_000, OffMean: 3_000, OnScale: 1.5, OffScale: 0.2}},
-		"windows": {Mean: 600, Windows: []Window{{From: 10_000, Until: 1 << 40}}},
-	}
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			m := New(spec, sim.NewRNG(23))
-			pre := drawN(m, 100)
-			prev := pre[len(pre)-1]
-			st := m.SnapshotState()
-			cont := func(mm Model) []sim.Cycle {
-				var out []sim.Cycle
-				p := prev
-				for i := 0; i < 100; i++ {
-					next, ok := mm.NextArrival(p)
-					if !ok {
-						break
-					}
-					out = append(out, next)
-					p = next
-				}
-				return out
-			}
-			want := cont(m)
-
-			m2 := New(spec, sim.NewRNG(1))
-			m2.RestoreState(st)
-			got := cont(m2)
-			if len(got) != len(want) {
-				t.Fatalf("continuation lengths differ: %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("continuation diverged at %d: %d vs %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestZipfSkewsPopularity: rank 0 must dominate under strong skew, every
 // rank stays in range, and theta has visible effect versus near-uniform.
 func TestZipfSkewsPopularity(t *testing.T) {

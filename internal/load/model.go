@@ -38,10 +38,6 @@ type Model interface {
 
 	// SnapshotState captures the model's complete mutable state.
 	SnapshotState() ModelState
-
-	// RestoreState overwrites the model's mutable state from a snapshot
-	// taken on a model built from the identical Spec.
-	RestoreState(ModelState)
 }
 
 // ModelState is the serialisable mutable state shared by every model: the
@@ -84,7 +80,6 @@ func (c *closedModel) Rate(now sim.Cycle) float64 { return 0 }
 func (c *closedModel) Phase() int                 { return 0 }
 func (c *closedModel) NumPhases() int             { return 1 }
 func (c *closedModel) SnapshotState() ModelState  { return ModelState{RNG: c.rng.State()} }
-func (c *closedModel) RestoreState(st ModelState) { c.rng.SetState(st.RNG) }
 
 // stationaryModel is the refactored historical behaviour: a homogeneous
 // Poisson process with the given mean inter-arrival time. The draw sequence
@@ -113,11 +108,6 @@ func (m *stationaryModel) NumPhases() int             { return 1 }
 
 func (m *stationaryModel) SnapshotState() ModelState {
 	return ModelState{RNG: m.rng.State(), First: !m.first}
-}
-
-func (m *stationaryModel) RestoreState(st ModelState) {
-	m.rng.SetState(st.RNG)
-	m.first = !st.First
 }
 
 // shapedModel realises every non-stationary spec by thinning a max-rate
@@ -311,12 +301,4 @@ func (m *shapedModel) SnapshotState() ModelState {
 		On:      m.on,
 		OnUntil: m.onUntil,
 	}
-}
-
-func (m *shapedModel) RestoreState(st ModelState) {
-	m.rng.SetState(st.RNG)
-	m.first = !st.First
-	m.phase = st.Phase
-	m.on = st.On
-	m.onUntil = st.OnUntil
 }

@@ -13,7 +13,7 @@ import (
 // preserve the historical RNG stream). The sampler is the classic Gray et
 // al. construction used by YCSB-style generators: all constants are derived
 // from (n, theta) at build time, sampling is one uniform draw, and the
-// sampler itself is stateless — it never appears in checkpoint state.
+// sampler itself is stateless — it never appears in the machine state.
 type Zipf struct {
 	n     uint64
 	theta float64

@@ -48,22 +48,3 @@ func (s *Source) SnapshotState() SourceState {
 		Gen:         s.gen.SnapshotState(),
 	}
 }
-
-// RestoreState overwrites the source's mutable state from a snapshot taken on
-// an identically configured source.
-func (s *Source) RestoreState(st SourceState) {
-	s.model.RestoreState(st.Model)
-	s.nextArrival = st.NextArrival
-	s.hasNext = st.HasNext
-	s.backlog = append(s.backlog[:0], st.Backlog...)
-	s.arrival = append(s.arrival[:0], st.Arrival...)
-	s.reqPhase = append(s.reqPhase[:0], st.ReqPhase...)
-	s.buf = append(s.buf[:0], st.Buf...)
-	s.bufPos = st.BufPos
-	s.latencies = append(s.latencies[:0], st.Latencies...)
-	s.started = st.Started
-	s.completed = st.Completed
-	s.latDropped = st.LatDropped
-	s.phaseDone = append(s.phaseDone[:0], st.PhaseDone...)
-	s.gen.RestoreState(st.Gen)
-}

@@ -85,7 +85,7 @@ var memLinks = []struct {
 // offers refused stays invariant-clean, keeps committing, and the refusals
 // actually happened.
 func TestDownstreamRefusalConservesRequests(t *testing.T) {
-	for _, tc := range ckptCases()[:2] {
+	for _, tc := range mixCases()[:2] {
 		for _, link := range memLinks {
 			t.Run(tc.name+"/"+link.name, func(t *testing.T) {
 				opt := tc.opt
@@ -117,7 +117,7 @@ func TestDownstreamRefusalConservesRequests(t *testing.T) {
 // accepting, the watchdog turns the hang into a StallError whose
 // diagnostic shows the stations.
 func TestWatchdogAbortsWedgedLink(t *testing.T) {
-	tc := ckptCases()[0]
+	tc := mixCases()[0]
 	for _, link := range memLinks {
 		t.Run(link.name, func(t *testing.T) {
 			opt := tc.opt
@@ -144,14 +144,14 @@ func TestWatchdogAbortsWedgedLink(t *testing.T) {
 // retry, and charges the skipped re-offers' refusals, so with refusals on
 // any hop both engines finish byte-identical — link refusals included.
 func TestDownstreamRefusalSkipEquivalence(t *testing.T) {
-	for _, tc := range ckptCases()[:2] {
+	for _, tc := range mixCases()[:2] {
 		for _, link := range memLinks {
 			t.Run(tc.name+"/"+link.name, func(t *testing.T) {
 				run := func(dense bool) (*Machine, uint64) {
 					m := tc.buildMode(t, dense)
 					l := &refusingLink{per1024: 256}
 					link.install(m, l)
-					m.Run(ckptWarmup, ckptMeasure)
+					m.Run(mixWarmup, mixMeasure)
 					return m, l.refused
 				}
 				d, dRefused := run(true)

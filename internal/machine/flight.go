@@ -42,10 +42,8 @@ func (m *Machine) SetProgress(p *stats.Progress) { m.progress = p }
 // forEachInFlight visits every live request the machine holds, in a fixed
 // deterministic order (the delay wheel slot by slot, then per-core egress
 // queues, then the MSC stations down the path, then DRAM). The walk is a pure
-// function of simulated state, so it enumerates identically before a
-// checkpoint snapshot and after the matching restore — which is what lets the
-// flight recorder detach span chains from in-flight requests on snapshot and
-// reattach them on resume.
+// function of simulated state, so two machines in the same state snapshot
+// their in-flight span chains in the same order.
 func (m *Machine) forEachInFlight(f func(*mem.Req)) {
 	for slot := range m.delays.wheel {
 		for _, e := range m.delays.wheel[slot] {
@@ -74,25 +72,4 @@ func (m *Machine) flightSnapshot() *flight.RecorderState {
 	var live []*mem.Trace
 	m.forEachInFlight(func(r *mem.Req) { live = append(live, r.Trace) })
 	return m.flightRec.State(live)
-}
-
-// flightRestore reattaches a snapshot's recorder state and in-flight span
-// chains after the component states have been applied.
-func (m *Machine) flightRestore(s *flight.RecorderState) {
-	if m.flightRec == nil || s == nil {
-		return
-	}
-	live := m.flightRec.Restore(s)
-	i := 0
-	m.forEachInFlight(func(r *mem.Req) {
-		if i < len(live) {
-			r.Trace = live[i]
-		} else {
-			// More live requests than recorded chains can only happen with a
-			// hand-edited snapshot; give the extras empty chains rather than
-			// nil so their completions still record.
-			r.Trace = m.flightRec.StartTrace()
-		}
-		i++
-	})
 }

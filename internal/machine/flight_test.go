@@ -3,7 +3,6 @@ package machine
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 
 	"pivot/internal/flight"
@@ -14,8 +13,8 @@ import (
 // flightCfg keeps the tests' recorder small but non-trivial.
 var flightCfg = flight.Config{TopK: 16, SampleCap: 128}
 
-// buildFlight builds a ckptCase machine with a flight recorder attached.
-func (tc ckptCase) buildFlight(t *testing.T, dense bool) *Machine {
+// buildFlight builds a mixCase machine with a flight recorder attached.
+func (tc mixCase) buildFlight(t *testing.T, dense bool) *Machine {
 	t.Helper()
 	m := tc.buildMode(t, dense)
 	m.EnableFlight(flightCfg)
@@ -48,19 +47,19 @@ func flightJSON(t *testing.T, m *Machine) []byte {
 // TestFlightObservationalPurity is the recorder's first contract: attaching it
 // must not change one bit of simulated state. For every workload mix, a run
 // with the recorder on finishes with machine state (minus the recorder's own
-// checkpoint section), result snapshot, and stats dump byte-identical to a run
+// state section), result snapshot, and stats dump byte-identical to a run
 // with it off.
 func TestFlightObservationalPurity(t *testing.T) {
-	for _, tc := range ckptCases() {
+	for _, tc := range mixCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			off := tc.build(t)
 			on := tc.build(t)
 			on.EnableFlight(flightCfg)
-			if err := off.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := off.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("recorder-off run: %v", err)
 			}
-			if err := on.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := on.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("recorder-on run: %v", err)
 			}
 
@@ -136,15 +135,15 @@ func TestFlightDisabledHasNoFootprint(t *testing.T) {
 // machine state (now including the recorder section) and a byte-identical
 // tail-attribution report.
 func TestFlightReportSkipAheadEquivalence(t *testing.T) {
-	for _, tc := range ckptCases() {
+	for _, tc := range mixCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			dense := tc.buildFlight(t, true)
 			skip := tc.buildFlight(t, false)
-			if err := dense.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := dense.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("dense run: %v", err)
 			}
-			if err := skip.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := skip.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("skip run: %v", err)
 			}
 			if got, want := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, want) {
@@ -158,71 +157,5 @@ func TestFlightReportSkipAheadEquivalence(t *testing.T) {
 				t.Error("recorder saw no demand requests")
 			}
 		})
-	}
-}
-
-// TestFlightReportKillResume proves the recorder is checkpoint-aware: a
-// skip-ahead run killed mid-measure and resumed from its checkpoints must
-// produce the exact report of an uninterrupted dense run — including the span
-// chains of requests that were in flight at the kill point.
-func TestFlightReportKillResume(t *testing.T) {
-	tc := ckptCases()[0]
-	ctx := context.Background()
-
-	ref := tc.buildFlight(t, true)
-	if err := ref.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
-		t.Fatalf("dense reference: %v", err)
-	}
-
-	dir := t.TempDir()
-	cc := CheckpointConfig{Dir: dir, Interval: ckptInterval, Keep: 3}
-
-	killed := tc.buildFlight(t, false)
-	killed.Opt.MaxCycles = 72_000 // mid-measure, off any interval boundary
-	if _, err := killed.RunCheckpointed(ctx, ckptWarmup, ckptMeasure, cc); !errors.Is(err, ErrCycleBudget) {
-		t.Fatalf("killed run: err = %v, want cycle-budget abort", err)
-	}
-
-	resumed := tc.buildFlight(t, false)
-	from, err := resumed.RunCheckpointed(ctx, ckptWarmup, ckptMeasure, cc)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if from < 72_000 {
-		t.Fatalf("resumed from cycle %d, want the abort flush at >= 72000", from)
-	}
-	if !bytes.Equal(stateBytes(t, resumed), stateBytes(t, ref)) {
-		t.Error("kill-and-resume machine+recorder state differs from uninterrupted run")
-	}
-	got, want := flightJSON(t, resumed), flightJSON(t, ref)
-	if !bytes.Equal(got, want) {
-		t.Errorf("kill-and-resume flight report differs:\n--- resumed ---\n%s\n--- reference ---\n%s", got, want)
-	}
-}
-
-// TestFlightRestoreRequiresRecorderState: a machine with a recorder must
-// refuse (and fall back from) a snapshot that has no flight section, or a
-// mid-run resume would silently drop the span history.
-func TestFlightRestoreRequiresRecorderState(t *testing.T) {
-	tc := ckptCases()[0]
-	src := tc.build(t)
-	src.Run(5_000, 5_000)
-	s := src.SnapshotState()
-
-	dst := tc.build(t)
-	dst.EnableFlight(flightCfg)
-	if err := dst.RestoreState(s); err == nil {
-		t.Error("recorder-equipped machine accepted a snapshot without flight state")
-	}
-
-	// The reverse direction is observational: a recorder-less machine applies
-	// a flight-carrying snapshot and simply drops the recording.
-	srcF := tc.build(t)
-	srcF.EnableFlight(flightCfg)
-	srcF.Run(5_000, 5_000)
-	sf := srcF.SnapshotState()
-	plain := tc.build(t)
-	if err := plain.RestoreState(sf); err != nil {
-		t.Errorf("recorder-less machine rejected a flight-carrying snapshot: %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"testing"
 
 	"pivot/internal/load"
@@ -121,52 +120,5 @@ func TestShapedLoadEngineTriangle(t *testing.T) {
 	// a churn-free run would have seen.
 	if done := dense.LCTasks()[0].Source.Completed(); done == 0 {
 		t.Fatalf("shaped task completed no requests; windows swallowed the run")
-	}
-}
-
-// TestChurnKillAndResume: a tenant that departs and returns mid-run must
-// survive an abort-and-resume across its churn boundary bit-identically —
-// the model's modulator cursor and window position are part of the
-// checkpoint.
-func TestChurnKillAndResume(t *testing.T) {
-	ctx := context.Background()
-	tasks := append([]TaskSpec{shapedLCTask()}, beTasks(workload.IBench, 3)...)
-	build := func() *Machine {
-		m, err := New(KunpengConfig(4), Options{Policy: PolicyPIVOT}, tasks)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return m
-	}
-
-	ref := build()
-	if err := ref.RunChecked(ctx, 20_000, 50_000); err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-
-	dir := t.TempDir()
-	cc := CheckpointConfig{Dir: dir, Interval: 16_000, Keep: 3}
-	interrupted := build()
-	// Abort inside the window gap (the tenant is departed at 58k), so the
-	// resume leg re-enters through the second window's open.
-	interrupted.Opt.MaxCycles = 58_000
-	if _, err := interrupted.RunCheckpointed(ctx, 20_000, 50_000, cc); !errors.Is(err, ErrCycleBudget) {
-		t.Fatalf("interrupted run: err = %v, want cycle-budget abort", err)
-	}
-
-	resumedM := build()
-	resumed, err := resumedM.RunCheckpointed(ctx, 20_000, 50_000, cc)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if resumed < 58_000 {
-		t.Fatalf("resumed from cycle %d, want the abort flush at >= 58000", resumed)
-	}
-	if got, want := stateBytes(t, resumedM), stateBytes(t, ref); string(got) != string(want) {
-		t.Error("resumed final state differs from uninterrupted run")
-	}
-	if resumedM.LCp95(0) != ref.LCp95(0) || resumedM.BECommitted() != ref.BECommitted() {
-		t.Errorf("whole-run stats differ: p95 %d vs %d, BE %d vs %d",
-			resumedM.LCp95(0), ref.LCp95(0), resumedM.BECommitted(), ref.BECommitted())
 	}
 }

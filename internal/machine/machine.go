@@ -124,8 +124,8 @@ type Options struct {
 	// Dense forces naive per-cycle stepping instead of the quiescence-aware
 	// skip-ahead engine (the -dense escape hatch). Results are bit-identical
 	// either way — dense is the trusted reference the equivalence suite
-	// compares against — so Dense is deliberately NOT part of the checkpoint
-	// fingerprint: dense and skip-ahead runs share checkpoints.
+	// compares against — so Dense is deliberately NOT part of the machine
+	// fingerprint: dense and skip-ahead machines fingerprint alike.
 	Dense bool
 }
 
@@ -161,7 +161,7 @@ type Machine struct {
 	tasks []TaskSpec
 	lcs   []*LCTask
 	// bes holds the generated BE streams by core index (nil for LC cores and
-	// custom-stream tasks) so checkpointing can reach their cursors.
+	// custom-stream tasks) so SnapshotState can reach their cursors.
 	bes []*workload.BEStream
 
 	reqPool []*mem.Req
@@ -216,8 +216,8 @@ type Machine struct {
 	// outOcc is a bitmask of ports with a non-empty egress queue, kept
 	// coherent at every len(p.out) 0↔non-0 transition so skip-ahead's
 	// polls and compensation (auxTicker's NextWork and SkipCycles) iterate
-	// set bits instead of scanning every port. Derived state — restore
-	// rebuilds it.
+	// set bits instead of scanning every port. Derived state, never
+	// serialised.
 	outOcc uint64
 	// statsResetAt anchors elapsed-cycle accounting (bandwidth credit) to
 	// the last ResetStats.
@@ -238,7 +238,7 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 		bes: make([]*workload.BEStream, len(tasks))}
 
 	// Memory side, downstream to upstream, built from the normalized
-	// construction config (m.Cfg keeps the caller's config — the checkpoint
+	// construction config (m.Cfg keeps the caller's config — the machine
 	// fingerprint must not depend on option-derived tweaks). Cache geometries
 	// were validated above, so the Must constructors cannot fire.
 	m.llc = cache.MustNew(cfg.LLC)
@@ -336,7 +336,7 @@ func MustNew(cfg Config, opt Options, tasks []TaskSpec) *Machine {
 // to 0.05, a zero RRBP config becomes the default geometry at the scaled
 // refresh, a zero CBP config becomes its default, and NoStarvationGuard
 // zeroes the MSCs' MaxWait promotion thresholds. Only the returned config
-// carries those tweaks — callers keep their own (it is the checkpoint
+// carries those tweaks — callers keep their own (it is the machine
 // fingerprint).
 func (o Options) normalize(cfg Config) (Options, Config) {
 	if o.ExpectedLCBW <= 0 {

@@ -53,7 +53,7 @@ func TestOptionsNormalize(t *testing.T) {
 			t.Errorf("MaxWait not zeroed: dram=%d ic=%d bus=%d bw=%d",
 				cons.DRAM.MaxWait, cons.IC.MaxWait, cons.Bus.MaxWait, cons.BW.Station.MaxWait)
 		}
-		// The input config is untouched (it is the checkpoint fingerprint).
+		// The input config is untouched (it is the machine fingerprint).
 		if cfg.DRAM.MaxWait == 0 || cfg.IC.MaxWait == 0 {
 			t.Errorf("normalize mutated the caller's config")
 		}

@@ -13,7 +13,7 @@ import (
 // (profiler + potential-filtered RRBP) and for the CBP path — must not
 // allocate per call.
 func TestRetirePathDoesNotAllocate(t *testing.T) {
-	for _, tc := range ckptCases()[1:] { // pivot-masstree, cbp-xapian
+	for _, tc := range mixCases()[1:] { // pivot-masstree, cbp-xapian
 		t.Run(tc.name, func(t *testing.T) {
 			m := tc.build(t)
 			lc := m.lcs[0]

@@ -16,9 +16,9 @@ import (
 //
 // count caches the wheel occupancy for skip-ahead's quiescence poll, and occ
 // is a 256-bit bitmap of non-empty slots so nextDue is a word scan instead of
-// a slot walk. Both are derived state — never serialised; RestoreState
-// rebuilds them with recount. waker is the aux slot's engine handle: a new
-// event may fall due before the aux ticker's cached forecast.
+// a slot walk. Both are derived state, never serialised. waker is the aux
+// slot's engine handle: a new event may fall due before the aux ticker's
+// cached forecast.
 type delayQ struct {
 	wheel [256][]delayed
 
@@ -29,8 +29,8 @@ type delayQ struct {
 
 // delayKind discriminates the four fixed-latency completion events the wheel
 // carries. The events are plain descriptors rather than closures so that the
-// wheel's contents — completions in flight — are serialisable for
-// checkpointing.
+// wheel's contents — completions in flight — are serialisable in the
+// machine's state snapshot.
 type delayKind uint8
 
 const (
@@ -111,18 +111,6 @@ func (d *delayQ) nextDue(now sim.Cycle) (sim.Cycle, bool) {
 		}
 	}
 	return 0, false // unreachable while count > 0; fail dense, not idle
-}
-
-// recount rebuilds the derived occupancy caches after a checkpoint restore.
-func (d *delayQ) recount() {
-	d.count = 0
-	d.occ = [4]uint64{}
-	for slot := range d.wheel {
-		if n := len(d.wheel[slot]); n > 0 {
-			d.count += n
-			d.occ[slot>>6] |= 1 << uint(slot&63)
-		}
-	}
 }
 
 // drainDelays dispatches every completion event due this cycle. Dispatched

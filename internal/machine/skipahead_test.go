@@ -3,48 +3,30 @@ package machine
 import (
 	"bytes"
 	"context"
-	"errors"
-	"os"
 	"slices"
 	"testing"
 
 	"pivot/internal/bwctrl"
 	"pivot/internal/mem"
 	"pivot/internal/rrbp"
-	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
-
-// buildMode builds a ckptCase machine forced into the given stepping mode.
-func (tc ckptCase) buildMode(t *testing.T, dense bool) *Machine {
-	t.Helper()
-	opt := tc.opt
-	opt.Dense = dense
-	m, err := New(KunpengConfig(4), opt, tc.tasks)
-	if err != nil {
-		t.Fatalf("%s: New: %v", tc.name, err)
-	}
-	if tc.stats {
-		m.EnableStats(5_000, 0)
-	}
-	return m
-}
 
 // TestSkipAheadEquivalence is the tentpole's central proof obligation: for
 // every workload mix, a skip-ahead run and a -dense run finish with
 // byte-identical serialised machine state, byte-identical result-snapshot
 // JSON, byte-identical stats-framework dumps (where enabled), and the same
-// checkpoint fingerprint. The dense loop is the trusted oracle.
+// machine fingerprint. The dense loop is the trusted oracle.
 //
-// Beyond the checkpoint mixes, a PIVOT case samples stats every 5,000 cycles
+// Beyond the shared mixes, a PIVOT case samples stats every 5,000 cycles
 // — not a multiple of the 1,024-cycle predictor refresh — so the sampler's
 // settles of sleeping cores and the refresh's settles land on different
 // cycles.
 func TestSkipAheadEquivalence(t *testing.T) {
-	pivotStats := ckptCases()[1]
+	pivotStats := mixCases()[1]
 	pivotStats.name += "-stats"
 	pivotStats.stats = true
-	for _, tc := range append(ckptCases(), pivotStats) {
+	for _, tc := range append(mixCases(), pivotStats) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
 			dense := tc.buildMode(t, true)
@@ -52,10 +34,10 @@ func TestSkipAheadEquivalence(t *testing.T) {
 			if dense.Engine.Dense() == skip.Engine.Dense() {
 				t.Fatal("modes not actually distinct")
 			}
-			if err := dense.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := dense.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("dense run: %v", err)
 			}
-			if err := skip.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
+			if err := skip.RunChecked(ctx, mixWarmup, mixMeasure); err != nil {
 				t.Fatalf("skip run: %v", err)
 			}
 
@@ -63,7 +45,7 @@ func TestSkipAheadEquivalence(t *testing.T) {
 				t.Errorf("skip: serialised machine state differs (%d vs %d bytes)", len(got), len(ref))
 			}
 			if skip.Fingerprint() != dense.Fingerprint() {
-				t.Errorf("checkpoint fingerprints differ: skip %#x, dense %#x",
+				t.Errorf("machine fingerprints differ: skip %#x, dense %#x",
 					skip.Fingerprint(), dense.Fingerprint())
 			}
 			if !bytes.Equal(snapshotJSON(t, skip), snapshotJSON(t, dense)) {
@@ -89,9 +71,15 @@ func TestSkipAheadEquivalence(t *testing.T) {
 //     counters only, so it commutes with the fills; the case checks that the
 //     parked core's L1 counters, lines and recency track the dense run's.
 //     Two L1 MSHRs keep the random-gather core parked on a full miss file
-//     almost every time a fill lands. (A fill must still wake the core, as
-//     the freed MSHR or the filled line may unblock the refused load;
-//     TestSkipAheadEquivalence's prefetching case fails without that wake.)
+//     almost every time a fill lands.
+//   - prefetch-fill: a fill must still wake the core before it lands, as
+//     the freed MSHR or the filled line may unblock the refused load. A
+//     demand fill wakes its waiters anyway; a prefetch fill has none, so
+//     only the fill's own wake ends the park. Two iBench copies with
+//     prefetching on and eight L1 MSHRs (four of them open to prefetches)
+//     park on a full miss file that waiter-less prefetch fills free; a
+//     skip-ahead core that slept through such a fill retries late and
+//     charges extra miss probes.
 //   - refresh: a parked PIVOT core's elided retries owe RRBP lookups, whose
 //     flag updates depend on the counters and threshold that the aux
 //     ticker's predictor refresh and bandwidth adaptation rewrite every
@@ -102,7 +90,7 @@ func TestSkipAheadEquivalence(t *testing.T) {
 // L1 state is compared after every 1,000 cycles, the whole machine at the
 // end.
 func TestSkipAheadSettleBeforeMutate(t *testing.T) {
-	pivotLC := ckptCases()[1].tasks[0] // Masstree with its potential set
+	pivotLC := mixCases()[1].tasks[0] // Masstree with its potential set
 	refresh := rrbp.DefaultConfig()
 	refresh.RefreshCycles = 3_000
 
@@ -110,16 +98,18 @@ func TestSkipAheadSettleBeforeMutate(t *testing.T) {
 		name   string
 		opt    Options
 		tasks  []TaskSpec
+		mshrs  int
 		cycles int
 	}{
-		{"fill", Options{Policy: PolicyDefault}, beTasks(workload.GraphAn, 1), 40_000},
+		{"fill", Options{Policy: PolicyDefault}, beTasks(workload.GraphAn, 1), 2, 40_000},
+		{"prefetch-fill", Options{Policy: PolicyDefault, Prefetch: true}, beTasks(workload.IBench, 2), 8, 40_000},
 		{"refresh", Options{Policy: PolicyPIVOT, RRBP: refresh, ExpectedLCBW: 0.2},
-			append([]TaskSpec{pivotLC}, beTasks(workload.GraphAn, 1)...), 200_000},
+			append([]TaskSpec{pivotLC}, beTasks(workload.GraphAn, 1)...), 2, 200_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := KunpengConfig(2)
-			cfg.L1.MSHRs = 2
+			cfg.L1.MSHRs = tc.mshrs
 			mk := func(dense bool) *Machine {
 				opt := tc.opt
 				opt.Dense = dense
@@ -150,6 +140,9 @@ func TestSkipAheadSettleBeforeMutate(t *testing.T) {
 				if l1, loads := dense.ports[core].l1.Stats.Misses, dense.Cores[core].Stats.Loads; l1 <= loads {
 					t.Fatalf("core %d: L1 misses %d <= loads %d: no refused retries; test exercises nothing",
 						core, l1, loads)
+				}
+				if pf := dense.ports[core].pf; pf != nil && pf.Issued == 0 {
+					t.Fatalf("core %d issued no prefetches; test exercises nothing", core)
 				}
 			}
 			if got, ref := stateBytes(t, skip), stateBytes(t, dense); !bytes.Equal(got, ref) {
@@ -280,95 +273,5 @@ func TestThrottleIdleEquivalence(t *testing.T) {
 	}
 	if s.BECommitted() != d.BECommitted() {
 		t.Errorf("BE committed differ: dense %d, skip %d", d.BECommitted(), s.BECommitted())
-	}
-}
-
-// TestSkipAheadEquivalenceKillResume proves crash-safety under skip-ahead: a
-// skip-ahead run killed mid-measure (cycle budget standing in for SIGKILL)
-// and resumed by a second skip-ahead process finishes byte-identical to a
-// dense run that was never interrupted.
-func TestSkipAheadEquivalenceKillResume(t *testing.T) {
-	tc := ckptCases()[0]
-	ctx := context.Background()
-
-	ref := tc.buildMode(t, true)
-	if err := ref.RunChecked(ctx, ckptWarmup, ckptMeasure); err != nil {
-		t.Fatalf("dense reference: %v", err)
-	}
-
-	dir := t.TempDir()
-	cc := CheckpointConfig{Dir: dir, Interval: ckptInterval, Keep: 3}
-
-	killed := tc.buildMode(t, false)
-	killed.Opt.MaxCycles = 72_000 // mid-measure, off any interval boundary
-	if _, err := killed.RunCheckpointed(ctx, ckptWarmup, ckptMeasure, cc); !errors.Is(err, ErrCycleBudget) {
-		t.Fatalf("killed run: err = %v, want cycle-budget abort", err)
-	}
-
-	resumed := tc.buildMode(t, false)
-	from, err := resumed.RunCheckpointed(ctx, ckptWarmup, ckptMeasure, cc)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if from < 72_000 {
-		t.Fatalf("resumed from cycle %d, want the abort flush at >= 72000", from)
-	}
-	if got, want := stateBytes(t, resumed), stateBytes(t, ref); !bytes.Equal(got, want) {
-		t.Error("skip-ahead kill-and-resume final state differs from uninterrupted dense run")
-	}
-	if resumed.LCp95(0) != ref.LCp95(0) || resumed.BECommitted() != ref.BECommitted() {
-		t.Errorf("whole-run stats differ: p95 %d vs %d, BE %d vs %d",
-			resumed.LCp95(0), ref.LCp95(0), resumed.BECommitted(), ref.BECommitted())
-	}
-}
-
-// TestSkipAheadCheckpointBoundaries: skip-ahead must pause at exactly the
-// same absolute checkpoint boundaries as dense stepping, even in an
-// idle-heavy run whose engine jumps would otherwise sail past them. The two
-// modes must write the same set of checkpoint files, cycle-stamped at exact
-// interval multiples, with identical payload bytes.
-func TestSkipAheadCheckpointBoundaries(t *testing.T) {
-	ctx := context.Background()
-	// One lightly loaded LC: long quiescent stretches around each boundary.
-	mk := func(dense bool) *Machine {
-		return MustNew(KunpengConfig(4),
-			Options{Policy: PolicyDefault, Dense: dense},
-			[]TaskSpec{lcTask(workload.Silo, 60_000)})
-	}
-	const interval sim.Cycle = 16_000
-
-	runDir := func(m *Machine) string {
-		dir := t.TempDir()
-		if err := m.stepCheckpointed(ctx, 100_000, CheckpointConfig{Dir: dir, Interval: interval, Keep: 100}); err != nil {
-			t.Fatalf("stepCheckpointed: %v", err)
-		}
-		return dir
-	}
-	dDir, sDir := runDir(mk(true)), runDir(mk(false))
-
-	list := func(dir string) []string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		return names
-	}
-	dNames, sNames := list(dDir), list(sDir)
-	if len(sNames) != len(dNames) || len(sNames) != int(100_000/interval) {
-		t.Fatalf("checkpoint counts differ: skip %d, dense %d, want %d",
-			len(sNames), len(dNames), 100_000/interval)
-	}
-	for i := range dNames {
-		if sNames[i] != dNames[i] {
-			t.Fatalf("checkpoint file %d differs: %s vs %s", i, sNames[i], dNames[i])
-		}
-		got, want := payloadAt(t, sDir+"/"+sNames[i]), payloadAt(t, dDir+"/"+dNames[i])
-		if !bytes.Equal(got, want) {
-			t.Errorf("checkpoint %s payload differs between modes", sNames[i])
-		}
 	}
 }

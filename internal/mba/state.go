@@ -15,10 +15,3 @@ type ThrottleState struct {
 func (t *Throttle) SnapshotState() ThrottleState {
 	return ThrottleState{Level: t.level, NextOK: t.nextOK, Delayed: t.Delayed}
 }
-
-// RestoreState overwrites the throttle's mutable state from a snapshot.
-func (t *Throttle) RestoreState(s ThrottleState) {
-	t.level = s.Level
-	t.nextOK = s.NextOK
-	t.Delayed = s.Delayed
-}

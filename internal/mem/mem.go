@@ -68,7 +68,7 @@ var MSCs = [4]Component{CompInterconnect, CompBus, CompBWCtrl, CompMemCtrl}
 // rank may have changed. Between two generation changes every rank is fixed,
 // so schedulers may cache ranks and scan positions keyed by the generation.
 // The MPAM bandwidth controller implements it: ranks are MPAM classes, which
-// move only when its monitor window rolls or its state is restored.
+// move only when its monitor window rolls.
 type Ranker interface {
 	Rank(r *Req) int
 	RankGen() uint64
@@ -207,11 +207,11 @@ func (r *Req) Reset() {
 }
 
 // ReqState is the fully exported serialisable form of a Req, used by the
-// machine checkpoint layer. Every field of Req (including the private
-// enteredAt stamp) round-trips through it, except the Trace pointer: traces
-// belong to the flight recorder, which checkpoints in-flight span chains
-// itself so that a machine state is byte-identical with and without the
-// recorder attached.
+// machine state snapshot and by the station clones of the differential
+// tests. Every field of Req (including the private enteredAt stamp)
+// round-trips through it, except the Trace pointer: traces belong to the
+// flight recorder, which snapshots in-flight span chains itself so that a
+// machine state is byte-identical with and without the recorder attached.
 type ReqState struct {
 	Addr       uint64
 	PC         uint64

@@ -34,19 +34,3 @@ func (p *Prefetcher) SnapshotState() PrefetcherState {
 	}
 	return s
 }
-
-// RestoreState overwrites the prefetcher's mutable state from a snapshot
-// taken on an identically configured prefetcher.
-func (p *Prefetcher) RestoreState(s PrefetcherState) {
-	for i := range p.zones {
-		if i < len(s.Zones) {
-			z := s.Zones[i]
-			p.zones[i] = zone{tag: z.Tag, lastLine: z.LastLine, stride: z.Stride,
-				trained: z.Trained, valid: z.Valid, lru: z.LRU}
-		}
-	}
-	p.stamp = s.Stamp
-	p.Trains = s.Trains
-	p.Issued = s.Issued
-	p.Misfires = s.Misfires
-}

@@ -21,13 +21,3 @@ func (p *Profiler) SnapshotState() ProfilerState {
 	sort.Slice(s.Stats, func(i, j int) bool { return s.Stats[i].PC < s.Stats[j].PC })
 	return s
 }
-
-// RestoreState overwrites the profiler's mutable state from a snapshot.
-func (p *Profiler) RestoreState(s ProfilerState) {
-	clear(p.stats)
-	for _, st := range s.Stats {
-		cp := st
-		p.stats[st.PC] = &cp
-	}
-	p.totalLoads = s.TotalLoads
-}

@@ -44,10 +44,9 @@ func (t *Table) SnapshotState() TableState {
 		// A zero counter is behaviourally identical to an absent entry —
 		// reads see the map's zero value either way and decay only touches
 		// positive counters — so the canonical encoding omits it. Without
-		// this, a PC whose counter decayed to exactly zero survives as a map
-		// key in the live table but not in a restored one, and a resumed
-		// run's snapshot diverges byte-wise from an uninterrupted run's
-		// (found by the scenfuzz checkpoint oracle).
+		// this, a PC whose counter decayed to exactly zero would serialise
+		// differently from one that never had an entry, though the two
+		// tables behave identically.
 		for pc, c := range t.unlimited {
 			if c > 0 {
 				s.Unlimited = append(s.Unlimited, UnlimitedEntryState{PC: pc, Counter: c, Flag: t.unlFlags[pc]})
@@ -61,31 +60,4 @@ func (t *Table) SnapshotState() TableState {
 		sort.Slice(s.Unlimited, func(i, j int) bool { return s.Unlimited[i].PC < s.Unlimited[j].PC })
 	}
 	return s
-}
-
-// RestoreState overwrites the table's mutable state from a snapshot taken on
-// an identically configured table.
-func (t *Table) RestoreState(s TableState) {
-	if t.counters != nil {
-		copy(t.counters, s.Counters)
-		copy(t.flags, s.Flags)
-	}
-	if t.unlimited != nil {
-		clear(t.unlimited)
-		clear(t.unlFlags)
-		for _, e := range s.Unlimited {
-			if e.Counter > 0 {
-				t.unlimited[e.PC] = e.Counter
-			}
-			if e.Flag {
-				t.unlFlags[e.PC] = true
-			}
-		}
-	}
-	t.threshold = s.Threshold
-	t.lastRefresh = s.LastRefresh
-	t.LongStalls = s.LongStalls
-	t.Flagged = s.Flagged
-	t.Lookups = s.Lookups
-	t.Refreshes = s.Refreshes
 }

@@ -1,7 +1,7 @@
 // Package scenario defines the declarative experiment schema: what to run —
 // machine preset, task mix, policy, options, run windows, seeds and sweep
 // axes — as data, decoupled from how the harness runs it (calibration,
-// search loops, parallelism, checkpointing all stay in internal/exp and
+// search loops, parallelism, result caching all stay in internal/exp and
 // internal/harness).
 //
 // A scenario is authored as JSON (see examples/scenarios/) or constructed in

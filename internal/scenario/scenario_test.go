@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,6 +194,90 @@ func TestParseErrors(t *testing.T) {
 			                {"kind":"be","be_params":{"name":"x","stream_frac":1,
 			                 "stream_lines":64,"mlp":2,"pcs":2}}]}`,
 			path: "tasks[1].be_params.name", msg: `already defined at tasks[0].lc_params.name`,
+		},
+		{
+			name: "zero chase_lines",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":0,"chase_pcs":2},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.chase_lines", msg: "must be a power of two",
+		},
+		{
+			name: "chase_lines not a power of two",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":1000,"chase_pcs":2},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.chase_lines", msg: "must be a power of two",
+		},
+		{
+			name: "chase_lines past the chase slice",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":4398046511104,"chase_pcs":2},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.chase_lines", msg: "overrun the chase slice",
+		},
+		{
+			name: "chase_lines one doubling past the chase slice",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":33554432,"chase_pcs":2},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.chase_lines", msg: "at most 16777216",
+		},
+		{
+			name: "zero chase_pcs",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":64,"chase_pcs":0},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.chase_pcs", msg: "must be positive",
+		},
+		{
+			name: "payload loads without payload lines",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":64,"chase_pcs":2,"payload_loads":2},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.payload_lines", msg: "must be positive when payload_loads is set",
+		},
+		{
+			name: "payload_lines past the next core",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":64,"chase_pcs":2,"payload_loads":1,"payload_lines":117440513},"load_pct":70}]}`,
+			path: "tasks[0].lc_params.payload_lines", msg: "overrun the payload slice",
+		},
+		{
+			name: "streaming BE without stream lines",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","stream_frac":0.5,"rand_lines":64,"mlp":2,"pcs":2}}]}`,
+			path: "tasks[1].be_params.stream_lines", msg: "must be positive when stream_frac is above 0",
+		},
+		{
+			name: "stream_lines past the stream slice",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","stream_frac":1,"stream_lines":4194305,"mlp":2,"pcs":2}}]}`,
+			path: "tasks[1].be_params.stream_lines", msg: "overrun the stream slice",
+		},
+		{
+			name: "random BE without rand lines",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","stream_frac":0.5,"stream_lines":64,"mlp":2,"pcs":2}}]}`,
+			path: "tasks[1].be_params.rand_lines", msg: "must be positive when stream_frac is below 1",
+		},
+		{
+			name: "rand_lines past the next core",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","rand_lines":130023425,"mlp":2,"pcs":2}}]}`,
+			path: "tasks[1].be_params.rand_lines", msg: "overrun the random slice",
+		},
+		{
+			name: "zero mlp",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","stream_frac":1,"stream_lines":64,"pcs":2}}]}`,
+			path: "tasks[1].be_params.mlp", msg: "must be positive",
+		},
+		{
+			name: "zero pcs",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70},
+			                {"kind":"be","be_params":{"name":"y","stream_frac":1,"stream_lines":64,"mlp":2}}]}`,
+			path: "tasks[1].be_params.pcs", msg: "must be positive",
 		},
 		{
 			name: "threads on an lc task",
@@ -448,6 +533,21 @@ func TestParseValid(t *testing.T) {
 	}
 	if len(units) != 2 {
 		t.Fatalf("Expand produced %d units, want 2", len(units))
+	}
+}
+
+// TestParseAcceptsLargestWorkingSets: every working set may fill its slice
+// of the core's region exactly, and a BE stream that never takes a branch
+// needs no lines for it.
+func TestParseAcceptsLargestWorkingSets(t *testing.T) {
+	doc := fmt.Sprintf(`{"version":1,"name":"t","policy":"Default",
+	  "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":%d,"chase_pcs":2,
+	                                     "payload_loads":1,"payload_lines":%d},"load_pct":70},
+	           {"kind":"be","be_params":{"name":"y","stream_frac":0.5,"stream_lines":%d,"rand_lines":%d,"mlp":2,"pcs":2}},
+	           {"kind":"be","be_params":{"name":"z","rand_lines":64,"mlp":2,"pcs":2}}]}`,
+		workload.MaxChaseLines, workload.MaxPayloadLines, workload.MaxStreamLines, workload.MaxRandLines)
+	if _, err := Parse([]byte(doc)); err != nil {
+		t.Fatalf("Parse: %v", err)
 	}
 }
 

@@ -159,6 +159,9 @@ func (s *Scenario) validateTasks() error {
 				return errf(ppath, "%q already defined at %s", name, prev)
 			}
 			customNames[name] = ppath
+			if err := t.validateParams(path); err != nil {
+				return err
+			}
 		}
 		if t.Kind == KindBE {
 			for _, f := range []struct {
@@ -331,6 +334,51 @@ func (t *Task) validateApp(path string) error {
 	}
 	if _, ok := workload.BEApps()[t.App]; !ok {
 		return errf(path, "unknown BE application %q", t.App)
+	}
+	return nil
+}
+
+// validateParams refuses inline working sets the request generators cannot
+// address: a chase set that is not a power of two (the generator masks with
+// chase_lines-1), an empty set a generator draws from, a zero MLP or PC
+// count, and any set that overruns its slice of the core's address region
+// (workload.Max*Lines).
+func (t *Task) validateParams(path string) error {
+	if p := t.LCParams; p != nil {
+		path += ".lc_params"
+		switch {
+		case p.ChaseLines == 0 || p.ChaseLines&(p.ChaseLines-1) != 0:
+			return errf(path+".chase_lines", "%d must be a power of two", p.ChaseLines)
+		case p.ChaseLines > workload.MaxChaseLines:
+			return errf(path+".chase_lines", "%d lines overrun the chase slice of the core's region (at most %d)",
+				p.ChaseLines, workload.MaxChaseLines)
+		case p.ChasePCs <= 0:
+			return errf(path+".chase_pcs", "must be positive")
+		case p.PayloadLoads > 0 && p.PayloadLines == 0:
+			return errf(path+".payload_lines", "must be positive when payload_loads is set")
+		case p.PayloadLines > workload.MaxPayloadLines:
+			return errf(path+".payload_lines", "%d lines overrun the payload slice of the core's region (at most %d)",
+				p.PayloadLines, workload.MaxPayloadLines)
+		}
+		return nil
+	}
+	p := t.BEParams
+	path += ".be_params"
+	switch {
+	case p.StreamFrac > 0 && p.StreamLines == 0:
+		return errf(path+".stream_lines", "must be positive when stream_frac is above 0")
+	case p.StreamLines > workload.MaxStreamLines:
+		return errf(path+".stream_lines", "%d lines overrun the stream slice of the core's region (at most %d)",
+			p.StreamLines, workload.MaxStreamLines)
+	case p.StreamFrac < 1 && p.RandLines == 0:
+		return errf(path+".rand_lines", "must be positive when stream_frac is below 1")
+	case p.RandLines > workload.MaxRandLines:
+		return errf(path+".rand_lines", "%d lines overrun the random slice of the core's region (at most %d)",
+			p.RandLines, workload.MaxRandLines)
+	case p.MLP <= 0:
+		return errf(path+".mlp", "must be positive")
+	case p.PCs <= 0:
+		return errf(path+".pcs", "must be positive")
 	}
 	return nil
 }

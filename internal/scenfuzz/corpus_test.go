@@ -108,12 +108,12 @@ func corpusPins() []*Finding {
 	}
 
 	// fuzz-1-126 once caught a real bug: with rrbp_entries:-1, a PIVOT run
-	// resumed from a checkpoint serialised differently from an
-	// uninterrupted one (the unlimited RRBP table's zero-decayed counters
-	// were dropped on restore but kept in the live map; the snapshot
-	// encoding is canonical now — internal/rrbp/state_test.go pins the unit
-	// fix). The scenario stays pinned so the exact geometry keeps running
-	// through the whole bank.
+	// resumed from a mid-run checkpoint (a restore path since deleted)
+	// serialised differently from an uninterrupted one: the unlimited RRBP
+	// table's zero-decayed counters were dropped on restore but kept in the
+	// live map. The snapshot encoding is canonical now, and
+	// internal/rrbp/state_test.go pins it. The scenario stays pinned so the
+	// exact geometry keeps running through the whole bank.
 	fuzz126 := &scenario.Scenario{
 		Version: scenario.Version,
 		Name:    "fuzz-1-126",

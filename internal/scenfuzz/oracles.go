@@ -3,15 +3,11 @@ package scenfuzz
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"os"
 	"strings"
 
 	"pivot/internal/machine"
 	"pivot/internal/scenario"
-	"pivot/internal/sim"
 )
 
 // Transcript accumulates an oracle's observations — what was run, what was
@@ -40,7 +36,6 @@ func Oracles() []Oracle {
 	return []Oracle{
 		{"codec", "encode→decode→re-encode is byte-identical and strict-decode accepts its own output", codecCheck},
 		{"equiv", "skip-ahead and -dense runs end in byte-identical state, snapshot and stats", equivCheck},
-		{"checkpoint", "a run killed at a derived cycle and resumed equals an uninterrupted run", checkpointCheck},
 		{"flight", "the flight recorder changes nothing observable", flightCheck},
 		{"stationary", "a task without a load stanza equals one shaped by the neutral flat program", stationaryCheck},
 		{"audit", "the run completes cleanly under auditor, watchdog and cycle budget", auditCheck},
@@ -161,74 +156,6 @@ func equivCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcr
 	})
 }
 
-// checkpointCheck: kill a skip-ahead run at a scenario-derived cycle
-// mid-run, resume it in a fresh machine, and demand the final state equal an
-// uninterrupted run's.
-func checkpointCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcript) error {
-	return eachUnit(sc, func(u *scenario.Scenario, label string) error {
-		warmup, measure := windows(u)
-		ref, err := build(u, mode{})
-		if err != nil {
-			return fmt.Errorf("building reference machine: %w", err)
-		}
-		if err := ref.RunChecked(ctx, warmup, measure); err != nil {
-			return fmt.Errorf("reference run: %w", err)
-		}
-
-		dir, err := os.MkdirTemp("", "pivot-fuzz-ckpt-")
-		if err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-		defer os.RemoveAll(dir)
-		interval := measure / 3
-		if interval < 1_000 {
-			interval = 1_000
-		}
-		cc := machine.CheckpointConfig{Dir: dir, Interval: interval, Keep: 3}
-
-		kill := killCycle(u, warmup, measure)
-		killed, err := build(u, mode{maxCycles: kill})
-		if err != nil {
-			return fmt.Errorf("building killed machine: %w", err)
-		}
-		tr.Logf("%s: killing at cycle %d of %d (interval %d)", label, kill, warmup+measure, interval)
-		if _, err := killed.RunCheckpointed(ctx, warmup, measure, cc); !errors.Is(err, machine.ErrCycleBudget) {
-			return fmt.Errorf("killed run: got %v, want cycle-budget abort", err)
-		}
-
-		resumed, err := build(u, mode{})
-		if err != nil {
-			return fmt.Errorf("building resumed machine: %w", err)
-		}
-		from, err := resumed.RunCheckpointed(ctx, warmup, measure, cc)
-		if err != nil {
-			return fmt.Errorf("resumed run: %w", err)
-		}
-		if from == 0 {
-			return fmt.Errorf("resume started from scratch: no checkpoint survived the kill at cycle %d", kill)
-		}
-		tr.Logf("%s: resumed from cycle %d", label, from)
-		return compareMachines(tr, label, resumed, ref, "resumed", "uninterrupted", false, false)
-	})
-}
-
-// killCycle derives the kill point deterministically from the unit's
-// canonical encoding: somewhere strictly inside the run, varying per
-// scenario so campaigns cover warmup, boundary and mid-measure kills. The
-// top of the range stays two guard granules clear of the end — StepChecked
-// only tests the cycle budget at granule boundaries, so a budget inside the
-// final granule would let the run complete instead of aborting.
-func killCycle(u *scenario.Scenario, warmup, measure sim.Cycle) sim.Cycle {
-	total := warmup + measure
-	if total <= 2*2048+2 {
-		// Shrunk-down windows: kill immediately after warmup's first check.
-		return 1
-	}
-	h := fnv.New64a()
-	h.Write(u.MustEncode())
-	return 1 + sim.Cycle(h.Sum64()%uint64(total-2*2048))
-}
-
 // flightCheck: a machine with the flight recorder attached must match a
 // recorder-less machine bit-for-bit once the recorder's own state section is
 // set aside — recording is observation, never participation.
@@ -262,8 +189,8 @@ func flightCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transc
 // program's thinning loop accepts every candidate without consuming extra
 // RNG draws, so any divergence means the shaped path corrupted the pinned
 // stationary arrival law. Fingerprints are NOT compared: the load spec is
-// deliberately part of the checkpoint key, so the two variants differ there
-// by design. Reference skew (zipf_theta) is preserved on both legs.
+// deliberately part of the machine fingerprint, so the two variants differ
+// there by design. Reference skew (zipf_theta) is preserved on both legs.
 func stationaryCheck(ctx context.Context, sc *scenario.Scenario, env Env, tr *Transcript) error {
 	return eachUnit(sc, func(u *scenario.Scenario, label string) error {
 		warmup, measure := windows(u)
@@ -385,7 +312,7 @@ func hasBE(sc *scenario.Scenario) bool {
 }
 
 // compareMachines demands the two finished machines agree byte-for-byte:
-// serialised state (optionally minus machine a's flight section), checkpoint
+// serialised state (optionally minus machine a's flight section), machine
 // fingerprint, result snapshot, and (withStats) the stats dump.
 func compareMachines(tr *Transcript, label string, a, b *machine.Machine, an, bn string, stripFlightA, withStats bool) error {
 	ab, err := stateBytes(a, stripFlightA)
@@ -401,7 +328,7 @@ func compareMachines(tr *Transcript, label string, a, b *machine.Machine, an, bn
 			an, bn, len(ab), len(bb))
 	}
 	if a.Fingerprint() != b.Fingerprint() {
-		return fmt.Errorf("checkpoint fingerprints differ: %s %#x vs %s %#x",
+		return fmt.Errorf("machine fingerprints differ: %s %#x vs %s %#x",
 			an, a.Fingerprint(), bn, b.Fingerprint())
 	}
 	aj, err := snapshotJSON(a)

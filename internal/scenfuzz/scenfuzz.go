@@ -8,8 +8,6 @@
 //     point, and the strict codec accepts its own output;
 //   - equiv: a skip-ahead run and a -dense run finish with byte-identical
 //     serialised machine state, result snapshot and stats dump;
-//   - checkpoint: a run killed at a scenario-derived cycle and resumed by a
-//     fresh machine finishes byte-identical to an uninterrupted run;
 //   - flight: attaching the per-request flight recorder changes nothing
 //     observable (state minus the recorder's own section, snapshot);
 //   - stationary: a task without a load stanza runs byte-identical to one

@@ -154,13 +154,13 @@ func (e *Engine) Dense() bool { return e.dense }
 func (e *Engine) Now() Cycle { return e.now }
 
 // Step advances simulated time by n cycles. It never advances past now+n, so
-// callers that align work to absolute boundaries (checkpoint intervals, audit
+// callers that align work to absolute boundaries (audit epochs, stats
 // epochs, cycle budgets) see exactly the same stopping points with and
 // without skip-ahead.
 //
 // No forecast survives a Step: every slot is polled afresh on entry (so
-// manager actions, restores or EnableStats between steps need no
-// wake), and every sleeper is settled on exit, so audits, checkpoints and
+// manager actions, state clones or EnableStats between steps need no
+// wake), and every sleeper is settled on exit, so audits, snapshots and
 // the watchdog read exact counters.
 func (e *Engine) Step(n Cycle) {
 	end := e.now + n

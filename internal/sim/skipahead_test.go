@@ -82,7 +82,7 @@ func TestSkipCompensationCoversEveryCycle(t *testing.T) {
 
 // TestStepNeverOvershoots: a bulk jump is clamped to the Step window even
 // when the earliest reported work lies far beyond it, so absolute boundaries
-// (checkpoint intervals, audit epochs, cycle budgets) are always honoured.
+// (audit epochs, stats epochs, cycle budgets) are always honoured.
 func TestStepNeverOvershoots(t *testing.T) {
 	p := &probe{wake: 1 << 40}
 	e := NewEngine()

@@ -1,7 +1,7 @@
 package sim
 
 // EngineState is the serialisable form of an Engine: the cycle counter. The
-// ticker registry is wiring, reconstructed by rebuilding the machine.
+// ticker registry is wiring, not state.
 type EngineState struct {
 	Now Cycle
 }
@@ -9,19 +9,5 @@ type EngineState struct {
 // SnapshotState captures the engine's mutable state.
 func (e *Engine) SnapshotState() EngineState { return EngineState{Now: e.now} }
 
-// RestoreState rewinds (or fast-forwards) the engine to a snapshot. The
-// ticker registry is untouched.
-func (e *Engine) RestoreState(s EngineState) { e.now = s.Now }
-
-// State exposes the generator's internal state word for checkpointing.
+// State exposes the generator's internal state word for state snapshots.
 func (r *RNG) State() uint64 { return r.state }
-
-// SetState restores the generator to a previously captured state word. A zero
-// word is remapped as in NewRNG (xorshift never reaches zero from a non-zero
-// state, so this only defends against corrupted input).
-func (r *RNG) SetState(s uint64) {
-	if s == 0 {
-		s = 0x9E3779B97F4A7C15
-	}
-	r.state = s
-}

@@ -20,21 +20,6 @@ func (d *Distribution) SnapshotState() DistributionState {
 	}
 }
 
-// RestoreState overwrites the distribution's mutable state from a snapshot
-// taken on an identically named and sized distribution.
-func (d *Distribution) RestoreState(s DistributionState) {
-	d.count = s.Count
-	d.sum = s.Sum
-	d.min = s.Min
-	d.max = s.Max
-	d.res = append(d.res[:0], s.Res...)
-	if s.RNG != 0 {
-		d.rng = s.RNG
-	} else {
-		d.rng = d.seed
-	}
-}
-
 // SamplerState is the serialisable form of a Sampler: the sample ring
 // (oldest-first), the previous raw reads for rate deltas, and the epoch
 // bookkeeping. The registry wiring is rebuilt at construction.
@@ -58,25 +43,4 @@ func (s *Sampler) SnapshotState() SamplerState {
 		})
 	}
 	return st
-}
-
-// RestoreState overwrites the sampler's mutable state from a snapshot taken
-// on a sampler over an identically populated registry.
-func (s *Sampler) RestoreState(st SamplerState) {
-	ringCap := cap(s.ring)
-	s.ring = s.ring[:0]
-	s.head = 0
-	samples := st.Samples
-	if len(samples) > ringCap {
-		samples = samples[len(samples)-ringCap:]
-	}
-	for _, smp := range samples {
-		s.ring = append(s.ring, Sample{
-			Cycle:  smp.Cycle,
-			Values: append([]float64(nil), smp.Values...),
-		})
-	}
-	s.n = len(s.ring)
-	copy(s.prev, st.Prev)
-	s.hasPrev = st.HasPrev
 }

@@ -112,12 +112,12 @@ func (g *ReqGen) Generate(buf []cpu.MicroOp, reqID uint64) []cpu.MicroOp {
 		for l := 0; l < p.PayloadLoads; l++ {
 			var paddr uint64
 			if p.PayloadSeq {
-				paddr = g.base + (1 << 30) + (g.seqPos%p.PayloadLines)*LineBytes
+				paddr = g.base + payloadOffset + (g.seqPos%p.PayloadLines)*LineBytes
 				g.seqPos++
 			} else if g.zipfLines != nil {
-				paddr = g.base + (1 << 30) + g.zipfLines.Next(g.rng)*LineBytes
+				paddr = g.base + payloadOffset + g.zipfLines.Next(g.rng)*LineBytes
 			} else {
-				paddr = g.base + (1 << 30) + g.rng.Uint64n(p.PayloadLines)*LineBytes
+				paddr = g.base + payloadOffset + g.rng.Uint64n(p.PayloadLines)*LineBytes
 			}
 			var pcIdx int
 			if g.zipfPCs != nil {

@@ -20,16 +20,6 @@ func (g *ReqGen) SnapshotState() ReqGenState {
 	return s
 }
 
-// RestoreState overwrites the generator's mutable state from a snapshot taken
-// on an identically configured generator.
-func (g *ReqGen) RestoreState(s ReqGenState) {
-	if g.rng != nil {
-		g.rng.SetState(s.RNG)
-	}
-	g.seqPos = s.SeqPos
-	g.storePos = s.StorePos
-}
-
 // BEStreamState is the serialisable form of a BEStream.
 type BEStreamState struct {
 	RNG       uint64
@@ -50,15 +40,4 @@ func (s *BEStream) SnapshotState() BEStreamState {
 		Pending:   s.pending,
 		HasPend:   s.hasPend,
 	}
-}
-
-// RestoreState overwrites the stream's mutable state from a snapshot taken on
-// an identically configured stream.
-func (s *BEStream) RestoreState(st BEStreamState) {
-	s.rng.SetState(st.RNG)
-	s.streamPos = st.StreamPos
-	s.aluLeft = st.ALULeft
-	s.destRot = st.DestRot
-	s.pending = st.Pending
-	s.hasPend = st.HasPend
 }

@@ -208,9 +208,26 @@ func BENames() []string { return []string{DataAn, GraphAn, InMemAn} }
 // profilers can tell apps apart.
 func pcBase(slot int) uint64 { return 0x400000 + uint64(slot)<<24 }
 
-// addrBase gives each core a private physical region; BE threads touch
-// different regions so they contend only for bandwidth, not for lines.
-func addrBase(core int) uint64 { return uint64(core+1) << 33 }
+// addrBase gives each core a private physical region of regionBytes; BE
+// threads touch different regions so they contend only for bandwidth, not
+// for lines.
+func addrBase(core int) uint64 { return uint64(core+1) * regionBytes }
+
+// The layout of a core's region. An LC task's chase lines start at the
+// region's base and its payload lines at payloadOffset; a BE stream's
+// streaming lines start at the base and its random lines at randOffset. The
+// Max*Lines counts are the largest working sets that stay inside their
+// slice: below the next slice's offset, or below the next core's region.
+const (
+	regionBytes   = 1 << 33
+	payloadOffset = 1 << 30
+	randOffset    = 1 << 28
+
+	MaxChaseLines   = payloadOffset / LineBytes
+	MaxPayloadLines = (regionBytes - payloadOffset) / LineBytes
+	MaxStreamLines  = randOffset / LineBytes
+	MaxRandLines    = (regionBytes - randOffset) / LineBytes
+)
 
 var _ cpu.Stream = (*BEStream)(nil)
 
@@ -261,7 +278,7 @@ func (s *BEStream) Next(op *cpu.MicroOp) bool {
 		addr = s.base + (s.streamPos%s.p.StreamLines)*LineBytes
 		s.streamPos++
 	} else {
-		addr = s.base + (1 << 28) + s.rng.Uint64n(s.p.RandLines)*LineBytes
+		addr = s.base + randOffset + s.rng.Uint64n(s.p.RandLines)*LineBytes
 	}
 
 	kind := cpu.OpLoad
