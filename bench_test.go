@@ -1,11 +1,14 @@
-package pivot
-
+// Package pivot holds the repository's whole-simulator benchmarks and no
+// code: runs are described by the builtin scenarios and the two CLIs,
+// cmd/pivotsim and cmd/pivot-exp.
+//
 // BenchmarkBuiltinScenarios runs the first run unit of every builtin figure
 // scenario the way its figure does (SpecForUnit, then RunBestMBA) at a
 // reduced scale, so `go test -bench=.` exercises each figure's machinery in
 // minutes and reports its headline quantities via b.ReportMetric; run
 // `cmd/pivot-exp` for the full tables. The remaining benchmarks cover the
 // static tables and the simulator's hot paths.
+package pivot
 
 import (
 	"sync"
@@ -92,14 +95,6 @@ func BenchmarkTable2KunpengConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = mustTable(ctx.Table2()).String()
 	}
-}
-
-func BenchmarkStorageBudget(b *testing.B) {
-	var total int
-	for i := 0; i < b.N; i++ {
-		total = DefaultStorageBudget().Total()
-	}
-	b.ReportMetric(float64(total), "bits")
 }
 
 // --- Micro-benchmarks of the hot simulation paths ---------------------------

@@ -274,13 +274,25 @@ func (ctx *Context) logf(format string, args ...any) {
 	}
 }
 
+// runProfiler runs the offline profiling phase; tests substitute it to see
+// the machine options the harness profiles under.
+var runProfiler = machine.RunProfilerOpt
+
+// profile runs the offline profiling phase for an LC app at the Context's
+// scale and machine options, so `-dense` reaches it. The phase runs through
+// machine.Run: the watchdog, the auditor and cancellation do not apply.
+func (ctx *Context) profile(app string) *profile.Profiler {
+	return runProfiler(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads, ctx.Scale.Seed,
+		machine.ProfileCycles, ctx.guard(machine.Options{}))
+}
+
 // Potential returns (computing and caching) the offline-profiled potential
 // set for an LC app.
 func (ctx *Context) Potential(app string) profile.CriticalSet {
 	c := lookup(ctx.sh, ctx.sh.pots, app)
 	c.once.Do(func() {
 		ctx.logf("offline profiling %s ...", app)
-		c.v = machine.ProfileLC(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads, ctx.Scale.Seed)
+		c.v = ctx.profile(app).Select(profile.DefaultParams())
 	})
 	return c.v
 }

@@ -10,6 +10,7 @@ import (
 
 	"pivot/internal/machine"
 	"pivot/internal/metrics"
+	"pivot/internal/profile"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
@@ -166,12 +167,22 @@ func TestStaticTables(t *testing.T) {
 			t.Fatalf("malformed table output: %q", s)
 		}
 	}
+	// Every term of the §IV-E arithmetic and the published 1045-bit total.
 	st, err := ctx.Storage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(st.String(), "1045") {
-		t.Fatal("storage table missing the 1045-bit total")
+	want := [][]string{
+		{"sequence-number register", "8"},
+		{"RRBP index register", "5"},
+		{"sequence comparator", "8"},
+		{"ROB potential-critical bits (192x1)", "192"},
+		{"RRBP table (64x6)", "384"},
+		{"load-queue bits (64x7)", "448"},
+		{"total", "1045"},
+	}
+	if !reflect.DeepEqual(st.Rows, want) {
+		t.Fatalf("storage rows = %q, want %q", st.Rows, want)
 	}
 }
 
@@ -189,6 +200,39 @@ func TestFig08Shape(t *testing.T) {
 		last := row[len(row)-1]
 		if !strings.HasPrefix(last, "1.000") && !strings.HasPrefix(last, "0.9") {
 			t.Fatalf("top-50%% stall share = %s, want ~1", last)
+		}
+	}
+}
+
+// TestProfilingHonoursContextOptions: the offline phase behind Potential
+// (every PIVOT and CBP run) and Fig 8 runs under the Context's dense, audit
+// and watchdog settings, so `-dense` reaches the profile as well as the runs.
+func TestProfilingHonoursContextOptions(t *testing.T) {
+	var got []machine.Options
+	orig := runProfiler
+	runProfiler = func(cfg machine.Config, app workload.LCParams, stressThreads int, seed uint64,
+		cycles sim.Cycle, opt machine.Options) *profile.Profiler {
+		if cycles != machine.ProfileCycles {
+			t.Errorf("profiled %d cycles, want %d", cycles, machine.ProfileCycles)
+		}
+		got = append(got, opt)
+		return profile.NewProfiler()
+	}
+	defer func() { runProfiler = orig }()
+
+	ctx := tinyCtx()
+	ctx.Dense, ctx.Audit, ctx.Watchdog = true, true, 12_345
+	ctx.Potential(workload.Silo)
+	if _, err := ctx.Fig08(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("profiled %d times, want 3 (silo's potential set, fig8's silo and moses)", len(got))
+	}
+	for i, opt := range got {
+		if !opt.Dense || !opt.Audit || opt.WatchdogWindow != 12_345 {
+			t.Errorf("profiling run %d: dense=%v audit=%v watchdog=%d, want the Context's true/true/12345",
+				i, opt.Dense, opt.Audit, opt.WatchdogWindow)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"pivot/internal/machine"
 	"pivot/internal/mem"
 	"pivot/internal/metrics"
 	"pivot/internal/scenario"
@@ -106,10 +105,7 @@ func (ctx *Context) Fig08() (*metrics.Table, error) {
 		Headers: []string{"app", "loads", "top 5%", "top 10%", "top 20%", "top 50%"},
 	}
 	for _, app := range scenario.MustBuiltin("fig8").MustAxis("tasks[0].app").Strings() {
-		prof := machine.RunProfilerOpt(ctx.Cfg, ctx.lcParams(app),
-			ctx.Scale.MaxBEThreads, ctx.Scale.Seed, machine.ProfileCycles,
-			ctx.guard(machine.Options{}))
-		loadFrac, stallFrac := prof.CDF()
+		loadFrac, stallFrac := ctx.profile(app).CDF()
 		share := func(frac float64) string {
 			for i, lf := range loadFrac {
 				if lf >= frac {

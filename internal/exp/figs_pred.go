@@ -125,8 +125,7 @@ func (ctx *Context) Sensitivity() ([]*metrics.Table, error) {
 		{"rank 15%", profile.Params{MinExecFreq: 0.005, MinLLCMissRate: 0.10, TopStallFrac: 0.15}},
 	} {
 		emu, err := ctx.avgEMU(machine.Options{}, variant{potential: func(app string) profile.CriticalSet {
-			return machine.ProfileLCWith(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads,
-				ctx.Scale.Seed, v.params, machine.ProfileCycles)
+			return ctx.profile(app).Select(v.params)
 		}})
 		if err != nil {
 			return nil, err

@@ -11,7 +11,7 @@ import (
 // the overwhelming majority of ROB stall cycles.
 func TestStallCDF(t *testing.T) {
 	for _, app := range []string{workload.ImgDNN, workload.Silo, workload.Moses} {
-		prof := RunProfiler(KunpengConfig(8), workload.LCApps()[app], 7, 1, 600_000)
+		prof := RunProfilerOpt(KunpengConfig(8), workload.LCApps()[app], 7, 1, 600_000, Options{})
 		stats := prof.Stats()
 		var total uint64
 		for _, s := range stats {

@@ -100,7 +100,7 @@ func TestProfileModeAttachesProfiler(t *testing.T) {
 	m := MustNew(KunpengConfig(2), Options{Policy: PolicyDefault, Profile: true}, tasks)
 	m.Run(20_000, 100_000)
 	prof := m.LCTasks()[0].Profiler
-	if prof == nil || prof.TotalLoads() == 0 {
+	if prof == nil || prof.SnapshotState().TotalLoads == 0 {
 		t.Fatal("profiler not attached or saw no loads")
 	}
 }

@@ -151,3 +151,16 @@ func TestConfigValidateErrors(t *testing.T) {
 		t.Errorf("valid neoverse preset rejected: %v", err)
 	}
 }
+
+// TestPolicyNames pins the names the figures and CLIs print.
+func TestPolicyNames(t *testing.T) {
+	for pol, want := range map[Policy]string{
+		PolicyDefault: "Default", PolicyMBA: "MBA", PolicyMPAM: "MPAM",
+		PolicyFullPath: "FullPath", PolicyPIVOT: "PIVOT",
+		PolicyCBP: "CBP", PolicyCBPFullPath: "CBP+FullPath", PolicyManaged: "Managed",
+	} {
+		if pol.String() != want {
+			t.Errorf("policy %d = %q, want %q", pol, pol.String(), want)
+		}
+	}
+}

@@ -260,10 +260,10 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 }
 
 // fillLocal completes an L2-hit: fill L1 and wake all coalesced waiters.
-// The core is woken first, even for a waiter-less fill: the freed MSHR or
-// the filled line may unblock a structurally refused load.
+// The entry was allocated by Load with its first waiter, so CompleteLoad
+// always wakes the core; prefetch fills never come this way (they land
+// through Machine.deliver, whose wake covers a waiter-less fill).
 func (p *corePort) fillLocal(line uint64, now sim.Cycle) {
-	p.m.Cores[p.id].WakeIdle()
 	p.l1.Insert(line, mem.PartID(p.id))
 	if e := p.mshr.Fill(line); e != nil {
 		for _, w := range e.Waiters {

@@ -18,27 +18,14 @@ const ProfileCycles sim.Cycle = 600_000
 // rate and ROB stall cycles are recorded; the potential-critical set is
 // selected with the paper's default parameters.
 func ProfileLC(cfg Config, app workload.LCParams, stressThreads int, seed uint64) profile.CriticalSet {
-	return ProfileLCWith(cfg, app, stressThreads, seed, profile.DefaultParams(), ProfileCycles)
+	return RunProfilerOpt(cfg, app, stressThreads, seed, ProfileCycles, Options{}).
+		Select(profile.DefaultParams())
 }
 
-// ProfileLCWith is ProfileLC with explicit selection parameters and duration
-// (the §VI-C sensitivity study varies both).
-func ProfileLCWith(cfg Config, app workload.LCParams, stressThreads int, seed uint64,
-	params profile.Params, cycles sim.Cycle) profile.CriticalSet {
-	prof := RunProfiler(cfg, app, stressThreads, seed, cycles)
-	return prof.Select(params)
-}
-
-// RunProfiler runs the offline phase and returns the raw profiler, from
-// which callers can draw both the potential set and the Figure 8 CDF.
-func RunProfiler(cfg Config, app workload.LCParams, stressThreads int, seed uint64,
-	cycles sim.Cycle) *profile.Profiler {
-	return RunProfilerOpt(cfg, app, stressThreads, seed, cycles, Options{})
-}
-
-// RunProfilerOpt is RunProfiler with explicit machine options, so the harness
-// can thread its watchdog / audit / dense settings through the offline phase.
-// Policy and Profile are forced to the profiling configuration.
+// RunProfilerOpt runs the offline phase for cycles under opt and returns the
+// raw profiler, from which callers draw both the potential set and the
+// Figure 8 CDF. opt carries the caller's engine settings (Dense); Policy
+// and Profile are forced to the profiling configuration.
 func RunProfilerOpt(cfg Config, app workload.LCParams, stressThreads int, seed uint64,
 	cycles sim.Cycle, opt Options) *profile.Profiler {
 	stress := workload.BEApps()[workload.StressCopy]

@@ -86,9 +86,6 @@ func (p *Profiler) OnLoadRetire(pc uint64, stall sim.Cycle, llcMiss bool) {
 	p.totalLoads++
 }
 
-// TotalLoads reports the number of retired loads observed.
-func (p *Profiler) TotalLoads() uint64 { return p.totalLoads }
-
 // Stats returns the per-PC statistics sorted by descending stall cycles.
 func (p *Profiler) Stats() []LoadStat {
 	out := make([]LoadStat, 0, len(p.stats))

@@ -120,8 +120,8 @@ func TestStatsSortedByStall(t *testing.T) {
 			t.Fatal("stats not sorted by descending stall")
 		}
 	}
-	if p.TotalLoads() != 30 {
-		t.Fatalf("total loads = %d, want 30", p.TotalLoads())
+	if n := p.SnapshotState().TotalLoads; n != 30 {
+		t.Fatalf("total loads = %d, want 30", n)
 	}
 }
 

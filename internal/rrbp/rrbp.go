@@ -237,12 +237,3 @@ func (t *Table) Snapshot() (counters []uint8, flags []bool) {
 	copy(f, t.flags)
 	return c, f
 }
-
-// StorageBits returns the table's hardware storage cost in bits, matching
-// the paper's §IV-E budget arithmetic (entries × 6-bit counters).
-func (t *Table) StorageBits() int {
-	if t.cfg.Entries == 0 {
-		return 0 // the unlimited table is an idealisation, not hardware
-	}
-	return t.cfg.Entries * 6
-}

@@ -138,17 +138,6 @@ func TestThresholdSwitch(t *testing.T) {
 	}
 }
 
-func TestStorageBits(t *testing.T) {
-	if got := New(DefaultConfig()).StorageBits(); got != 384 {
-		t.Fatalf("default table storage = %d bits, want 384 (64x6)", got)
-	}
-	c := DefaultConfig()
-	c.Entries = 0
-	if got := New(c).StorageBits(); got != 0 {
-		t.Fatal("idealised unlimited table has no hardware storage cost")
-	}
-}
-
 // TestCounterNeverNegative: any interleaving of long/short retirements keeps
 // counters within [0, CounterMax].
 func TestCounterBoundsProperty(t *testing.T) {
