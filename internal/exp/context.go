@@ -135,7 +135,7 @@ type cell[T any] struct {
 type shared struct {
 	mu      sync.Mutex
 	calib   map[string]*cell[*AppCalib]
-	pots    map[string]*cell[profile.CriticalSet]
+	profs   map[string]*cell[*profile.Profiler]
 	beAlone map[string]*cell[float64]
 
 	// Scenario-registered custom applications, resolved by lcParams/beParams
@@ -233,7 +233,7 @@ func NewContext(cfg machine.Config, scale Scale) *Context {
 func newShared(cap *capture) *shared {
 	return &shared{
 		calib:    make(map[string]*cell[*AppCalib]),
-		pots:     make(map[string]*cell[profile.CriticalSet]),
+		profs:    make(map[string]*cell[*profile.Profiler]),
 		beAlone:  make(map[string]*cell[float64]),
 		customLC: make(map[string]workload.LCParams),
 		customBE: make(map[string]workload.BEParams),
@@ -278,23 +278,24 @@ func (ctx *Context) logf(format string, args ...any) {
 // the machine options the harness profiles under.
 var runProfiler = machine.RunProfilerOpt
 
-// profile runs the offline profiling phase for an LC app at the Context's
-// scale and machine options, so `-dense` reaches it. The phase runs through
+// profile returns (running once and caching) the offline profile of an LC
+// app at the Context's scale and machine options, so `-dense` reaches it.
+// Potential, the profiling-parameter variants and Fig 8 all select from
+// this one profile; Select and CDF only read it. The phase runs through
 // machine.Run: the watchdog, the auditor and cancellation do not apply.
 func (ctx *Context) profile(app string) *profile.Profiler {
-	return runProfiler(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads, ctx.Scale.Seed,
-		machine.ProfileCycles, ctx.guard(machine.Options{}))
-}
-
-// Potential returns (computing and caching) the offline-profiled potential
-// set for an LC app.
-func (ctx *Context) Potential(app string) profile.CriticalSet {
-	c := lookup(ctx.sh, ctx.sh.pots, app)
+	c := lookup(ctx.sh, ctx.sh.profs, app)
 	c.once.Do(func() {
 		ctx.logf("offline profiling %s ...", app)
-		c.v = ctx.profile(app).Select(profile.DefaultParams())
+		c.v = runProfiler(ctx.Cfg, ctx.lcParams(app), ctx.Scale.MaxBEThreads, ctx.Scale.Seed,
+			machine.ProfileCycles, ctx.guard(machine.Options{}))
 	})
 	return c.v
+}
+
+// Potential returns the offline-profiled potential set for an LC app.
+func (ctx *Context) Potential(app string) profile.CriticalSet {
+	return ctx.profile(app).Select(profile.DefaultParams())
 }
 
 // Calib returns (computing and caching) the run-alone calibration of an LC

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,10 +206,13 @@ func TestFig08Shape(t *testing.T) {
 }
 
 // TestProfilingHonoursContextOptions: the offline phase behind Potential
-// (every PIVOT and CBP run) and Fig 8 runs under the Context's dense, audit
-// and watchdog settings, so `-dense` reaches the profile as well as the runs.
+// (every PIVOT and CBP run), the profiling-parameter variants and Fig 8 runs
+// under the Context's dense, audit and watchdog settings, so `-dense`
+// reaches the profile as well as the runs; and it runs once per app, since
+// Select and CDF only read the profile.
 func TestProfilingHonoursContextOptions(t *testing.T) {
 	var got []machine.Options
+	var apps []string
 	orig := runProfiler
 	runProfiler = func(cfg machine.Config, app workload.LCParams, stressThreads int, seed uint64,
 		cycles sim.Cycle, opt machine.Options) *profile.Profiler {
@@ -216,6 +220,7 @@ func TestProfilingHonoursContextOptions(t *testing.T) {
 			t.Errorf("profiled %d cycles, want %d", cycles, machine.ProfileCycles)
 		}
 		got = append(got, opt)
+		apps = append(apps, app.Name)
 		return profile.NewProfiler()
 	}
 	defer func() { runProfiler = orig }()
@@ -223,11 +228,13 @@ func TestProfilingHonoursContextOptions(t *testing.T) {
 	ctx := tinyCtx()
 	ctx.Dense, ctx.Audit, ctx.Watchdog = true, true, 12_345
 	ctx.Potential(workload.Silo)
+	ctx.profile(workload.Silo).Select(profile.Params{MinExecFreq: 0.005, MinLLCMissRate: 0.05, TopStallFrac: 0.05})
 	if _, err := ctx.Fig08(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("profiled %d times, want 3 (silo's potential set, fig8's silo and moses)", len(got))
+	if want := []string{workload.Silo, workload.Moses}; !slices.Equal(apps, want) {
+		t.Fatalf("profiled %v, want each of %v once (silo's potential set and variant reuse its profile, fig8 adds moses)",
+			apps, want)
 	}
 	for i, opt := range got {
 		if !opt.Dense || !opt.Audit || opt.WatchdogWindow != 12_345 {

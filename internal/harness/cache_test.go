@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -210,7 +211,7 @@ func TestCacheHitsLogAsHits(t *testing.T) {
 		var log strings.Builder
 		j := job
 		j.Refresh = refresh
-		res := New(Config{Out: &log}).Run(CachedJobs(c, []Job{j}))[0]
+		res := New(Config{Logger: slog.New(slog.NewTextHandler(&log, nil))}).Run(CachedJobs(c, []Job{j}))[0]
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}

@@ -1,11 +1,12 @@
 // Package harness is the resilient sweep runner: a worker pool that executes
 // experiment jobs in parallel, converts panics into structured errors with a
 // machine diagnostic attached, bounds each run with a wall-clock deadline,
-// and retries transient host failures with backoff. Its one store of finished
-// results is the content-addressed Cache: a rerun of an interrupted sweep
-// against the same cache replays the finished jobs, and a rerun of an edited
-// sweep — or of an edited build — recomputes only the jobs whose inputs
-// changed.
+// and logs each job's outcome. A failed job is never retried: a simulation
+// is deterministic, so the same seed reproduces its failure exactly. Its one
+// store of finished results is the content-addressed Cache: a rerun of an
+// interrupted sweep against the same cache replays the finished jobs, and a
+// rerun of an edited sweep — or of an edited build — recomputes only the
+// jobs whose inputs changed.
 //
 // Determinism: each simulation's state lives entirely inside its own
 // machine, and the exp.Context caches are synchronised, so a sweep run with
@@ -14,7 +15,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -32,17 +32,9 @@ type Config struct {
 	Parallel int
 	// Timeout is the per-run wall-clock deadline (0 = unbounded).
 	Timeout time.Duration
-	// Retries is how many times a job is re-attempted after a transient
-	// failure (deterministic simulation failures are never retried).
-	Retries int
-	// Backoff is the wait before the first retry; it doubles per attempt.
-	Backoff time.Duration
-	// Out receives progress notes; nil silences them. Ignored when Logger is
-	// set.
-	Out io.Writer
-	// Logger, when set, receives structured progress notes instead of the
-	// plain-text lines written to Out. Use stats-free handlers only: the
-	// harness logs from worker goroutines.
+	// Logger, when set, receives structured progress notes; nil silences
+	// them. Use stats-free handlers only: the harness logs from worker
+	// goroutines.
 	Logger *slog.Logger
 	// Progress, when set, is fed live sweep telemetry (units done/failed and
 	// the current job label) for the /progress debug endpoint.
@@ -70,22 +62,20 @@ type Result struct {
 	// CachedJobs (decode with ValueAs).
 	Value any
 	// Err is nil on success; otherwise a *RunError.
-	Err      error
-	Attempts int
-	Elapsed  time.Duration
+	Err     error
+	Elapsed time.Duration
 }
 
-// RunError wraps a job failure with its identity and attempt count. The
+// RunError wraps a job failure with its identity. The
 // underlying cause may be a *machine.StallError, *machine.AuditError,
 // *machine.PanicError, *machine.AbortError or any host error.
 type RunError struct {
-	JobID    string
-	Attempts int
-	Err      error
+	JobID string
+	Err   error
 }
 
 func (e *RunError) Error() string {
-	return fmt.Sprintf("harness: job %s failed after %d attempt(s): %v", e.JobID, e.Attempts, e.Err)
+	return fmt.Sprintf("harness: job %s failed: %v", e.JobID, e.Err)
 }
 
 func (e *RunError) Unwrap() error { return e.Err }
@@ -93,23 +83,6 @@ func (e *RunError) Unwrap() error { return e.Err }
 // Diag extracts the machine diagnostic snapshot from the failure, if the
 // underlying error carries one.
 func (e *RunError) Diag() (machine.Diagnostic, bool) { return machine.DiagOf(e.Err) }
-
-// ErrTransient marks an error as a transient host failure worth retrying;
-// wrap it (fmt.Errorf("...: %w", harness.ErrTransient)) or implement
-// `Transient() bool` on the error type.
-var ErrTransient = errors.New("transient failure")
-
-// transient reports whether err should be retried. Simulation failures are
-// deterministic — the same seed reproduces them exactly — so retrying them
-// burns time to learn nothing; only errors explicitly marked transient
-// (host-level flakiness) qualify.
-func transient(err error) bool {
-	if errors.Is(err, ErrTransient) {
-		return true
-	}
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
 
 // Runner executes sweeps. Zero value is unusable; build with New.
 type Runner struct {
@@ -119,30 +92,11 @@ type Runner struct {
 
 // New builds a runner.
 func New(cfg Config) *Runner {
-	return &Runner{cfg: cfg, log: resolveLogger(cfg)}
-}
-
-// resolveLogger picks the diagnostic sink: an explicit structured logger wins;
-// otherwise Out gets human-readable text lines; otherwise silence.
-func resolveLogger(cfg Config) *slog.Logger {
-	if cfg.Logger != nil {
-		return cfg.Logger
+	log := cfg.Logger
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	out := cfg.Out
-	if out == nil {
-		out = io.Discard
-	}
-	return slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{
-		// Drop the timestamp: sweep logs are compared across runs in tests
-		// and by humans diffing reruns, and wall-clock stamps are pure noise
-		// there (Elapsed is reported explicitly where it matters).
-		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
-			if a.Key == slog.TimeKey {
-				return slog.Attr{}
-			}
-			return a
-		},
-	}))
+	return &Runner{cfg: cfg, log: log}
 }
 
 // Run executes all jobs and returns one Result per job, in job order. It
@@ -209,49 +163,30 @@ func (r *Runner) runOne(ctx context.Context, job Job) Result {
 	}
 	r.cfg.Progress.SetLabel(job.ID)
 	start := time.Now()
-	var lastErr error
-	attempts := 0
 	var hit bool
-	ctx = context.WithValue(ctx, hitKey{}, &hit)
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(r.cfg.Backoff << (attempt - 1))
-			r.log.Warn("retrying", "job", job.ID, "attempt", attempt, "retries", r.cfg.Retries)
-		}
-		attempts++
-		v, err := r.attempt(ctx, job)
-		if err == nil {
-			if hit {
-				r.log.Info("job cached", "job", job.ID)
-			} else {
-				r.log.Info("job ok", "job", job.ID, "elapsedSec", round1(time.Since(start).Seconds()))
-			}
-			r.cfg.Progress.UnitDone(false)
-			return Result{ID: job.ID, Value: v, Attempts: attempts, Elapsed: time.Since(start)}
-		}
-		lastErr = err
-		if !transient(err) || ctx.Err() != nil {
-			break
-		}
+	v, err := r.exec(context.WithValue(ctx, hitKey{}, &hit), job)
+	if err != nil {
+		r.log.Error("job failed", "job", job.ID, "err", err)
+		r.cfg.Progress.UnitDone(true)
+		return Result{ID: job.ID, Err: &RunError{JobID: job.ID, Err: err}, Elapsed: time.Since(start)}
 	}
-	r.log.Error("job failed", "job", job.ID, "attempts", attempts, "err", lastErr)
-	r.cfg.Progress.UnitDone(true)
-	return Result{
-		ID:       job.ID,
-		Err:      &RunError{JobID: job.ID, Attempts: attempts, Err: lastErr},
-		Attempts: attempts,
-		Elapsed:  time.Since(start),
+	if hit {
+		r.log.Info("job cached", "job", job.ID)
+	} else {
+		r.log.Info("job ok", "job", job.ID, "elapsedSec", round1(time.Since(start).Seconds()))
 	}
+	r.cfg.Progress.UnitDone(false)
+	return Result{ID: job.ID, Value: v, Elapsed: time.Since(start)}
 }
 
 // round1 keeps elapsed-seconds log attrs readable (one decimal).
 func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
 
-// attempt runs the job once under its deadline, converting an escaped panic
+// exec runs the job once under its deadline, converting an escaped panic
 // into a *machine.PanicError so one poisoned run cannot kill the sweep. The
 // per-run deadline nests inside the sweep's parent context, so cancelling
 // the sweep (graceful shutdown) reaches every in-flight simulation.
-func (r *Runner) attempt(parent context.Context, job Job) (v any, err error) {
+func (r *Runner) exec(parent context.Context, job Job) (v any, err error) {
 	ctx := parent
 	if r.cfg.Timeout > 0 {
 		var cancel context.CancelFunc

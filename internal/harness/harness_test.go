@@ -44,39 +44,6 @@ func TestPanicBecomesRunError(t *testing.T) {
 	}
 }
 
-func TestTransientFailuresRetry(t *testing.T) {
-	r := New(Config{Retries: 5, Backoff: time.Millisecond})
-	calls := 0
-	results := r.Run([]Job{{ID: "flaky", Run: func(context.Context) (any, error) {
-		calls++
-		if calls < 3 {
-			return nil, fmt.Errorf("host hiccup: %w", ErrTransient)
-		}
-		return "ok", nil
-	}}})
-	if results[0].Err != nil {
-		t.Fatalf("transient job never recovered: %v", results[0].Err)
-	}
-	if calls != 3 || results[0].Attempts != 3 {
-		t.Fatalf("calls=%d attempts=%d, want 3/3", calls, results[0].Attempts)
-	}
-}
-
-func TestDeterministicFailuresDoNotRetry(t *testing.T) {
-	r := New(Config{Retries: 5, Backoff: time.Millisecond})
-	calls := 0
-	results := r.Run([]Job{{ID: "det", Run: func(context.Context) (any, error) {
-		calls++
-		return nil, errors.New("same seed, same crash")
-	}}})
-	if calls != 1 || results[0].Attempts != 1 {
-		t.Fatalf("deterministic failure retried: calls=%d attempts=%d", calls, results[0].Attempts)
-	}
-	if results[0].Err == nil {
-		t.Fatal("failure swallowed")
-	}
-}
-
 func TestTimeoutReachesJob(t *testing.T) {
 	r := New(Config{Timeout: 10 * time.Millisecond})
 	results := r.Run([]Job{{ID: "slow", Run: func(ctx context.Context) (any, error) {
@@ -169,6 +136,37 @@ func (c *panicCtx) Err() error {
 		panic("rigged run: panic mid-simulation")
 	}
 	return c.Context.Err()
+}
+
+// SpecLabel renders a stable, human-readable identity for a RunSpec, used as
+// the job ID suffix.
+func SpecLabel(spec exp.RunSpec) string {
+	var b strings.Builder
+	b.WriteString(spec.Method.Name)
+	for _, lc := range spec.LCs {
+		fmt.Fprintf(&b, "+%s@%d", lc.App, lc.LoadPct)
+	}
+	for _, be := range spec.BEs {
+		fmt.Fprintf(&b, "+%sx%d", be.App, be.Threads)
+	}
+	return b.String()
+}
+
+// SpecJobs builds one unkeyed job per RunSpec against a shared Context. Each
+// job derives a deadline-bounded view of ctx from its run context, so the
+// harness timeout reaches down into the simulation loop. Job IDs are
+// "<index>:<label>" — index keeps IDs unique when a sweep repeats a spec.
+func SpecJobs(ctx *exp.Context, specs []exp.RunSpec) []Job {
+	jobs := make([]Job, len(specs))
+	for i, spec := range specs {
+		jobs[i] = Job{
+			ID: fmt.Sprintf("%03d:%s", i, SpecLabel(spec)),
+			Run: func(rc context.Context) (any, error) {
+				return ctx.WithRunContext(rc).Run(spec)
+			},
+		}
+	}
+	return jobs
 }
 
 // runSweep runs specs under cfg, through cache when one is given, with the
@@ -440,21 +438,14 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Errorf("cancelled job error = %v, want context.Canceled", results[0].Err)
 	}
 
-	// Mid-sweep cancellation reaches the in-flight job's context, and a
-	// cancelled failure is never retried even when marked transient.
+	// Mid-sweep cancellation reaches the in-flight job's context.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	r2 := New(Config{Retries: 3})
-	attempts := 0
-	results = r2.RunContext(ctx2, []Job{{ID: "b", Run: func(ctx context.Context) (any, error) {
-		attempts++
+	results = r.RunContext(ctx2, []Job{{ID: "b", Run: func(ctx context.Context) (any, error) {
 		cancel2()
 		<-ctx.Done()
-		return nil, fmt.Errorf("aborted: %w: %w", ctx.Err(), ErrTransient)
+		return nil, ctx.Err()
 	}}})
-	if results[0].Err == nil {
-		t.Error("cancelled in-flight job reported success")
-	}
-	if attempts != 1 {
-		t.Errorf("cancelled job attempted %d times, want 1", attempts)
+	if !errors.Is(results[0].Err, context.Canceled) {
+		t.Errorf("cancelled in-flight job error = %v, want context.Canceled", results[0].Err)
 	}
 }

@@ -4,42 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"pivot/internal/exp"
 	"pivot/internal/scenario"
 )
-
-// SpecLabel renders a stable, human-readable identity for a RunSpec, used as
-// the job ID suffix and in failure summaries.
-func SpecLabel(spec exp.RunSpec) string {
-	var b strings.Builder
-	b.WriteString(spec.Method.Name)
-	for _, lc := range spec.LCs {
-		fmt.Fprintf(&b, "+%s@%d", lc.App, lc.LoadPct)
-	}
-	for _, be := range spec.BEs {
-		fmt.Fprintf(&b, "+%sx%d", be.App, be.Threads)
-	}
-	return b.String()
-}
-
-// SpecJobs builds one job per RunSpec against a shared Context. Each job
-// derives a deadline-bounded view of ctx from its run context, so the
-// harness timeout reaches down into the simulation loop. Job IDs are
-// "<index>:<label>" — index keeps IDs unique when a sweep repeats a spec.
-func SpecJobs(ctx *exp.Context, specs []exp.RunSpec) []Job {
-	jobs := make([]Job, len(specs))
-	for i, spec := range specs {
-		jobs[i] = Job{
-			ID: fmt.Sprintf("%03d:%s", i, SpecLabel(spec)),
-			Run: func(rc context.Context) (any, error) {
-				return ctx.WithRunContext(rc).Run(spec)
-			},
-		}
-	}
-	return jobs
-}
 
 // ScenarioJobs expands a validated scenario into one job per run unit,
 // against the context the scenario's machine stanza selects. The returned

@@ -8,10 +8,9 @@
 package loadgen
 
 import (
-	"sort"
-
 	"pivot/internal/cpu"
 	"pivot/internal/load"
+	"pivot/internal/metrics"
 	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
@@ -188,20 +187,10 @@ func (s *Source) PhaseCompleted() []uint64 { return s.phaseDone }
 // CLITE) sample each decision epoch. It returns 0 when nothing completed.
 func (s *Source) RecentP95(n int) uint32 {
 	lat := s.latencies
-	if len(lat) == 0 {
-		return 0
-	}
 	if n > 0 && len(lat) > n {
 		lat = lat[len(lat)-n:]
 	}
-	sorted := make([]uint32, len(lat))
-	copy(sorted, lat)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(0.95*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
+	return metrics.Percentile(lat, 95)
 }
 
 // Completed reports the number of completed requests.

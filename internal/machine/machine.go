@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"pivot/internal/bwctrl"
 	"pivot/internal/cache"
@@ -16,6 +15,7 @@ import (
 	"pivot/internal/loadgen"
 	"pivot/internal/mba"
 	"pivot/internal/mem"
+	"pivot/internal/metrics"
 	"pivot/internal/profile"
 	"pivot/internal/rrbp"
 	"pivot/internal/sim"
@@ -791,7 +791,7 @@ func (m *Machine) LCTasks() []*LCTask { return m.lcs }
 
 // LCp95 returns LC task i's 95th-percentile request latency in cycles.
 func (m *Machine) LCp95(i int) uint32 {
-	return p95(m.lcs[i].Source.Latencies())
+	return metrics.Percentile(m.lcs[i].Source.Latencies(), 95)
 }
 
 // BECommitted sums instructions committed by BE cores in the measured region.
@@ -843,20 +843,3 @@ func (m *Machine) MBA() *mba.Throttle { return m.thr }
 
 // BWController exposes the bandwidth controller (for usage monitoring).
 func (m *Machine) BWController() *bwctrl.Controller { return m.bw }
-
-func p95(samples []uint32) uint32 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]uint32, len(samples))
-	copy(sorted, samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(0.95*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}

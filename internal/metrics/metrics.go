@@ -1,7 +1,6 @@
-// Package metrics provides the statistics the paper reports: latency
-// percentiles, IPC, memory-bandwidth utilisation, and effective machine
-// utilisation (EMU, from Heracles), plus small helpers for printing the
-// experiment tables.
+// Package metrics provides the nearest-rank latency percentiles every tail
+// latency in the simulator is read with, the sample mean, and the tables the
+// experiments print (aligned text and CSV).
 package metrics
 
 import (
@@ -41,9 +40,6 @@ func Quantiles(samples []uint32, ps ...float64) []uint32 {
 	return out
 }
 
-// P95 returns the 95th-percentile of samples.
-func P95(samples []uint32) uint32 { return Percentile(samples, 95) }
-
 // Mean returns the arithmetic mean of samples (0 when empty).
 func Mean(samples []uint32) float64 {
 	if len(samples) == 0 {
@@ -54,34 +50,6 @@ func Mean(samples []uint32) float64 {
 		sum += float64(v)
 	}
 	return sum / float64(len(samples))
-}
-
-// TaskShare is one co-located task's contribution to EMU.
-type TaskShare struct {
-	Name string
-	// Load is the task's achieved load as a fraction of its standalone
-	// capacity: RPS/maxLoad for an LC task, throughput/alone for a BE task.
-	Load float64
-	// MeetsQoS gates LC contributions; BE tasks always count.
-	MeetsQoS bool
-	IsLC     bool
-}
-
-// EMU computes effective machine utilisation (Heracles / §VI-A1): the total
-// load of all co-located tasks, counted only when every LC task meets QoS.
-// EMU can exceed 100% because each task's load is normalised to its own
-// standalone capacity.
-func EMU(tasks []TaskShare) float64 {
-	for _, t := range tasks {
-		if t.IsLC && !t.MeetsQoS {
-			return 0
-		}
-	}
-	var sum float64
-	for _, t := range tasks {
-		sum += t.Load
-	}
-	return sum * 100
 }
 
 // Table renders an aligned text table for experiment output.

@@ -25,7 +25,7 @@ func TestPercentile(t *testing.T) {
 	}
 	// Input must not be mutated (sorted copy).
 	shuffled := []uint32{5, 1, 3}
-	P95(shuffled)
+	Percentile(shuffled, 95)
 	if shuffled[0] != 5 {
 		t.Error("Percentile mutated its input")
 	}
@@ -70,24 +70,6 @@ func TestMean(t *testing.T) {
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean should be 0")
-	}
-}
-
-func TestEMU(t *testing.T) {
-	tasks := []TaskShare{
-		{Name: "lc", Load: 0.7, MeetsQoS: true, IsLC: true},
-		{Name: "be", Load: 0.6},
-	}
-	if got := EMU(tasks); got < 129.999 || got > 130.001 {
-		t.Fatalf("EMU = %v, want ~130", got)
-	}
-	tasks[0].MeetsQoS = false
-	if got := EMU(tasks); got != 0 {
-		t.Fatalf("EMU with violated LC = %v, want 0", got)
-	}
-	// BE-only co-locations always count.
-	if got := EMU([]TaskShare{{Load: 0.5}, {Load: 0.5}}); got != 100 {
-		t.Fatalf("BE-only EMU = %v, want 100", got)
 	}
 }
 

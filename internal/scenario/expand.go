@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,10 +22,44 @@ type RunUnit struct {
 	Scenario *Scenario
 }
 
+// sweepable maps each parameter a sweep axis may set, as a path pattern in
+// which "[]" stands for an array index, to what setting it implies. zero
+// names what a 0 runs in a field where 0 means "default": a swept 0 would
+// silently run another value, so it is refused. clears lists the exclusive
+// sibling fields the value replaces. lc_params and be_params are not
+// sweepable: a swept custom app would reuse one name for different
+// parameters, and calibration and profiles are cached by app name.
+var sweepable = map[string]struct {
+	zero   string
+	clears []string
+}{
+	"policy":                       {},
+	"seed":                         {zero: "the scale's seed"},
+	"warmup":                       {},
+	"measure":                      {},
+	"machine.cores":                {zero: "the default core count"},
+	"machine.be_ways":              {},
+	"options.expected_lc_bw":       {},
+	"options.rrbp_entries":         {},
+	"options.mba_level":            {},
+	"options.disable_msc":          {},
+	"options.prefetch":             {},
+	"tasks[].app":                  {clears: []string{"lc_params", "be_params"}},
+	"tasks[].load_pct":             {zero: "closed loop", clears: []string{"interarrival"}},
+	"tasks[].interarrival":         {zero: "closed loop", clears: []string{"load_pct"}},
+	"tasks[].threads":              {zero: "one thread"},
+	"tasks[].load.zipf_theta":      {},
+	"tasks[].load.phases[].scale":  {},
+	"tasks[].load.phases[].cycles": {},
+	"tasks[].load.onoff.on_mean":   {},
+	"tasks[].load.onoff.off_mean":  {},
+}
+
 // Expand resolves the sweep axes into their cartesian product of run units,
-// first axis outermost, tuple-axis fields set together. Each unit is
-// re-checked against the machine's core budget (an axis can change thread
-// counts). The scenario must already have passed Validate.
+// first axis outermost, tuple-axis fields set together. Each unit is the
+// sweep-free scenario with its axis values written into the JSON document,
+// decoded by the strict codec and checked by Validate, so a unit obeys the
+// same rules as a scenario file.
 func (s *Scenario) Expand() ([]RunUnit, error) {
 	total := 1
 	for _, a := range s.Sweep {
@@ -32,34 +68,35 @@ func (s *Scenario) Expand() ([]RunUnit, error) {
 	if total > maxUnits {
 		return nil, errf("sweep", "expands to %d run units (max %d)", total, maxUnits)
 	}
-	units := make([]RunUnit, 0, total)
-	var walk func(u *Scenario, axis int, label []string) error
-	walk = func(u *Scenario, axis int, label []string) error {
-		if axis == len(s.Sweep) {
-			resolved := u.clone()
-			resolved.Sweep = nil
-			unit := RunUnit{Label: strings.Join(label, " "), Scenario: resolved}
-			if err := resolved.validateCoreBudget(); err != nil {
-				return fmt.Errorf("unit %q: %w", unit.Label, err)
-			}
-			units = append(units, unit)
-			return nil
-		}
-		a := s.Sweep[axis]
-		for vi := range a.Values {
-			next := u.clone()
-			part, err := applyAxisValue(next, a, vi)
-			if err != nil {
-				return err
-			}
-			if err := walk(next, axis+1, append(label, part...)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(s, 0, nil); err != nil {
+	base, err := s.baseDoc()
+	if err != nil {
 		return nil, err
+	}
+	units := make([]RunUnit, 0, total)
+	for n := 0; n < total; n++ {
+		var edits []edit
+		var label []string
+		// Odometer over the axes: the last axis turns fastest.
+		vis := make([]int, len(s.Sweep))
+		for k, rem := len(s.Sweep)-1, n; k >= 0; k-- {
+			vis[k] = rem % len(s.Sweep[k].Values)
+			rem /= len(s.Sweep[k].Values)
+		}
+		for k, a := range s.Sweep {
+			e, err := a.edits(vis[k])
+			if err != nil {
+				return nil, err
+			}
+			edits = append(edits, e...)
+			for _, ed := range e {
+				label = append(label, ed.param+"="+labelValue(ed.value))
+			}
+		}
+		unit := RunUnit{Label: strings.Join(label, " ")}
+		if unit.Scenario, err = resolve(base, edits); err != nil {
+			return nil, fmt.Errorf("unit %q: %w", unit.Label, err)
+		}
+		units = append(units, unit)
 	}
 	return units, nil
 }
@@ -73,19 +110,25 @@ func (s *Scenario) MustExpand() []RunUnit {
 	return units
 }
 
-// applyAxisValue applies value vi of axis a to u and returns the label parts
-// ("param=value") it contributed.
-func applyAxisValue(u *Scenario, a Axis, vi int) ([]string, error) {
+// baseDoc encodes the scenario without its sweep: the document every unit
+// edits.
+func (s *Scenario) baseDoc() ([]byte, error) {
+	b := *s
+	b.Sweep = nil
+	return json.Marshal(&b)
+}
+
+// edit sets one parameter to one raw JSON value.
+type edit struct {
+	param string
+	value json.RawMessage
+}
+
+// edits returns the parameter settings value vi of the axis makes.
+func (a Axis) edits(vi int) ([]edit, error) {
 	raw := a.Values[vi]
 	if a.Param != "" {
-		ref, err := u.paramRef(a.Param, a.path(vi))
-		if err != nil {
-			return nil, err
-		}
-		if err := u.setParam(ref, raw, a.path(vi)); err != nil {
-			return nil, err
-		}
-		return []string{a.Param + "=" + labelValue(raw)}, nil
+		return []edit{{a.Param, raw}}, nil
 	}
 	var elems []json.RawMessage
 	if err := json.Unmarshal(raw, &elems); err != nil {
@@ -94,18 +137,120 @@ func applyAxisValue(u *Scenario, a Axis, vi int) ([]string, error) {
 	if len(elems) != len(a.Params) {
 		return nil, errf(a.path(vi), "tuple has %d elements for %d params", len(elems), len(a.Params))
 	}
-	parts := make([]string, len(elems))
+	out := make([]edit, len(elems))
 	for i, e := range elems {
-		ref, err := u.paramRef(a.Params[i], a.path(vi))
-		if err != nil {
-			return nil, err
-		}
-		if err := u.setParam(ref, e, a.path(vi)); err != nil {
-			return nil, err
-		}
-		parts[i] = a.Params[i] + "=" + labelValue(e)
+		out[i] = edit{a.Params[i], e}
 	}
-	return parts, nil
+	return out, nil
+}
+
+// resolve writes the edits into the document base and parses the result like
+// a scenario file: one run unit.
+func resolve(base []byte, edits []edit) (*Scenario, error) {
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(base))
+	dec.UseNumber() // keep every number's digits for the re-encoding
+	if err := dec.Decode(&doc); err != nil {
+		return nil, err
+	}
+	for _, e := range edits {
+		if err := e.apply(doc); err != nil {
+			return nil, err
+		}
+	}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		return nil, err
+	}
+	return Parse(data)
+}
+
+// apply sets the edit's value at its parameter path in doc, a decoded
+// sweep-free scenario, and drops the fields the value replaces. Errors carry
+// no path: the caller anchors them at the sweep value.
+func (e edit) apply(doc map[string]any) error {
+	pattern, steps, ok := parseParam(e.param)
+	rule, known := sweepable[pattern]
+	if !ok || !known {
+		return errf("", "unknown sweep parameter %q", e.param)
+	}
+	if rule.zero != "" {
+		var f float64
+		if json.Unmarshal(e.value, &f) == nil && f == 0 {
+			return errf("", "%s 0 would run %s; swept values must be positive", e.param, rule.zero)
+		}
+	}
+	obj := doc
+	at := ""
+	for _, st := range steps[:len(steps)-1] {
+		if at != "" {
+			at += "."
+		}
+		at += st.key
+		v := obj[st.key]
+		if st.index >= 0 {
+			arr, _ := v.([]any)
+			if st.index >= len(arr) {
+				return errf("", "%s index %d out of range (%s has %d)",
+					strings.TrimSuffix(st.key, "s"), st.index, at, len(arr))
+			}
+			at += fmt.Sprintf("[%d]", st.index)
+			v = arr[st.index]
+		}
+		var isObj bool
+		if obj, isObj = v.(map[string]any); !isObj {
+			return errf("", "%q sweeps a field of %s, which the scenario does not set", e.param, at)
+		}
+	}
+	field := steps[len(steps)-1].key
+	obj[field] = e.value
+	for _, k := range rule.clears {
+		delete(obj, k)
+	}
+	return nil
+}
+
+// step is one element of a parameter path: an object member, indexed when
+// index >= 0.
+type step struct {
+	key   string
+	index int
+}
+
+// parseParam splits a parameter path ("tasks[0].load.phases[1].scale") into
+// steps and its pattern ("tasks[].load.phases[].scale"). ok is false when an
+// index is malformed.
+func parseParam(name string) (pattern string, steps []step, ok bool) {
+	var pat []string
+	for _, seg := range strings.Split(name, ".") {
+		key, idx, indexed := strings.Cut(seg, "[")
+		st := step{key: key, index: -1}
+		if indexed {
+			digits, closed := strings.CutSuffix(idx, "]")
+			n, err := strconv.Atoi(digits)
+			if !closed || err != nil || n < 0 {
+				return "", nil, false
+			}
+			st.index = n
+			key += "[]"
+		}
+		pat = append(pat, key)
+		steps = append(steps, st)
+	}
+	return strings.Join(pat, "."), steps, true
+}
+
+// anchor re-anchors a unit's error at the sweep value that made the unit,
+// keeping the unit's own field path in the message.
+func anchor(path string, err error) error {
+	var fe *FieldError
+	if !errors.As(err, &fe) {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if fe.Path == "" {
+		return errf(path, "%s", fe.Msg)
+	}
+	return errf(path, "%s: %s", fe.Path, fe.Msg)
 }
 
 // path renders the JSON path of one axis value for error messages. The axis
@@ -123,341 +268,11 @@ func labelValue(raw json.RawMessage) string {
 	return string(raw)
 }
 
-// paramKind enumerates the sweepable fields.
-type paramKind int
-
-const (
-	paramPolicy paramKind = iota
-	paramSeed
-	paramWarmup
-	paramMeasure
-	paramTaskApp
-	paramTaskLoad
-	paramTaskIA
-	paramTaskThreads
-	paramTaskZipf
-	paramTaskPhaseScale
-	paramTaskPhaseCycles
-	paramTaskOnMean
-	paramTaskOffMean
-	paramOptExpectedLCBW
-	paramOptRRBPEntries
-	paramOptMBALevel
-	paramOptDisableMSC
-	paramOptPrefetch
-	paramMachineCores
-	paramMachineBEWays
-)
-
-// paramRef is a parsed axis parameter: which field, of which task, and —
-// for load-phase fields — of which phase.
-type paramRef struct {
-	kind  paramKind
-	task  int
-	phase int
-}
-
-// paramRef parses an axis parameter name against this scenario (task indices
-// must exist, fields must suit the task's kind).
-func (s *Scenario) paramRef(name, path string) (paramRef, error) {
-	switch name {
-	case "policy":
-		return paramRef{kind: paramPolicy}, nil
-	case "seed":
-		return paramRef{kind: paramSeed}, nil
-	case "warmup":
-		return paramRef{kind: paramWarmup}, nil
-	case "measure":
-		return paramRef{kind: paramMeasure}, nil
-	case "options.expected_lc_bw":
-		return paramRef{kind: paramOptExpectedLCBW}, nil
-	case "options.rrbp_entries":
-		return paramRef{kind: paramOptRRBPEntries}, nil
-	case "options.mba_level":
-		return paramRef{kind: paramOptMBALevel}, nil
-	case "options.disable_msc":
-		return paramRef{kind: paramOptDisableMSC}, nil
-	case "options.prefetch":
-		return paramRef{kind: paramOptPrefetch}, nil
-	case "machine.cores":
-		return paramRef{kind: paramMachineCores}, nil
-	case "machine.be_ways":
-		return paramRef{kind: paramMachineBEWays}, nil
-	}
-	if rest, ok := strings.CutPrefix(name, "machine."); ok {
-		return paramRef{}, errf(path,
-			"unknown machine sweep parameter %q (machine.cores or machine.be_ways)", rest)
-	}
-	rest, ok := strings.CutPrefix(name, "tasks[")
-	if !ok {
-		return paramRef{}, errf(path, "unknown sweep parameter %q", name)
-	}
-	idxStr, field, ok := strings.Cut(rest, "].")
-	if !ok {
-		return paramRef{}, errf(path, "malformed sweep parameter %q", name)
-	}
-	idx, err := strconv.Atoi(idxStr)
-	if err != nil || idx < 0 {
-		return paramRef{}, errf(path, "malformed task index in %q", name)
-	}
-	if idx >= len(s.Tasks) {
-		return paramRef{}, errf(path, "task index %d out of range (scenario has %d tasks)", idx, len(s.Tasks))
-	}
-	ref := paramRef{task: idx}
-	kind := s.Tasks[idx].Kind
-	lcField := false
-	switch field {
-	case "app":
-		ref.kind = paramTaskApp
-	case "load_pct":
-		ref.kind = paramTaskLoad
-	case "interarrival":
-		ref.kind = paramTaskIA
-	case "threads":
-		ref.kind = paramTaskThreads
-	default:
-		loadField, isLoad := strings.CutPrefix(field, "load.")
-		if !isLoad {
-			return paramRef{}, errf(path, "unknown sweep parameter %q", name)
-		}
-		lcField = true
-		if kind == KindLC && s.Tasks[idx].Load == nil {
-			return paramRef{}, errf(path, "%q sweeps a load field but tasks[%d] declares no load stanza", name, idx)
-		}
-		switch loadField {
-		case "zipf_theta":
-			ref.kind = paramTaskZipf
-		case "onoff.on_mean", "onoff.off_mean":
-			if kind == KindLC && s.Tasks[idx].Load.OnOff == nil {
-				return paramRef{}, errf(path, "%q sweeps an onoff field but tasks[%d].load declares no onoff stanza", name, idx)
-			}
-			ref.kind = paramTaskOnMean
-			if loadField == "onoff.off_mean" {
-				ref.kind = paramTaskOffMean
-			}
-		default:
-			rest, isPhase := strings.CutPrefix(loadField, "phases[")
-			if !isPhase {
-				return paramRef{}, errf(path, "unknown sweep parameter %q", name)
-			}
-			phStr, phField, ok := strings.Cut(rest, "].")
-			if !ok {
-				return paramRef{}, errf(path, "malformed sweep parameter %q", name)
-			}
-			ph, err := strconv.Atoi(phStr)
-			if err != nil || ph < 0 {
-				return paramRef{}, errf(path, "malformed phase index in %q", name)
-			}
-			if kind == KindLC && ph >= len(s.Tasks[idx].Load.Phases) {
-				return paramRef{}, errf(path, "phase index %d out of range (tasks[%d].load has %d phases)",
-					ph, idx, len(s.Tasks[idx].Load.Phases))
-			}
-			ref.phase = ph
-			switch phField {
-			case "scale":
-				ref.kind = paramTaskPhaseScale
-			case "cycles":
-				ref.kind = paramTaskPhaseCycles
-			default:
-				return paramRef{}, errf(path, "unknown sweep parameter %q", name)
-			}
-		}
-	}
-	if (ref.kind == paramTaskLoad || ref.kind == paramTaskIA || lcField) && kind != KindLC {
-		return paramRef{}, errf(path, "%q sweeps an LC field of a %q task", name, kind)
-	}
-	if ref.kind == paramTaskThreads && kind != KindBE {
-		return paramRef{}, errf(path, "%q sweeps a BE field of a %q task", name, kind)
-	}
-	return ref, nil
-}
-
-// setParam decodes raw into the referenced field with the same range checks
-// Validate applies to the static scenario.
-func (s *Scenario) setParam(ref paramRef, raw json.RawMessage, path string) error {
-	asString := func() (string, error) {
-		var v string
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return "", errf(path, "%s", jsonErr(err))
-		}
-		return v, nil
-	}
-	asInt := func() (int, error) {
-		var v int
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return 0, errf(path, "%s", jsonErr(err))
-		}
-		return v, nil
-	}
-	switch ref.kind {
-	case paramPolicy:
-		v, err := asString()
-		if err != nil {
-			return err
-		}
-		s.Policy = v
-		return s.validatePolicy(path)
-	case paramSeed:
-		var v uint64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		if v == 0 {
-			// Seed 0 means "keep the scale's seed", so the unit would
-			// silently rerun another value's seed.
-			return errf(path, "seed 0 would run the scale's seed; sweep seeds from 1")
-		}
-		s.Seed = v
-		return nil
-	case paramWarmup:
-		return unmarshalField(raw, &s.Warmup, path)
-	case paramMeasure:
-		return unmarshalField(raw, &s.Measure, path)
-	case paramTaskApp:
-		v, err := asString()
-		if err != nil {
-			return err
-		}
-		t := &s.Tasks[ref.task]
-		t.App, t.LCParams, t.BEParams = v, nil, nil
-		return t.validateApp(path)
-	case paramTaskLoad:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		if v < 1 || v > 100 {
-			return errf(path, "load_pct %d must be in 1..100", v)
-		}
-		t := &s.Tasks[ref.task]
-		t.LoadPct, t.Interarrival = v, 0
-		return nil
-	case paramTaskIA:
-		var v float64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		if v <= 0 {
-			return errf(path, "interarrival %v must be positive", v)
-		}
-		t := &s.Tasks[ref.task]
-		t.Interarrival, t.LoadPct = v, 0
-		return nil
-	case paramTaskThreads:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		if v < 1 {
-			return errf(path, "threads %d must be at least 1", v)
-		}
-		s.Tasks[ref.task].Threads = v
-		return nil
-	case paramTaskZipf:
-		var v float64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		if v < 0 || v >= 1 {
-			return errf(path, "zipf_theta %v must be in [0, 1)", v)
-		}
-		s.Tasks[ref.task].Load.ZipfTheta = v
-		return nil
-	case paramTaskPhaseScale:
-		var v float64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		p := &s.Tasks[ref.task].Load.Phases[ref.phase]
-		if v <= 0 && p.Shape != ShapeOff {
-			return errf(path, "scale %v must be positive for shape %q", v, p.Shape)
-		}
-		p.Scale = v
-		return nil
-	case paramTaskPhaseCycles:
-		var v uint64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		if v == 0 {
-			return errf(path, "cycles must be positive")
-		}
-		s.Tasks[ref.task].Load.Phases[ref.phase].Cycles = v
-		return nil
-	case paramTaskOnMean, paramTaskOffMean:
-		var v float64
-		if err := unmarshalField(raw, &v, path); err != nil {
-			return err
-		}
-		if v <= 0 {
-			return errf(path, "sojourn mean %v must be positive", v)
-		}
-		if ref.kind == paramTaskOnMean {
-			s.Tasks[ref.task].Load.OnOff.OnMean = v
-		} else {
-			s.Tasks[ref.task].Load.OnOff.OffMean = v
-		}
-		return nil
-	case paramOptExpectedLCBW:
-		if err := unmarshalField(raw, &s.Options.ExpectedLCBW, path); err != nil {
-			return err
-		}
-		return checkExpectedLCBW(s.Options.ExpectedLCBW, path)
-	case paramOptRRBPEntries:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		s.Options.RRBPEntries = v
-		return checkRRBPEntries(v, path)
-	case paramOptMBALevel:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		s.Options.MBALevel = v
-		return checkMBALevel(v, path)
-	case paramOptDisableMSC:
-		v, err := asString()
-		if err != nil {
-			return err
-		}
-		s.Options.DisableMSC = v
-		return checkDisableMSC(v, path)
-	case paramOptPrefetch:
-		return unmarshalField(raw, &s.Options.Prefetch, path)
-	case paramMachineCores:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		if v < 1 {
-			return errf(path, "machine.cores %d must be positive", v)
-		}
-		s.Machine.Cores = v
-		return nil
-	case paramMachineBEWays:
-		v, err := asInt()
-		if err != nil {
-			return err
-		}
-		if v < 0 {
-			return errf(path, "machine.be_ways %d must not be negative", v)
-		}
-		s.Machine.BEWays = v
-		return nil
-	}
-	return errf(path, "unhandled sweep parameter kind %d", ref.kind)
-}
-
-// Clone deep-copies the scenario's mutable parts — what a caller mutating
-// tasks or options (the fuzzer's shrinker, axis probing)
-// needs. Axes share the original's immutable raw values.
-func (s *Scenario) Clone() *Scenario { return s.clone() }
-
-// clone deep-copies the scenario's mutable parts (tasks and their custom
-// params); axes share the original's immutable raw values.
-func (s *Scenario) clone() *Scenario {
+// Clone deep-copies the scenario's mutable parts (tasks and their custom
+// params and load stanzas) — what a caller mutating tasks or options, like
+// the fuzzer's shrinker, needs. Axes share the original's immutable raw
+// values.
+func (s *Scenario) Clone() *Scenario {
 	out := *s
 	out.Tasks = make([]Task, len(s.Tasks))
 	copy(out.Tasks, s.Tasks)

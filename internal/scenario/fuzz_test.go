@@ -15,6 +15,12 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte(`{"version":1,"name":"t","policy":"Default",
 	  "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
 	  "sweep":[{"param":"machine.cores","values":[2,4]}]}`))
+	// A sweep value that Validate would refuse in a file: scale is not
+	// valid on an "off" phase.
+	f.Add([]byte(`{"version":1,"name":"t","policy":"Default",
+	  "tasks":[{"kind":"lc","app":"silo","load_pct":70,
+	            "load":{"phases":[{"shape":"off","cycles":100},{"shape":"flat","cycles":100,"scale":1}]}}],
+	  "sweep":[{"param":"tasks[0].load.phases[0].scale","values":[2]}]}`))
 	f.Add([]byte(`{"version":1e999}`))
 	f.Add([]byte("\xff\xfe not json"))
 }
@@ -43,8 +49,10 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzValidate: any document the decoder lets through (strict or not) must
-// survive Validate, Clone and Expand without panicking — errors are fine.
+// FuzzValidate: any document Parse accepts must survive Validate, Clone and
+// Expand without panicking, and every unit it expands to must pass Validate
+// like a scenario file. Expansion may fail (a combination over the core
+// budget or the unit cap).
 func FuzzValidate(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, doc []byte) {
@@ -55,9 +63,14 @@ func FuzzValidate(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Parse accepted but Validate rejects: %v", err)
 		}
-		if _, err := s.Clone().Expand(); err != nil {
-			// Expansion may legitimately fail (unit budget); it must not panic.
-			_ = err
+		units, err := s.Clone().Expand()
+		if err != nil {
+			return
+		}
+		for _, u := range units {
+			if err := u.Scenario.Validate(); err != nil {
+				t.Fatalf("unit %q of an accepted scenario fails Validate: %v", u.Label, err)
+			}
 		}
 	})
 }

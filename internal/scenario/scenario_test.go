@@ -345,7 +345,7 @@ func TestParseErrors(t *testing.T) {
 			doc: `{"version":1,"name":"t","policy":"Default",
 			       "tasks":[{"kind":"be","app":"ibench"}],
 			       "sweep":[{"param":"tasks[0].load_pct","values":[30]}]}`,
-			path: "sweep[tasks[0].load_pct].values[0]", msg: "sweeps an LC field",
+			path: "sweep[tasks[0].load_pct].values[0]", msg: `tasks[0].load_pct: only valid on "lc" tasks`,
 		},
 		{
 			name: "sweep value type error",
@@ -358,8 +358,15 @@ func TestParseErrors(t *testing.T) {
 			name: "sweep value out of range",
 			doc: `{"version":1,"name":"t","policy":"Default",
 			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
+			       "sweep":[{"param":"tasks[0].load_pct","values":[50,120]}]}`,
+			path: "sweep[tasks[0].load_pct].values[1]", msg: "tasks[0].load_pct: load_pct 120 must be in 1..100",
+		},
+		{
+			name: "sweep value zero means closed loop",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
 			       "sweep":[{"param":"tasks[0].load_pct","values":[0]}]}`,
-			path: "sweep[tasks[0].load_pct].values[0]", msg: "must be in 1..100",
+			path: "sweep[tasks[0].load_pct].values[0]", msg: "tasks[0].load_pct 0 would run closed loop",
 		},
 		{
 			name: "sweep app value not in catalogue",
@@ -446,6 +453,32 @@ func TestParseErrors(t *testing.T) {
 			       "sweep":[{"param":"tasks[0].load.phases[1].scale","values":[2]}]}`,
 			path: "sweep[tasks[0].load.phases[1].scale].values[0]",
 			msg:  "phase index 1 out of range",
+		},
+		{
+			name: "load sweep scale on an off phase",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70,
+			                 "load":{"phases":[{"shape":"off","cycles":100},
+			                                   {"shape":"flat","cycles":100,"scale":1}]}}],
+			       "sweep":[{"param":"tasks[0].load.phases[0].scale","values":[2]}]}`,
+			path: "sweep[tasks[0].load.phases[0].scale].values[0]",
+			msg:  `tasks[0].load.phases[0].scale: not valid for shape "off"`,
+		},
+		{
+			name: "load sweep without a load stanza",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","app":"silo","load_pct":70}],
+			       "sweep":[{"param":"tasks[0].load.zipf_theta","values":[0.5]}]}`,
+			path: "sweep[tasks[0].load.zipf_theta].values[0]",
+			msg:  "sweeps a field of tasks[0].load, which the scenario does not set",
+		},
+		{
+			name: "unsweepable inline params",
+			doc: `{"version":1,"name":"t","policy":"Default",
+			       "tasks":[{"kind":"lc","lc_params":{"name":"x","chase_depth":4,"chase_lines":64,"chase_pcs":2},"load_pct":70}],
+			       "sweep":[{"param":"tasks[0].lc_params.chase_depth","values":[8]}]}`,
+			path: "sweep[tasks[0].lc_params.chase_depth].values[0]",
+			msg:  `unknown sweep parameter "tasks[0].lc_params.chase_depth"`,
 		},
 		{
 			name: "axis value breaks core budget",

@@ -57,7 +57,7 @@ func TestMachineSweepAxisErrors(t *testing.T) {
 		msg  string
 	}{
 		{"unknown machine parameter", `{"param":"machine.sockets","values":[1,2]}`,
-			"unknown machine sweep parameter"},
+			`unknown sweep parameter "machine.sockets"`},
 		{"cores not positive", `{"param":"machine.cores","values":[0]}`,
 			"must be positive"},
 		{"be_ways negative", `{"param":"machine.be_ways","values":[-1]}`,

@@ -1,8 +1,8 @@
 package scenario
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pivot/internal/workload"
@@ -25,8 +25,8 @@ func (s *Scenario) Validate() error {
 	if err := s.validateMachine(); err != nil {
 		return err
 	}
-	if err := s.validatePolicy("policy"); err != nil {
-		return err
+	if !slices.Contains(Policies(), s.Policy) {
+		return errf("policy", "unknown policy %q (one of %s)", s.Policy, strings.Join(Policies(), ", "))
 	}
 	if err := s.Options.validate(); err != nil {
 		return err
@@ -56,55 +56,18 @@ func (s *Scenario) validateMachine() error {
 	return nil
 }
 
-func (s *Scenario) validatePolicy(path string) error {
-	for _, p := range Policies() {
-		if s.Policy == p {
-			return nil
-		}
-	}
-	return errf(path, "unknown policy %q (one of %s)", s.Policy, strings.Join(Policies(), ", "))
-}
-
 func (o Options) validate() error {
-	if err := checkExpectedLCBW(o.ExpectedLCBW, "options.expected_lc_bw"); err != nil {
-		return err
+	if o.ExpectedLCBW < 0 || o.ExpectedLCBW > 1 {
+		return errf("options.expected_lc_bw", "expected bandwidth fraction %v must be in 0..1", o.ExpectedLCBW)
 	}
-	if err := checkRRBPEntries(o.RRBPEntries, "options.rrbp_entries"); err != nil {
-		return err
+	if o.RRBPEntries < -1 {
+		return errf("options.rrbp_entries", "rrbp_entries %d must be -1 (unlimited), 0 (default) or positive", o.RRBPEntries)
 	}
-	if err := checkMBALevel(o.MBALevel, "options.mba_level"); err != nil {
-		return err
+	if o.MBALevel < 0 || o.MBALevel > 100 {
+		return errf("options.mba_level", "mba_level %d must be in 0..100", o.MBALevel)
 	}
-	return checkDisableMSC(o.DisableMSC, "options.disable_msc")
-}
-
-func checkExpectedLCBW(v float64, path string) error {
-	if v < 0 || v > 1 {
-		return errf(path, "expected bandwidth fraction %v must be in 0..1", v)
-	}
-	return nil
-}
-
-func checkRRBPEntries(v int, path string) error {
-	if v < -1 {
-		return errf(path, "rrbp_entries %d must be -1 (unlimited), 0 (default) or positive", v)
-	}
-	return nil
-}
-
-func checkMBALevel(v int, path string) error {
-	if v < 0 || v > 100 {
-		return errf(path, "mba_level %d must be in 0..100", v)
-	}
-	return nil
-}
-
-func checkDisableMSC(v string, path string) error {
-	if v == "" {
-		return nil
-	}
-	if _, ok := MSC(v); !ok {
-		return errf(path, "unknown MSC %q (one of %s)", v, strings.Join(MSCNames(), ", "))
+	if _, ok := MSC(o.DisableMSC); o.DisableMSC != "" && !ok {
+		return errf("options.disable_msc", "unknown MSC %q (one of %s)", o.DisableMSC, strings.Join(MSCNames(), ", "))
 	}
 	return nil
 }
@@ -416,6 +379,13 @@ func (s *Scenario) validateCoreBudget() error {
 }
 
 func (s *Scenario) validateSweep() error {
+	if len(s.Sweep) == 0 {
+		return nil
+	}
+	base, err := s.baseDoc()
+	if err != nil {
+		return err
+	}
 	seen := map[string]int{}
 	for i := range s.Sweep {
 		a := s.Sweep[i]
@@ -435,21 +405,15 @@ func (s *Scenario) validateSweep() error {
 			}
 			seen[p] = i
 		}
-		// Type- and range-check every value by applying it to a throwaway
-		// clone; an axis that also perturbs thread counts or loads must keep
-		// each single-value variant within the core budget (Expand re-checks
-		// full combinations).
+		// Each value alone must make a unit that passes every check a file
+		// does; Expand checks the full combinations.
 		for vi := range a.Values {
-			probe := s.clone()
-			if _, err := applyAxisValue(probe, a, vi); err != nil {
+			edits, err := a.edits(vi)
+			if err != nil {
 				return err
 			}
-			if err := probe.validateCoreBudget(); err != nil {
-				var fe *FieldError
-				if errors.As(err, &fe) {
-					return errf(a.path(vi), "%s", fe.Msg)
-				}
-				return fmt.Errorf("%s: %w", a.path(vi), err)
+			if _, err := resolve(base, edits); err != nil {
+				return anchor(a.path(vi), err)
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -140,7 +141,11 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		}
 	}
 
-	r := harness.New(harness.Config{Parallel: cfg.Parallel, Out: cfg.Out})
+	hcfg := harness.Config{Parallel: cfg.Parallel}
+	if cfg.Out != nil {
+		hcfg.Logger = slog.New(slog.NewTextHandler(cfg.Out, nil))
+	}
+	r := harness.New(hcfg)
 	results := r.RunContext(ctx, jobs)
 
 	sum := &Summary{Findings: findings}
