@@ -146,32 +146,16 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	return ok
 }
 
-// Tick rolls the monitoring window and forwards queued requests.
-func (c *Controller) Tick(now sim.Cycle) {
+// Tick rolls the monitoring window and forwards queued requests. Its
+// forecast is the embedded Station's, bounded by the next window boundary:
+// rollWindow mutates usage and class state even in a window with zero
+// traffic, so a sleep may never span it.
+func (c *Controller) Tick(now sim.Cycle) sim.Cycle {
 	if now-c.windowStart >= c.cfg.WindowCycles {
 		c.rollWindow()
 		c.windowStart = now
 	}
-	c.Station.Tick(now)
-}
-
-// NextWork implements sim.IdleReporter, shadowing the embedded Station's so
-// that engine skip-ahead registered against the Controller also honours the
-// monitoring-window boundary: rollWindow mutates usage and class state even
-// in a window with zero traffic, so a skip may never jump across it.
-func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	boundary := c.windowStart + c.cfg.WindowCycles
-	if boundary <= now {
-		return 0, false
-	}
-	next, idle := c.Station.NextWork(now)
-	if !idle {
-		return 0, false
-	}
-	if boundary < next {
-		next = boundary
-	}
-	return next, true
+	return sim.NoLaterThan(c.Station.Tick(now), c.windowStart+c.cfg.WindowCycles)
 }
 
 // WindowsDone reports how many monitoring windows have completed; usage

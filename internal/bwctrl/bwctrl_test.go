@@ -151,10 +151,11 @@ func (g *gate) SetRetry(retry func())            { g.retry = retry }
 func (g *gate) ChargeRefused(from, to sim.Cycle) { g.charged += int(to - from) }
 
 // TestBlockedHeadKeepsControllerAwake: while a downstream that asks for a
-// retry at once refuses its head, the controller reports work every cycle
-// (its shadowing NextWork must not turn the blocked head into a sleep until
-// the window boundary), keeps rolling its monitoring windows, and forwards
-// as soon as the downstream accepts.
+// retry at once refuses its head, the controller forecasts work every cycle
+// (its window bound must not turn the blocked head into a sleep until the
+// window boundary), keeps rolling its monitoring windows, and forwards as
+// soon as the downstream accepts; drained, it sleeps until the next window
+// boundary, owing nothing.
 func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
 	g := &gate{atOnce: true}
 	c := New(testCfg(), g)
@@ -162,22 +163,21 @@ func TestBlockedHeadKeepsControllerAwake(t *testing.T) {
 		t.Fatal("controller refused with empty queues")
 	}
 	for now := sim.Cycle(0); now < 250; now++ {
-		if _, idle := c.NextWork(now); idle {
-			t.Fatalf("cycle %d: controller idle with a refused head", now)
+		if next := c.Tick(now); next != now+1 {
+			t.Fatalf("cycle %d: controller forecast %#x with a refused head, want %d", now, next, now+1)
 		}
-		c.Tick(now)
 	}
 	if len(g.got) != 0 || c.WindowsDone() != 2 || len(g.offers) != 250 {
 		t.Fatalf("blocked: forwarded %d, windows %d, offers %d; want 0, 2 and 250",
 			len(g.got), c.WindowsDone(), len(g.offers))
 	}
 	g.open = true
-	c.Tick(250)
+	next := c.Tick(250)
 	if len(g.got) != 1 || c.Stats.Forwarded != 1 {
 		t.Fatalf("forwarded %d (stat %d) once the downstream opened, want 1", len(g.got), c.Stats.Forwarded)
 	}
-	if next, idle := c.NextWork(251); !idle || next != 300 {
-		t.Fatalf("drained controller NextWork = (%d, %v), want (300, true)", next, idle)
+	if next != 300 {
+		t.Fatalf("drained controller forecast %#x, want 300 (not owing)", next)
 	}
 }
 

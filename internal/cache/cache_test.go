@@ -157,23 +157,25 @@ func TestMissRateAndReset(t *testing.T) {
 
 func TestMSHRFile(t *testing.T) {
 	m := NewMSHRFile(2)
-	e1, fresh := m.Allocate(0x40)
-	if e1 == nil || !fresh {
-		t.Fatal("first allocation should create an entry")
+	if m.Lookup(0x40) != nil || m.Full() {
+		t.Fatal("empty file should have room and no entry")
+	}
+	e1 := m.Allocate(0x40)
+	if e1 == nil || e1.Addr != 0x40 || len(e1.Waiters) != 0 {
+		t.Fatal("first allocation should create an empty entry")
 	}
 	e1.Waiters = append(e1.Waiters, 7)
-	e1b, fresh := m.Allocate(0x40)
-	if e1b != e1 || fresh {
-		t.Fatal("same-line allocation should coalesce")
+	if m.Lookup(0x40) != e1 {
+		t.Fatal("same-line lookup should find the entry to coalesce onto")
 	}
-	if _, fresh := m.Allocate(0x80); !fresh {
+	if m.Full() {
+		t.Fatal("file with 1/2 entries reported full")
+	}
+	if e := m.Allocate(0x80); e.Addr != 0x80 || m.Lookup(0x80) != e {
 		t.Fatal("second line should allocate")
 	}
 	if !m.Full() {
 		t.Fatal("file with 2/2 entries should be full")
-	}
-	if e, fresh := m.Allocate(0xC0); e != nil || fresh {
-		t.Fatal("allocation beyond capacity should fail")
 	}
 	// Fill hands back the removed entry's contents; the pointer itself is a
 	// scratch slot, valid until the next Allocate or Fill, not e1's identity.

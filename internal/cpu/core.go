@@ -176,9 +176,9 @@ type Core struct {
 	idleSrc IdleStream
 
 	// waker ends the core's engine sleep; CompleteLoad and WakeIdle call it
-	// before anything outside the core's own Tick changes its verdict.
+	// before anything outside the core's own Tick changes its forecast.
 	waker sim.Waker
-	// shape caches, alongside the idle verdict that began the current
+	// shape caches, alongside the sleep forecast that began the current
 	// engine sleep, exactly which counters a quiescent cycle accrues, so
 	// SkipCycles applies precomputed increments instead of re-deriving them.
 	shape skipShape
@@ -242,21 +242,39 @@ func (c *Core) depReady(seq uint64) bool {
 	return e.state == stDone
 }
 
-// Tick advances the core one cycle: commit, issue, dispatch.
-func (c *Core) Tick(now sim.Cycle) {
+// Tick advances the core one cycle — commit, issue, dispatch — and returns
+// its forecast (see forecast).
+func (c *Core) Tick(now sim.Cycle) sim.Cycle {
 	c.commit(now)
 	c.issue(now)
 	c.dispatch(now)
+	return c.forecast(now + 1)
 }
 
 // SetWaker implements sim.Wakeable.
 func (c *Core) SetWaker(w sim.Waker) { c.waker = w }
 
 // WakeIdle ends the core's engine sleep. The machine calls it before it
-// mutates, from outside the core's own Tick, state the idle verdict or its
-// compensation depends on (a fill into the private cache hierarchy, an
-// egress-queue drain).
+// mutates, from outside the core's own Tick, state the forecast or its
+// compensation depends on (a fill into the private cache hierarchy).
 func (c *Core) WakeIdle() { c.waker.Wake() }
+
+// PortFreed ends the core's engine sleep after its port freed egress
+// capacity, unless the refused retry at the head of the retry queue would
+// still be refused. A sleeping core reads the port only through that
+// head's RetryReady (see forecast), and a refused retry's elided probes
+// count the same whatever the egress occupancy, so neither the forecast
+// nor its compensation can have changed.
+func (c *Core) PortFreed() {
+	if len(c.retryQ) == c.retryH {
+		return
+	}
+	if e := c.slotOf(c.retryQ[c.retryH]); e != nil && c.retry != nil &&
+		!c.retry.RetryReady(e.op.Kind, e.op.Addr) {
+		return
+	}
+	c.waker.Wake()
+}
 
 // skipShape is the precomputed per-quiescent-cycle counter delta.
 type skipShape struct {
@@ -270,23 +288,26 @@ type skipShape struct {
 	dispatch  uint8 // 0 = none, 1 = DispatchStall, 2 = IdleCycles
 }
 
-// NextWork implements sim.IdleReporter: the core is quiescent exactly when a
-// dense Tick would change nothing but the stall/idle counters SkipCycles
-// compensates — no commit, no issue, no dispatch, no retry that could
-// succeed, and no instruction arriving from the stream. The verdict holds
-// until the stream's next arrival unless a load completes or the port frees
-// a resource, both of which wake the core.
-func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	// ALU completions pending or ops ready to issue: work this cycle.
+// forecast is the sim.Ticker forecast the Tick before cycle at returns:
+// the core is quiescent from at exactly when a dense Tick would change
+// nothing but the stall/idle counters SkipCycles compensates — no commit,
+// no issue, no dispatch, no retry that could succeed, and no instruction
+// arriving from the stream. The sleep holds until the stream's next
+// arrival unless a load completes or the port frees a resource, both of
+// which wake the core. Every quiescent cycle accrues some counter (a
+// stalled head, a refused retry, a blocked or idle dispatch), so every
+// sleep owes.
+func (c *Core) forecast(at sim.Cycle) sim.Cycle {
+	// ALU completions pending or ops ready to issue: work at at.
 	if c.aluPending > 0 || len(c.readyQ) > c.readyH {
-		return 0, false
+		return at
 	}
 	sh := skipShape{}
 	// Commit would retire the head.
 	if c.count > 0 {
 		e := &c.rob[c.head]
 		if e.state == stDone {
-			return 0, false
+			return at
 		}
 		sh.headEntry = e
 		sh.headLoad = e.op.Kind == OpLoad
@@ -296,17 +317,17 @@ func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 	// side effects are fully compensable.
 	if len(c.retryQ) > c.retryH {
 		if c.retry == nil {
-			return 0, false
+			return at
 		}
 		e := c.slotOf(c.retryQ[c.retryH])
 		if e == nil {
-			return 0, false // stale seq: the retry queue itself would shrink
+			return at // stale seq: the retry queue itself would shrink
 		}
 		if e.op.Kind == OpLoad && c.hook.IsCritical != nil && c.hook.SkipCritical == nil {
-			return 0, false // cannot compensate the predictor probe
+			return at // cannot compensate the predictor probe
 		}
 		if c.retry.RetryReady(e.op.Kind, e.op.Addr) {
-			return 0, false
+			return at
 		}
 		sh.hasRetry = true
 		sh.skipCrit = e.op.Kind == OpLoad && c.hook.IsCritical != nil
@@ -315,7 +336,7 @@ func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 		sh.retryAddr = e.op.Addr
 	}
 	// Dispatch progress: possible only when the ROB has room.
-	next := NeverWork
+	next := sim.NeverWork
 	if c.count >= c.cfg.ROBSize {
 		sh.dispatch = 1
 	} else if c.fetched {
@@ -323,16 +344,16 @@ func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 		lqBlocked := op.Kind == OpLoad && c.lqUsed >= c.cfg.LQSize
 		sqBlocked := op.Kind == OpStore && c.sqUsed >= c.cfg.SQSize
 		if !lqBlocked && !sqBlocked {
-			return 0, false
+			return at
 		}
 		sh.dispatch = 1
 	} else {
 		if c.idleSrc == nil {
-			return 0, false
+			return at
 		}
-		n, idle := c.idleSrc.NextAvailable(now)
+		n, idle := c.idleSrc.NextAvailable(at)
 		if !idle {
-			return 0, false
+			return at
 		}
 		next = n
 		if c.count == 0 {
@@ -340,19 +361,16 @@ func (c *Core) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 		}
 	}
 	c.shape = sh
-	return next, true
+	return sim.Owing(next)
 }
-
-// NeverWork mirrors sim.NeverWork without importing it twice at call sites.
-const NeverWork = ^sim.Cycle(0)
 
 // SkipCycles implements sim.Skipper: it applies exactly the counter updates
 // that n := to-from consecutive quiescent Ticks would have applied — the
 // commit-stall attribution, the refused-retry probe statistics, and the
 // dispatch-stall/idle accounting — in the same at-most-once-per-cycle
 // pattern as the dense loop. The engine only calls it for a span that began
-// with an idle NextWork verdict and before any wake, so the shape cached by
-// that verdict describes every cycle of the span exactly.
+// with a sleep forecast and before any wake, so the shape cached by that
+// forecast describes every cycle of the span exactly.
 func (c *Core) SkipCycles(from, to sim.Cycle) {
 	n := uint64(to - from)
 	if n == 0 {

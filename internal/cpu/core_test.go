@@ -370,3 +370,80 @@ func TestCommitWidthBound(t *testing.T) {
 		t.Fatalf("committed %d, want 8", c.Stats.Committed)
 	}
 }
+
+// gatedPort refuses every load while shut and accepts while open; as a
+// RetryPort it answers RetryReady with the gate and counts elided retries.
+type gatedPort struct {
+	fakePort
+	open    bool
+	skipped uint64
+}
+
+func (p *gatedPort) Load(r LoadRequest, now sim.Cycle) bool {
+	if !p.open {
+		return false
+	}
+	return p.fakePort.Load(r, now)
+}
+
+func (p *gatedPort) RetryReady(OpKind, uint64) bool           { return p.open }
+func (p *gatedPort) SkipRetries(_ OpKind, _ uint64, n uint64) { p.skipped += n }
+
+// drainedStream is a sliceStream that, once drained, reports it will never
+// produce another op, so a core with nothing else to do may sleep.
+type drainedStream struct{ sliceStream }
+
+func (s *drainedStream) NextAvailable(sim.Cycle) (sim.Cycle, bool) {
+	return sim.NeverWork, s.pos >= len(s.ops)
+}
+
+// tickCount counts a core's engine ticks.
+type tickCount struct {
+	*Core
+	ticks int
+}
+
+func (t *tickCount) Tick(now sim.Cycle) sim.Cycle {
+	t.ticks++
+	return t.Core.Tick(now)
+}
+
+// TestPortFreedWakesOnlyAnIssuableRetry: a core parked on a refused load
+// retry sleeps through PortFreed calls while the port would still refuse
+// the retry, wakes on the first one after the port would accept it, and
+// ends in the state of a dense run, elided retries included.
+func TestPortFreedWakesOnlyAnIssuableRetry(t *testing.T) {
+	const openAt, end = 100, 200
+	run := func(dense bool) (*Core, *gatedPort, int) {
+		ops := []MicroOp{{PC: 1, Kind: OpLoad, Dest: 1, Addr: 0x40}}
+		p := &gatedPort{fakePort: fakePort{latency: 5}}
+		c := New(0, testCfg(), &drainedStream{sliceStream{ops: ops}}, p, Hooks{})
+		p.core = c
+		tc := &tickCount{Core: c}
+		e := sim.NewEngine()
+		e.SetDense(dense)
+		e.Register(sim.TickFunc(func(now sim.Cycle) {
+			p.tick(now)
+			p.open = now >= openAt
+			c.PortFreed()
+		}))
+		e.Register(tc)
+		e.Step(end)
+		return c, p, tc.ticks
+	}
+	dc, dp, _ := run(true)
+	sc, sp, ticks := run(false)
+	if dc.Stats.Committed != 1 || sc.Stats != dc.Stats {
+		t.Fatalf("skip stats %+v, dense %+v; want one committed load in both", sc.Stats, dc.Stats)
+	}
+	if sp.loads != dp.loads || sp.skipped == 0 {
+		t.Fatalf("skip run: %d loads accepted (dense %d), %d retries elided; want equal loads and some elided",
+			sp.loads, dp.loads, sp.skipped)
+	}
+	// Ticked while dispatching and issuing, once when the port opens and
+	// a few times until the load commits: far fewer than the 100 cycles
+	// it sat refused with PortFreed called every cycle.
+	if ticks > 20 {
+		t.Fatalf("core ticked %d times in %d cycles; PortFreed woke a still-refused retry", ticks, end)
+	}
+}

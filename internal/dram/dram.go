@@ -123,7 +123,7 @@ type Controller struct {
 	Respond func(r *mem.Req, now sim.Cycle)
 
 	// waker ends the controller's engine sleep when Accept enqueues or the
-	// Ranker's generation moves (see NextWork and RanksChanged).
+	// Ranker's generation moves (see forecast and RanksChanged).
 	waker sim.Waker
 
 	// retry is the upstream's retry hook (interconnect.Downstream), called
@@ -176,12 +176,12 @@ type Controller struct {
 	// put a queued request on its data bus: the bus's free cycle while it is
 	// busy, else the bound pick computes when it finds nothing to serve.
 	// Every Tick that reaches the grant loop recomputes it. It stays exact
-	// while the queues, banks and ranks do, and NextWork trusts it only
+	// while the queues, banks and ranks do, and forecast trusts it only
 	// while the activation memo is valid with no pending claims, which
 	// already covers every other mutation: Accept queues a pending claim or
 	// drops the memo, and so do restore and refresh; banks move only in
 	// startActivates (bounded by actSettled) and refresh; ranks move only
-	// with the Ranker generation, which NextWork compares.
+	// with the Ranker generation, which forecast compares.
 	// Derived state: never serialised.
 	serveAt []sim.Cycle
 
@@ -244,7 +244,7 @@ func New(cfg Config, lineBytes int) *Controller {
 	}
 	if cfg.RefreshInterval > 0 {
 		// Initialise the refresh deadline eagerly (maybeRefresh keeps its
-		// lazy form for restored pre-init snapshots): NextWork must know the
+		// lazy form for restored pre-init snapshots): forecast must know the
 		// deadline before the first Tick, and it is serialised state, so it
 		// has to be identical in dense and skip-ahead runs at every cycle.
 		c.nextRefresh = cfg.RefreshInterval
@@ -606,7 +606,7 @@ func (c *Controller) claim(e *entry, now sim.Cycle, next *sim.Cycle) bool {
 // succeed with the queues, banks and ranks unchanged (NeverWork if never):
 // the first cycle a candidate whose row is already open has its bank ready,
 // or a blocked channel's starving head may be promoted. Candidates whose rows are closed need an
-// activation first, which the activation memo bounds (see NextWork).
+// activation first, which the activation memo bounds (see forecast).
 func (c *Controller) pick(now sim.Cycle, ch int) (q *[]entry, idx int, at sim.Cycle) {
 	at = sim.NeverWork
 	// Starvation guard.
@@ -758,9 +758,10 @@ func (c *Controller) maybeRefresh(now sim.Cycle) {
 	}
 }
 
-// Tick advances the controller one cycle: deliver due responses, start row
-// activates, and, when the data bus is free, move one request's line.
-func (c *Controller) Tick(now sim.Cycle) {
+// Tick advances the controller one cycle — deliver due responses, start row
+// activates and, when a data bus is free, move one request's line — and
+// returns its forecast (see forecast).
+func (c *Controller) Tick(now sim.Cycle) sim.Cycle {
 	// Deliver responses whose return latency elapsed.
 	for c.respHead <= now {
 		r := c.pendingResp.PopHead().req
@@ -794,7 +795,7 @@ func (c *Controller) Tick(now sim.Cycle) {
 	// channel cannot advance an earlier channel's bound: channels share
 	// only the starvation guard's head, and a serve that changes the head
 	// lowers or drops the activation memo (repairAfterServe), which
-	// NextWork also honours.
+	// forecast also honours.
 	served := false
 	for ch := range c.busFreeAt {
 		if c.busFreeAt[ch] > now {
@@ -845,31 +846,33 @@ func (c *Controller) Tick(now sim.Cycle) {
 	if served && c.retry != nil {
 		c.retry()
 	}
+	return c.forecast(now + 1)
 }
 
-// NextWork implements sim.IdleReporter. The controller sleeps until the
-// earliest cycle its Tick could do more than count busy data-bus cycles
-// (which SkipCycles compensates): the next response delivery, the next
-// refresh and, while requests are queued, the activation memo's bound
+// forecast is the sim.Ticker forecast the Tick before cycle at returns:
+// the earliest cycle from at on at which a Tick could do more than count
+// busy data-bus cycles (which SkipCycles compensates, so a sleep owes
+// exactly while a bus is busy past at): the next response delivery, the
+// next refresh and, while requests are queued, the activation memo's bound
 // (actSettled: no bank can change state before it) and each channel's
-// serveAt (no request can reach the bus before it). It stays awake while
-// the activation memo is invalid or has pending claims (a request just
-// enqueued, a served bank's successor, a re-scan due) — which is also when
-// serveAt may be stale — or while the Ranker's generation has moved past
-// the cached ranks. Accept and a class-generation bump (RanksChanged) wake
-// it. The `claimed` scratch slab an idle Tick would have zeroed carries no
-// state (it is rebuilt every tick and never serialised), so eliding it is
-// unobservable.
-func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
+// serveAt (no request can reach the bus before it). It keeps the
+// controller awake while the activation memo is invalid or has pending
+// claims (a request just enqueued, a served bank's successor, a re-scan
+// due) — which is also when serveAt may be stale — or while the Ranker's
+// generation has moved past the cached ranks. Accept and a
+// class-generation bump (RanksChanged) wake it. The `claimed` scratch slab
+// an idle Tick would have zeroed carries no state (it is rebuilt every tick
+// and never serialised), so eliding it is unobservable.
+func (c *Controller) forecast(at sim.Cycle) sim.Cycle {
 	next := c.respHead
 	if len(c.normal) > 0 || len(c.prio) > 0 {
-		if len(c.pendClaimN) > 0 || c.actSettled <= now ||
+		if len(c.pendClaimN) > 0 || c.actSettled <= at ||
 			(c.Ranker != nil && c.Ranker.RankGen() != c.rankGen) {
-			return 0, false
+			return at
 		}
 		next = min(next, c.actSettled)
-		for _, at := range c.serveAt {
-			next = min(next, at)
+		for _, free := range c.serveAt {
+			next = min(next, free)
 		}
 	}
 	if c.cfg.RefreshInterval > 0 {
@@ -879,10 +882,15 @@ func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 		}
 		next = min(next, nr)
 	}
-	if next <= now {
-		return 0, false
+	if next <= at {
+		return at
 	}
-	return next, true
+	for _, free := range c.busFreeAt {
+		if free > at {
+			return sim.Owing(next)
+		}
+	}
+	return next
 }
 
 // SkipCycles implements sim.Skipper: each elided cycle counts every channel
@@ -898,7 +906,7 @@ func (c *Controller) SkipCycles(from, to sim.Cycle) {
 // RanksChanged wakes the controller after its Ranker's generation moved:
 // the cached ranks order both the activation scan and pick, so a sleep
 // forecast made under the old ranks may be too late. The caller (bwctrl's
-// window roll) ticks after the controller, so the wake polls it on the next
+// window roll) ticks after the controller, so the wake ticks it on the next
 // cycle — the cycle a dense run's Tick first re-ranks.
 func (c *Controller) RanksChanged() { c.waker.Wake() }
 

@@ -31,32 +31,36 @@ func (tc sleepCase) config() Config {
 }
 
 // sleepHorizon caps how far past a forecast's start the verdict check
-// ticks its dense copy; the check over [now, min(next, now+horizon)) is a
-// prefix of the full claim.
+// ticks its dense copy; the check over [now+1, min(next, now+1+horizon)) is
+// a prefix of the full claim.
 const sleepHorizon = 400
 
-// sleepProbe sits in an engine slot in the controller's place. Every idle
-// verdict NextWork gives is checked on the spot: a copy of the controller,
+// sleepProbe sits in an engine slot in the controller's place. Every sleep
+// forecast a Tick returns is checked on the spot: a copy of the controller,
 // ticked densely through the forecast span with no input, must deliver,
-// activate, serve and refresh nothing, and must end in the state that
-// SkipCycles over the same span gives a second copy.
+// activate, serve and refresh nothing, and must end in the state that the
+// span's compensation gives a second copy — SkipCycles over the span for a
+// forecast marked Owing, nothing otherwise.
 type sleepProbe struct {
-	t    *testing.T
-	c    *Controller
-	idle int // idle verdicts checked
+	t     *testing.T
+	c     *Controller
+	idle  int // sleep forecasts checked
+	owing int // of which marked Owing
 }
 
-func (p *sleepProbe) Tick(now sim.Cycle)            { p.c.Tick(now) }
 func (p *sleepProbe) SkipCycles(from, to sim.Cycle) { p.c.SkipCycles(from, to) }
 func (p *sleepProbe) SetWaker(w sim.Waker)          { p.c.SetWaker(w) }
 
-func (p *sleepProbe) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	next, idle := p.c.NextWork(now)
-	if idle && next > now {
+func (p *sleepProbe) Tick(now sim.Cycle) sim.Cycle {
+	next := p.c.Tick(now)
+	if until, owes := sim.SplitForecast(next); until > now+1 {
 		p.idle++
-		p.checkVerdict(now, min(next, now+sleepHorizon))
+		if owes {
+			p.owing++
+		}
+		p.checkVerdict(now+1, min(until, now+1+sleepHorizon), owes)
 	}
-	return next, idle
+	return next
 }
 
 // clone copies the controller's serialised state into a fresh controller
@@ -70,7 +74,7 @@ func (p *sleepProbe) clone(delivered *int) *Controller {
 	return d
 }
 
-func (p *sleepProbe) checkVerdict(now, end sim.Cycle) {
+func (p *sleepProbe) checkVerdict(now, end sim.Cycle, owes bool) {
 	p.t.Helper()
 	var delivered, unused int
 	dense := p.clone(&delivered)
@@ -79,16 +83,18 @@ func (p *sleepProbe) checkVerdict(now, end sim.Cycle) {
 		dense.Tick(t)
 		if delivered > 0 || dense.Stats.Served != before.Served ||
 			dense.Stats.RowMisses != before.RowMisses || dense.Stats.Refreshes != before.Refreshes {
-			p.t.Fatalf("NextWork(%d) slept until %d, but a dense Tick at %d delivers %d, serves %d, activates %d, refreshes %d",
+			p.t.Fatalf("forecast slept from %d until %d, but a dense Tick at %d delivers %d, serves %d, activates %d, refreshes %d",
 				now, end, t, delivered, dense.Stats.Served-before.Served,
 				dense.Stats.RowMisses-before.RowMisses, dense.Stats.Refreshes-before.Refreshes)
 		}
 	}
 	skipped := p.clone(&unused)
-	skipped.SkipCycles(now, end)
+	if owes {
+		skipped.SkipCycles(now, end)
+	}
 	if got, want := skipped.SnapshotState(), dense.SnapshotState(); !reflect.DeepEqual(got, want) {
-		p.t.Fatalf("NextWork(%d) slept until %d: SkipCycles state differs from dense ticks:\nskip  %+v\ndense %+v",
-			now, end, got.Stats, want.Stats)
+		p.t.Fatalf("forecast slept from %d until %d (owing %v): compensated state differs from dense ticks:\nskip  %+v\ndense %+v",
+			now, end, owes, got.Stats, want.Stats)
 	}
 }
 
@@ -105,7 +111,12 @@ type sleepDriver struct {
 	id      uint64
 }
 
-func (d *sleepDriver) Tick(now sim.Cycle) {
+func (d *sleepDriver) Tick(now sim.Cycle) sim.Cycle {
+	d.drive(now)
+	return now + 1
+}
+
+func (d *sleepDriver) drive(now sim.Cycle) {
 	if d.tc.ranked && d.rng.Intn(300) == 0 {
 		d.classes.flip(d.rng, denseClasses)
 		d.c.RanksChanged()
@@ -136,7 +147,7 @@ type grant struct {
 // TestSleepForecastMatchesDense checks the controller's idle forecasts
 // against dense ticking, over ranked/unranked × priority × refresh ×
 // 1/2 channels × starvation guard on/off, with classes flipped at random
-// cycles. Each idle verdict is checked on the spot (sleepProbe), and a
+// cycles. Each sleep forecast is checked on the spot (sleepProbe), and a
 // skip-ahead engine run is compared with a dense one — grants, their
 // cycles, and the serialised state at every Step boundary — so the wakes
 // (Accept, RanksChanged) are exercised through the real engine.
@@ -195,8 +206,8 @@ func runSleepEquiv(t *testing.T, tc sleepCase, seed int64) {
 			t.Fatalf("seed %d cycle %d: controller state diverged:\nskip  %+v\ndense %+v", seed, now, got.Stats, want.Stats)
 		}
 	}
-	if skip.c.Stats.Served < 200 || skip.probe.idle < 100 {
-		t.Fatalf("seed %d: %d served, %d idle verdicts; the traffic does not exercise the forecast",
-			seed, skip.c.Stats.Served, skip.probe.idle)
+	if skip.c.Stats.Served < 200 || skip.probe.idle < 100 || skip.probe.owing == 0 {
+		t.Fatalf("seed %d: %d served, %d sleep forecasts (%d owing); the traffic does not exercise the forecast",
+			seed, skip.c.Stats.Served, skip.probe.idle, skip.probe.owing)
 	}
 }

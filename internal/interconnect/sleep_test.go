@@ -50,19 +50,20 @@ func sinkHit(r *mem.Req) bool { return r.PC%5 == 0 }
 func (d *drainSink) SetRetry(retry func())            { d.retry = retry }
 func (d *drainSink) ChargeRefused(from, to sim.Cycle) { d.refused += uint64(to - from) }
 
-func (d *drainSink) Tick(now sim.Cycle) {
+func (d *drainSink) Tick(now sim.Cycle) sim.Cycle {
 	odds := 3
 	if now/700%2 == 1 {
 		odds = 40
 	}
 	if len(d.q) == 0 || d.rng.Intn(odds) != 0 {
-		return
+		return now + 1
 	}
 	d.got = append(d.got, grant{d.q[0], now})
 	d.q = d.q[1:]
 	if d.retry != nil {
 		d.retry()
 	}
+	return now + 1
 }
 
 // frozenDown stands in for a downstream as it was when a station reported
@@ -94,42 +95,42 @@ func hasRoom(s *Station, r *mem.Req) bool {
 	return s.nNormal < s.cfg.CapNormal
 }
 
-// blockedProbe sits in an engine slot in a station's place. Every idle
-// verdict NextWork gives is checked on the spot: a copy of the station,
+// blockedProbe sits in an engine slot in a station's place. Every sleep
+// forecast a Tick returns is checked on the spot: a copy of the station,
 // ticked densely through the forecast span against the downstream frozen
 // as it is now, must forward nothing, end in the station's state, and meet
-// exactly the refusals SkipCycles charges for the span — one per cycle for
-// a blocked sleep, none for a sleep with nothing ready.
+// exactly the refusals the sleep owes — one per cycle for a blocked sleep
+// (marked Owing, which SkipCycles charges), none for a sleep with nothing
+// ready (unmarked).
 type blockedProbe struct {
 	t       *testing.T
 	s       *Station
 	room    func(r *mem.Req) bool
-	idle    int // idle verdicts checked
+	idle    int // sleep forecasts checked
 	blocked int // of which blocked sleeps
 }
 
-func (p *blockedProbe) Tick(now sim.Cycle)            { p.s.Tick(now) }
 func (p *blockedProbe) SkipCycles(from, to sim.Cycle) { p.s.SkipCycles(from, to) }
 func (p *blockedProbe) SetWaker(w sim.Waker)          { p.s.SetWaker(w) }
 
-func (p *blockedProbe) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	next, idle := p.s.NextWork(now)
-	if idle && next > now {
+func (p *blockedProbe) Tick(now sim.Cycle) sim.Cycle {
+	next := p.s.Tick(now)
+	if until, owes := sim.SplitForecast(next); until > now+1 {
 		p.idle++
-		if p.s.owesRefusals {
+		if owes {
 			p.blocked++
 		}
-		p.checkVerdict(now, min(next, now+sleepHorizon))
+		p.checkVerdict(now+1, min(until, now+1+sleepHorizon), owes)
 	}
-	return next, idle
+	return next
 }
 
 // sleepHorizon caps how far past a forecast's start the verdict check
-// ticks its dense copy; the check over [now, min(next, now+horizon)) is a
-// prefix of the full claim.
+// ticks its dense copy; the check over [now+1, min(next, now+1+horizon)) is
+// a prefix of the full claim.
 const sleepHorizon = 300
 
-func (p *blockedProbe) checkVerdict(now, end sim.Cycle) {
+func (p *blockedProbe) checkVerdict(now, end sim.Cycle, owes bool) {
 	p.t.Helper()
 	down := &frozenDown{accepts: p.room}
 	dense := New(p.s.cfg, down)
@@ -140,20 +141,20 @@ func (p *blockedProbe) checkVerdict(now, end sim.Cycle) {
 	for t := now; t < end; t++ {
 		dense.Tick(t)
 		if down.accepted > 0 {
-			p.t.Fatalf("%s: NextWork(%d) slept until %d, but a dense Tick at %d forwards",
+			p.t.Fatalf("%s: forecast slept from %d until %d, but a dense Tick at %d forwards",
 				p.s.cfg.Name, now, end, t)
 		}
 	}
 	want := uint64(0)
-	if p.s.owesRefusals {
+	if owes {
 		want = uint64(end - now)
 	}
 	if down.refused != want {
-		p.t.Fatalf("%s: NextWork(%d) slept until %d owing %d refusals; dense ticks meet %d",
+		p.t.Fatalf("%s: forecast slept from %d until %d owing %d refusals; dense ticks meet %d",
 			p.s.cfg.Name, now, end, want, down.refused)
 	}
 	if got := dense.SnapshotState(); !reflect.DeepEqual(got, before) {
-		p.t.Fatalf("%s: NextWork(%d) slept until %d, but dense ticks change the state:\nbefore %+v\nafter  %+v",
+		p.t.Fatalf("%s: forecast slept from %d until %d, but dense ticks change the state:\nbefore %+v\nafter  %+v",
 			p.s.cfg.Name, now, end, before.Stats, got.Stats)
 	}
 }
@@ -170,7 +171,12 @@ type chainFeeder struct {
 	id       uint64
 }
 
-func (d *chainFeeder) Tick(now sim.Cycle) {
+func (d *chainFeeder) Tick(now sim.Cycle) sim.Cycle {
+	d.feed(now)
+	return now + 1
+}
+
+func (d *chainFeeder) feed(now sim.Cycle) {
 	if d.ranked && d.rng.Intn(250) == 0 {
 		d.classes.flip(d.rng)
 		d.up.RanksChanged()
@@ -207,7 +213,7 @@ type chainCase struct {
 // (none, both, downstream only) × starvation guard on/off × bandwidth 1/2,
 // with critical arrivals and classes flipped at random cycles. The sink's
 // hits and the downstream-only priority queue make acceptance depend on
-// the request, so a sleep that misses a change of pick shows. Each idle verdict is checked on the
+// the request, so a sleep that misses a change of pick shows. Each sleep forecast is checked on the
 // spot (blockedProbe), and a skip-ahead run is compared with a dense one —
 // grants and their cycles, both stations' serialised state and every
 // Refused count at every Step boundary — so the wakes (retry, Accept,
@@ -280,7 +286,7 @@ func runChainEquiv(t *testing.T, tc chainCase, seed int64) {
 	}
 	for _, p := range skip.probes {
 		if p.blocked < 50 || p.idle < 100 {
-			t.Fatalf("seed %d: %s gave %d idle verdicts, %d blocked; the traffic does not exercise the sleep",
+			t.Fatalf("seed %d: %s gave %d sleep forecasts, %d blocked; the traffic does not exercise the sleep",
 				seed, p.s.cfg.Name, p.idle, p.blocked)
 		}
 	}
@@ -289,22 +295,18 @@ func runChainEquiv(t *testing.T, tc chainCase, seed int64) {
 	}
 }
 
-// pollCounter counts a station's engine polls and ticks.
-type pollCounter struct {
-	s            *Station
-	polls, ticks int
+// tickCounter counts a station's engine ticks.
+type tickCounter struct {
+	s     *Station
+	ticks int
 }
 
-func (p *pollCounter) Tick(now sim.Cycle) {
+func (p *tickCounter) Tick(now sim.Cycle) sim.Cycle {
 	p.ticks++
-	p.s.Tick(now)
+	return p.s.Tick(now)
 }
-func (p *pollCounter) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	p.polls++
-	return p.s.NextWork(now)
-}
-func (p *pollCounter) SkipCycles(from, to sim.Cycle) { p.s.SkipCycles(from, to) }
-func (p *pollCounter) SetWaker(w sim.Waker)          { p.s.SetWaker(w) }
+func (p *tickCounter) SkipCycles(from, to sim.Cycle) { p.s.SkipCycles(from, to) }
+func (p *tickCounter) SetWaker(w sim.Waker)          { p.s.SetWaker(w) }
 
 // slowSink holds one request at a time and serves it every period cycles,
 // calling the retry hook after each serve.
@@ -330,26 +332,27 @@ func (d *slowSink) Accept(r *mem.Req, now sim.Cycle) bool {
 func (d *slowSink) SetRetry(retry func())            { d.retry = retry }
 func (d *slowSink) ChargeRefused(from, to sim.Cycle) { d.refused += uint64(to - from) }
 
-func (d *slowSink) Tick(now sim.Cycle) {
+func (d *slowSink) Tick(now sim.Cycle) sim.Cycle {
 	if d.held && now%d.period == 0 {
 		d.held = false
 		d.served++
 		d.retry()
 	}
+	return now + 1
 }
 
-// TestBlockedHopPolledPerFree: a saturated hop — its queue kept full, its
-// downstream freeing one slot every 50 cycles — is polled a bounded number
+// TestBlockedHopTickedPerFree: a saturated hop — its queue kept full, its
+// downstream freeing one slot every 50 cycles — is ticked a bounded number
 // of times per downstream free, not once per cycle: the free's retry wakes
-// it, it forwards, it is refused once more and sleeps again. The dense
-// run, which polls nothing and ticks every cycle, must agree on every
+// it, it forwards, and the next cycle its next head is refused and it
+// sleeps again. The dense run, which ticks every cycle, must agree on every
 // hand-off cycle and on the refusal count.
-func TestBlockedHopPolledPerFree(t *testing.T) {
+func TestBlockedHopTickedPerFree(t *testing.T) {
 	const cycles = 20_000
-	run := func(dense bool) (*pollCounter, *slowSink, *Station) {
+	run := func(dense bool) (*tickCounter, *slowSink, *Station) {
 		d := &slowSink{period: 50}
 		s := New(cfg(), d)
-		p := &pollCounter{s: s}
+		p := &tickCounter{s: s}
 		eng := sim.NewEngine()
 		eng.Register(d)
 		eng.Register(p)
@@ -366,9 +369,8 @@ func TestBlockedHopPolledPerFree(t *testing.T) {
 	if d.served < cycles/50-1 {
 		t.Fatalf("downstream freed %d slots, want ~%d", d.served, cycles/50)
 	}
-	if p.ticks > 2*d.served+10 || p.polls > 3*d.served+10 {
-		t.Fatalf("%d frees cost %d ticks and %d polls; want at most 2 ticks and 3 polls per free",
-			d.served, p.ticks, p.polls)
+	if p.ticks > 2*d.served+10 {
+		t.Fatalf("%d frees cost %d ticks; want at most 2 per free", d.served, p.ticks)
 	}
 	if !reflect.DeepEqual(d.acceptCycles, dd.acceptCycles) || d.refused != dd.refused {
 		t.Fatalf("skip hand-offs %d (refused %d) differ from dense %d (refused %d)",

@@ -110,18 +110,16 @@ type Station struct {
 
 	// blocked is the request the last Tick offered and the downstream
 	// refused, until the downstream signals a retry (onRetry). While the
-	// pick is still that request, Tick would only be refused again, so
-	// NextWork sleeps; owesRefusals records that the current sleep is such
-	// a one, whose skipped offers SkipCycles charges to the downstream.
-	// Derived, never serialised.
-	blocked      *mem.Req
-	owesRefusals bool
+	// pick is still that request, Tick would only be refused again, so the
+	// station sleeps, owing the downstream the skipped offers' refusals
+	// (see forecast). Derived, never serialised.
+	blocked *mem.Req
 
 	// retry is the upstream's retry hook, called after a Tick that freed
 	// queue space.
 	retry func()
 
-	// waker ends the station's engine sleep (see NextWork).
+	// waker ends or shortens the station's engine sleep (see forecast).
 	waker sim.Waker
 
 	Stats Stats
@@ -192,10 +190,14 @@ func (s *Station) lane(rank int) *ring.Ring[entry] {
 	return &s.lanes[rank]
 }
 
-// Accept implements Acceptor: enqueue r if there is space. It wakes the
-// station only when r becomes the head of its queue or lane: NextWork
+// Accept implements Acceptor: enqueue r if there is space. Only a new head
+// of its queue or lane can move the station's forecast — the forecast
 // reads heads alone, and an entry behind a head is neither ready nor
-// starved before it.
+// starved before it — and only once it is ready: before then it is not a
+// candidate, and a new head is never the oldest normal entry while
+// another one is queued. So the new head's ready cycle brings the sleep
+// forward (WakeAt) without ending it, and without touching the refusals a
+// blocked sleep owes.
 func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 	e := entry{req: r, ready: now + s.cfg.Latency, enq: now}
 	if s.PriorityEnabled && r.Critical {
@@ -207,7 +209,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 			return false
 		}
 		if s.prio.Len() == 0 {
-			s.waker.Wake()
+			s.waker.WakeAt(e.ready)
 		}
 		s.prio.Push(e)
 	} else {
@@ -220,7 +222,7 @@ func (s *Station) Accept(r *mem.Req, now sim.Cycle) bool {
 			l = s.lane(s.Ranker.Rank(r))
 		}
 		if l.Len() == 0 {
-			s.waker.Wake()
+			s.waker.WakeAt(e.ready)
 		}
 		e.seq = s.seq
 		s.seq++
@@ -303,10 +305,10 @@ func (s *Station) rerank(g uint64) {
 	}
 }
 
-// Tick forwards up to Bandwidth ready requests into the downstream.
-// Priority-queue requests go first, except that a starved normal request is
-// promoted ahead of them.
-func (s *Station) Tick(now sim.Cycle) {
+// Tick forwards up to Bandwidth ready requests into the downstream and
+// returns the station's forecast (see forecast). Priority-queue requests go
+// first, except that a starved normal request is promoted ahead of them.
+func (s *Station) Tick(now sim.Cycle) sim.Cycle {
 	if s.Ranker != nil {
 		if g := s.Ranker.RankGen(); g != s.rankGen {
 			s.rerank(g)
@@ -346,9 +348,11 @@ func (s *Station) Tick(now sim.Cycle) {
 	if forwarded && s.retry != nil {
 		s.retry()
 	}
+	return s.forecast(now + 1)
 }
 
-// NextWork implements sim.IdleReporter. A station sleeps in two cases.
+// forecast is the sim.Ticker forecast the Tick before cycle at returns. A
+// station sleeps from at in two cases.
 //
 // Nothing ready: Tick returns before touching any state, until the earliest
 // head ready cycle. Arrival order implies ready order within each queue and
@@ -359,14 +363,13 @@ func (s *Station) Tick(now sim.Cycle) {
 // station sleeps until its own clock could change the pick — the cycle the
 // oldest normal entry starves (unless it is the pick), and, for a pick that
 // was not promoted, the ready cycle of the priority head or of a
-// lower-rank lane head — and SkipCycles charges each skipped cycle's
-// refusal to the downstream. The other wakes come from outside: the
-// downstream's retry (onRetry), an Accept that adds a head, and a class
-// generation bump (RanksChanged; a moved generation keeps a blocked station
-// awake until Tick re-sorts the lanes — the nothing-ready forecast does not
-// depend on ranks).
-func (s *Station) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	s.owesRefusals = false
+// lower-rank lane head — and the sleep owes each skipped cycle's refusal,
+// which SkipCycles charges to the downstream. The other wakes come from
+// outside: the downstream's retry (onRetry), an Accept that adds a head,
+// and a class generation bump (RanksChanged; a moved generation keeps a
+// blocked station awake until Tick re-sorts the lanes — the nothing-ready
+// forecast does not depend on ranks).
+func (s *Station) forecast(at sim.Cycle) sim.Cycle {
 	ready := sim.NeverWork
 	if s.prio.Len() > 0 {
 		ready = s.prio.At(0).ready
@@ -376,15 +379,15 @@ func (s *Station) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 			ready = min(ready, l.At(0).ready)
 		}
 	}
-	if ready > now {
-		return ready, true // nothing ready (NeverWork when empty)
+	if ready > at {
+		return ready // nothing ready (NeverWork when empty)
 	}
 	if s.blocked == nil || s.Ranker != nil && s.Ranker.RankGen() != s.rankGen {
-		return 0, false
+		return at
 	}
-	q, promoted, oldest := s.pick(now)
+	q, promoted, oldest := s.pick(at)
 	if q.At(0).req != s.blocked {
-		return 0, false
+		return at
 	}
 	next := sim.NeverWork
 	if !promoted {
@@ -407,17 +410,12 @@ func (s *Station) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 			}
 		}
 	}
-	s.owesRefusals = true
-	return next, true
+	return sim.Owing(next)
 }
 
-// SkipCycles implements sim.Skipper: a blocked sleep owes the downstream
-// one refused offer per skipped cycle.
-func (s *Station) SkipCycles(from, to sim.Cycle) {
-	if s.owesRefusals {
-		s.down.ChargeRefused(from, to)
-	}
-}
+// SkipCycles implements sim.Skipper: a blocked sleep, the only one that
+// owes, owes the downstream one refused offer per skipped cycle.
+func (s *Station) SkipCycles(from, to sim.Cycle) { s.down.ChargeRefused(from, to) }
 
 // RegisterStats registers the station's instruments under prefix (e.g.
 // "ic"): traffic counters, queue-depth gauges (the paper's Insight #1

@@ -286,8 +286,9 @@ func (g *gate) ChargeRefused(from, to sim.Cycle) { g.charged += int(to - from) }
 
 // TestStationStaysAwakeWhileHeadRefused: a downstream that cannot tell when
 // it will accept asks for a retry from inside each refusal. A station whose
-// ready head it refuses reports work every cycle, offers again on every
-// Tick and forwards on the first cycle the downstream accepts.
+// ready head it refuses forecasts work every cycle, offers again on every
+// Tick and forwards on the first cycle the downstream accepts; drained, it
+// sleeps until woken, owing nothing.
 func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 	for _, prio := range []bool{false, true} {
 		for _, ranked := range []bool{false, true} {
@@ -309,17 +310,16 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 					}
 					ready := c.Latency
 					for now := sim.Cycle(0); now < ready; now++ {
-						if next, idle := s.NextWork(now); !idle || next != ready {
-							t.Fatalf("cycle %d: NextWork = (%d, %v), want (%d, true)", now, next, idle, ready)
+						if next := s.Tick(now); next != ready {
+							t.Fatalf("cycle %d: forecast %#x, want %d", now, next, ready)
 						}
-						s.Tick(now)
 					}
 					for now := ready; now < ready+10; now++ {
-						if _, idle := s.NextWork(now); idle {
-							t.Fatalf("cycle %d: station idle with a head refused for a retry at once", now)
-						}
 						before := len(g.offers)
-						s.Tick(now)
+						if next := s.Tick(now); next != now+1 {
+							t.Fatalf("cycle %d: forecast %#x with a head refused for a retry at once, want %d",
+								now, next, now+1)
+						}
 						if len(g.offers) == before {
 							t.Fatalf("cycle %d: blocked station did not offer again", now)
 						}
@@ -329,8 +329,9 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 					}
 					g.open = true
 					open := ready + 10
+					next := open
 					for now := open; len(g.got) < 2 && now < open+5; now++ {
-						s.Tick(now)
+						next = s.Tick(now)
 					}
 					if len(g.got) != 2 {
 						t.Fatalf("forwarded %d once the downstream opened, want 2", len(g.got))
@@ -338,8 +339,8 @@ func TestStationStaysAwakeWhileHeadRefused(t *testing.T) {
 					if s.Stats.Forwarded != 2 {
 						t.Fatalf("Forwarded = %d, want 2", s.Stats.Forwarded)
 					}
-					if _, idle := s.NextWork(open + 5); !idle {
-						t.Fatal("drained station still reports work")
+					if next != sim.NeverWork {
+						t.Fatalf("drained station forecast %#x, want NeverWork", next)
 					}
 				})
 			}
@@ -362,12 +363,13 @@ type scriptFeeder struct {
 	steps []wakeStep
 }
 
-func (d *scriptFeeder) Tick(now sim.Cycle) {
+func (d *scriptFeeder) Tick(now sim.Cycle) sim.Cycle {
 	for _, st := range d.steps {
 		if st.at == now {
 			st.do(d.s, d.g, d.k, now)
 		}
 	}
+	return now + 1
 }
 
 func accept(part mem.PartID, crit bool) func(*Station, *gate, *classRanker, sim.Cycle) {
@@ -378,14 +380,15 @@ func accept(part mem.PartID, crit bool) func(*Station, *gate, *classRanker, sim.
 
 // TestRefusedHeadSleepsUntilWoken: a station whose head a promising
 // downstream refused sleeps, and re-offers only at a wake source — the
-// downstream's retry, an Accept that adds a head which can take the
-// refused head's place (once it is ready), a class-generation bump, the
-// cycle its oldest normal entry starves, and the ready cycle of a queued
-// priority head or lower-rank entry — never for an entry queued behind a
-// head. Each script runs in a skip-ahead engine, whose offer cycles must
-// be exactly the expected ones, and in a dense engine, which must end in
-// the same state having seen every skipped re-offer the sleeping run
-// charged to the downstream.
+// downstream's retry, the ready cycle of an Accept that adds a head (to
+// which the Accept brings the sleep forward: a higher-rank head then costs
+// one more refused offer, as it cannot take the refused head's place), a
+// class-generation bump, the cycle its oldest normal entry starves, and the
+// ready cycle of a queued priority head or lower-rank entry — never for an
+// entry queued behind a head. Each script runs in a skip-ahead engine,
+// whose offer cycles must be exactly the expected ones, and in a dense
+// engine, which must end in the same state having seen every skipped
+// re-offer the sleeping run charged to the downstream.
 func TestRefusedHeadSleepsUntilWoken(t *testing.T) {
 	open := func(_ *Station, g *gate, _ *classRanker, _ sim.Cycle) { g.openUp() }
 	flip := func(s *Station, _ *gate, k *classRanker, _ sim.Cycle) {
@@ -408,7 +411,7 @@ func TestRefusedHeadSleepsUntilWoken(t *testing.T) {
 		{"lower-rank arrival", true, 0,
 			[]wakeStep{{0, accept(2, false)}, {10, accept(0, false)}}, []sim.Cycle{3, 13}},
 		{"higher-rank arrival", true, 0,
-			[]wakeStep{{0, accept(1, false)}, {10, accept(2, false)}, {30, open}}, []sim.Cycle{3, 31, 32}},
+			[]wakeStep{{0, accept(1, false)}, {10, accept(2, false)}, {30, open}}, []sim.Cycle{3, 13, 31, 32}},
 		{"queued priority head ready", false, 0,
 			[]wakeStep{{0, accept(1, false)}, {2, accept(1, true)}}, []sim.Cycle{3, 5}},
 		{"queued lower-rank entry ready", true, 0,

@@ -85,7 +85,7 @@ func (m *Machine) Diagnose() Diagnostic {
 			SQUsed:    c.SQUsed(),
 			HeadKind:  "-",
 			HeadState: "-",
-			PortOut:   len(m.ports[i].out),
+			PortOut:   m.ports[i].out.Len(),
 			MSHRs:     m.ports[i].mshr.Len(),
 		}
 		if m.tasks[i].Kind == TaskLC {
@@ -125,7 +125,7 @@ func (m *Machine) Diagnose() Diagnostic {
 func (m *Machine) accountedReqs() int {
 	n := m.reqsDelayed
 	for _, p := range m.ports {
-		n += len(p.out)
+		n += p.out.Len()
 	}
 	icN, icP := m.ic.QueueLen()
 	busN, busP := m.bus.QueueLen()
@@ -367,16 +367,16 @@ func (m *Machine) AuditNow() error {
 	outBound := m.Cfg.PortOutCap + m.Cfg.L1.MSHRs + m.Cfg.Core.SQSize + m.Cfg.PortOutCap/2
 	for i, p := range m.ports {
 		loads := 0
-		for _, r := range p.out {
-			if !r.IsWrite && !r.Prefetch {
+		for j := 0; j < p.out.Len(); j++ {
+			if r := *p.out.At(j); !r.IsWrite && !r.Prefetch {
 				loads++
 			}
 		}
 		if loads > m.Cfg.L1.MSHRs {
 			v = append(v, fmt.Sprintf("core %d egress holds %d demand loads but only %d MSHRs exist", i, loads, m.Cfg.L1.MSHRs))
 		}
-		if len(p.out) > outBound {
-			v = append(v, fmt.Sprintf("core %d egress queue %d exceeds structural bound %d", i, len(p.out), outBound))
+		if p.out.Len() > outBound {
+			v = append(v, fmt.Sprintf("core %d egress queue %d exceeds structural bound %d", i, p.out.Len(), outBound))
 		}
 		if p.mshr.Len() > m.Cfg.L1.MSHRs {
 			v = append(v, fmt.Sprintf("core %d MSHR occupancy %d exceeds %d", i, p.mshr.Len(), m.Cfg.L1.MSHRs))

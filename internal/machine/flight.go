@@ -53,8 +53,8 @@ func (m *Machine) forEachInFlight(f func(*mem.Req)) {
 		}
 	}
 	for _, p := range m.ports {
-		for _, r := range p.out {
-			f(r)
+		for j := 0; j < p.out.Len(); j++ {
+			f(*p.out.At(j))
 		}
 	}
 	m.ic.EachReq(f)

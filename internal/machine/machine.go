@@ -214,10 +214,9 @@ type Machine struct {
 	reqsRecycled uint64
 	reqsDelayed  int
 	// outOcc is a bitmask of ports with a non-empty egress queue, kept
-	// coherent at every len(p.out) 0↔non-0 transition so skip-ahead's
-	// polls and compensation (auxTicker's NextWork and SkipCycles) iterate
-	// set bits instead of scanning every port. Derived state, never
-	// serialised.
+	// coherent at every empty↔non-empty transition so the aux ticker's
+	// forecast, its compensation and its flush loop iterate set bits
+	// instead of scanning every port. Derived state, never serialised.
 	outOcc uint64
 	// statsResetAt anchors elapsed-cycle accounting (bandwidth credit) to
 	// the last ResetStats.
@@ -308,8 +307,9 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 	// Tick order: DRAM first so responses land before upstream moves, then
 	// MSCs downstream-to-upstream, then machine plumbing, then cores.
 	// Components are registered as concrete values (not TickFunc closures) so
-	// the engine can discover their IdleReporter/Skipper sides and the hot
-	// loop dispatches through a single interface call per component.
+	// their Ticks return forecasts, the engine can discover their Skipper
+	// sides, and the hot loop dispatches through a single interface call per
+	// component.
 	m.Engine.Register(m.mc)
 	m.Engine.Register(m.bw)
 	m.Engine.Register(m.bus)
@@ -503,53 +503,56 @@ func (m *Machine) retireHook(lc *LCTask) func(pc uint64, stall sim.Cycle, llcMis
 	return o.onLoadRetire
 }
 
-// auxTicker registers Machine.auxTick with the engine and reports when the
-// machine-level plumbing is quiescent: no delay slot is due before the
-// reported cycle, every port with pending egress is held by the MBA throttle
+// auxTicker registers Machine.auxTick with the engine and forecasts when
+// the machine-level plumbing is quiescent: no delay slot is due before the
+// forecast, every port with pending egress is held by the MBA throttle
 // (whose release cycle then bounds the sleep), and (when any predictor is
 // attached) the next 1024-cycle refresh boundary bounds the sleep. The only
 // counter an elided auxTick would have bumped is the throttle's per-cycle
-// Delayed count on each held port's head request; SkipCycles compensates it.
+// Delayed count on each held port's head request, so a sleep owes exactly
+// while some port holds egress; SkipCycles compensates it.
 type auxTicker struct{ m *Machine }
 
-func (a *auxTicker) Tick(now sim.Cycle) { a.m.auxTick(now) }
+func (a *auxTicker) Tick(now sim.Cycle) sim.Cycle {
+	a.m.auxTick(now)
+	return a.forecast(now + 1)
+}
 
 // SetWaker implements sim.Wakeable: scheduling a delay event is the only
 // input from outside the aux ticker's own Tick that can bring its work
 // forward (egress queues and the throttle move only inside auxTick).
 func (a *auxTicker) SetWaker(w sim.Waker) { a.m.delays.waker = w }
 
-// NextWork: a port with pending egress used to pin the machine dense
-// unconditionally — through entire MBA-throttled intervals — but when the
-// head request is only waiting out the throttle's inserted delay, the
-// release cycle is a hard bound: nothing else can move that queue earlier,
-// and downstream refusals (a full interconnect) report as not-held and stay
-// dense.
-func (a *auxTicker) NextWork(now sim.Cycle) (sim.Cycle, bool) {
+// forecast is the forecast the Tick before cycle at returns. A port with
+// pending egress used to pin the machine dense unconditionally — through
+// entire MBA-throttled intervals — but when the head request is only
+// waiting out the throttle's inserted delay, the release cycle is a hard
+// bound: nothing else can move that queue earlier, and downstream refusals
+// (a full interconnect) report as not-held and keep the ticker awake.
+func (a *auxTicker) forecast(at sim.Cycle) sim.Cycle {
 	m := a.m
-	next, idle := m.delays.nextDue(now)
+	next, idle := m.delays.nextDue(at)
 	if !idle {
-		return 0, false
+		return at
 	}
 	for occ := m.outOcc; occ != 0; occ &= occ - 1 {
 		p := m.ports[bits.TrailingZeros64(occ)]
-		until, held := m.thr.HeldUntil(p.out[0].Part, now)
+		until, held := m.thr.HeldUntil((*p.out.At(0)).Part, at)
 		if !held {
-			return 0, false
+			return at
 		}
-		if until < next {
-			next = until
-		}
+		next = min(next, until)
 	}
 	if m.predTick {
-		if now&1023 == 0 {
-			return 0, false
+		if at&1023 == 0 {
+			return at
 		}
-		if b := (now | 1023) + 1; b < next {
-			next = b
-		}
+		next = min(next, (at|1023)+1)
 	}
-	return next, true
+	if m.outOcc != 0 {
+		return sim.Owing(next)
+	}
+	return next
 }
 
 // SkipCycles compensates elided auxTicks: each skipped cycle, a dense flush
@@ -557,9 +560,7 @@ func (a *auxTicker) NextWork(now sim.Cycle) (sim.Cycle, bool) {
 // been refused once (the flush loop stops at the first refusal), bumping
 // Delayed exactly once per held port per cycle.
 func (a *auxTicker) SkipCycles(from, to sim.Cycle) {
-	if n := bits.OnesCount64(a.m.outOcc); n > 0 {
-		a.m.thr.Delayed += uint64(n) * uint64(to-from)
-	}
+	a.m.thr.Delayed += uint64(bits.OnesCount64(a.m.outOcc)) * uint64(to-from)
 }
 
 // auxTick runs the machine-level plumbing each cycle: delayed completions,

@@ -7,6 +7,7 @@ import (
 	"pivot/internal/cpu"
 	"pivot/internal/mem"
 	"pivot/internal/prefetch"
+	"pivot/internal/ring"
 	"pivot/internal/sim"
 )
 
@@ -14,11 +15,11 @@ import (
 // wheel. Every latency scheduled through it (L1/L2 hits, LLC-hit responses)
 // is far below 256 cycles, so slot collisions across laps cannot occur.
 //
-// count caches the wheel occupancy for skip-ahead's quiescence poll, and occ
+// count caches the wheel occupancy for the aux ticker's forecast, and occ
 // is a 256-bit bitmap of non-empty slots so nextDue is a word scan instead of
 // a slot walk. Both are derived state, never serialised. waker is the aux
 // slot's engine handle: a new event may fall due before the aux ticker's
-// cached forecast.
+// forecast.
 type delayQ struct {
 	wheel [256][]delayed
 
@@ -56,8 +57,11 @@ type delayed struct {
 	req  *mem.Req // delayEgress / delayDeliver only
 }
 
+// after schedules e. A new event only brings the aux ticker's work forward,
+// to its due cycle, and leaves the held egress its sleep owes for untouched,
+// so it shortens the sleep (WakeAt) instead of ending it.
 func (d *delayQ) after(e delayed) {
-	d.waker.Wake()
+	d.waker.WakeAt(e.due)
 	slot := int(e.due) & 255
 	d.wheel[slot] = append(d.wheel[slot], e)
 	d.count++
@@ -130,8 +134,7 @@ func (m *Machine) dispatchDelayed(e delayed, now sim.Cycle) {
 		m.ports[e.core].fillLocal(e.line, now)
 	case delayEgress:
 		m.reqsDelayed--
-		p := m.ports[e.req.CoreID]
-		p.out = append(p.out, e.req)
+		m.ports[e.req.CoreID].out.Push(e.req)
 		m.outOcc |= 1 << uint(e.req.CoreID)
 	case delayDeliver:
 		m.reqsDelayed--
@@ -157,8 +160,9 @@ type corePort struct {
 	pf   *prefetch.Prefetcher // nil unless Options.Prefetch
 
 	// out holds L2-miss requests awaiting acceptance by the MBA throttle /
-	// interconnect; bounded by Cfg.PortOutCap for back-pressure.
-	out []*mem.Req
+	// interconnect; bounded by Cfg.PortOutCap for back-pressure. A ring:
+	// every accepted request pops the head.
+	out ring.Ring[*mem.Req]
 }
 
 func newCorePort(m *Machine, id int, isLC bool) *corePort {
@@ -169,6 +173,7 @@ func newCorePort(m *Machine, id int, isLC bool) *corePort {
 		l1:   cache.MustNew(m.Cfg.L1),
 		l2:   cache.MustNew(m.Cfg.L2),
 		mshr: cache.NewMSHRFile(m.Cfg.L1.MSHRs),
+		out:  ring.New[*mem.Req](m.Cfg.PortOutCap),
 	}
 	if m.Opt.Prefetch {
 		cfg := prefetch.DefaultConfig()
@@ -196,20 +201,21 @@ func (p *corePort) Load(lr cpu.LoadRequest, now sim.Cycle) bool {
 		e.Waiters = append(e.Waiters, lr.Seq)
 		return true
 	}
-	if p.mshr.Full() || len(p.out) >= p.m.Cfg.PortOutCap {
+	if p.mshr.Full() || p.out.Len() >= p.m.Cfg.PortOutCap {
 		return false // structural stall; the core retries
 	}
 
+	// The line has no MSHR entry and the file has room: allocate outright.
 	l2Hit := sim.Cycle(p.m.Cfg.L2.HitCycles)
 	if p.l2.Lookup(line, part) {
-		e, _ := p.mshr.Allocate(line)
+		e := p.mshr.Allocate(line)
 		e.Waiters = append(e.Waiters, lr.Seq)
 		p.m.delays.after(delayed{due: now + l1Hit + l2Hit, kind: delayFillLocal, core: p.id, line: line})
 		return true
 	}
 
 	// L2 miss: a shared-path request is born.
-	e, _ := p.mshr.Allocate(line)
+	e := p.mshr.Allocate(line)
 	e.Waiters = append(e.Waiters, lr.Seq)
 	r := p.m.newReq()
 	r.Addr = line
@@ -239,15 +245,13 @@ func (p *corePort) maybePrefetch(line uint64, now sim.Cycle) {
 		// Prefetches are second-class citizens: they may use only half the
 		// miss buffers and egress slots, so a burst can never starve demand
 		// misses of structural resources.
-		if p.mshr.Len() >= p.m.Cfg.L1.MSHRs/2 || len(p.out) >= p.m.Cfg.PortOutCap/2 {
+		if p.mshr.Len() >= p.m.Cfg.L1.MSHRs/2 || p.out.Len() >= p.m.Cfg.PortOutCap/2 {
 			return
 		}
 		if p.l1.Contains(cand) || p.l2.Contains(cand) || p.mshr.Lookup(cand) != nil {
 			continue
 		}
-		if _, fresh := p.mshr.Allocate(cand); !fresh {
-			continue
-		}
+		p.mshr.Allocate(cand)
 		r := p.m.newReq()
 		r.Addr = cand
 		r.CoreID = p.id
@@ -275,14 +279,15 @@ func (p *corePort) fillLocal(line uint64, now sim.Cycle) {
 // RetryReady implements cpu.RetryPort: would a retry of the blocked head op
 // be accepted this cycle? Mirrors exactly the refusal conditions of Load and
 // Store above; it must never report false when the op would in fact issue,
-// or the core could sleep through its own unblocking.
+// or the core could sleep through its own unblocking. Room for a new miss
+// accepts any op, so the capacity test comes first and the probes run only
+// for a structurally blocked op.
 func (p *corePort) RetryReady(kind cpu.OpKind, addr uint64) bool {
-	line := p.lineOf(addr)
-	if kind == cpu.OpStore {
-		return p.l1.Contains(line) || len(p.out) < p.m.Cfg.PortOutCap
+	if p.out.Len() < p.m.Cfg.PortOutCap && (kind == cpu.OpStore || !p.mshr.Full()) {
+		return true
 	}
-	return p.l1.Contains(line) || p.mshr.Lookup(line) != nil ||
-		(!p.mshr.Full() && len(p.out) < p.m.Cfg.PortOutCap)
+	line := p.lineOf(addr)
+	return p.l1.Contains(line) || kind != cpu.OpStore && p.mshr.Lookup(line) != nil
 }
 
 // SkipRetries implements cpu.RetryPort: account for n elided retry attempts
@@ -304,7 +309,7 @@ func (p *corePort) Store(addr, pc uint64, now sim.Cycle) bool {
 	if p.l1.Lookup(line, part) { // a store hit only refreshes recency
 		return true
 	}
-	if len(p.out) >= p.m.Cfg.PortOutCap {
+	if p.out.Len() >= p.m.Cfg.PortOutCap {
 		return false // write buffer full: SQ backs up
 	}
 	r := p.m.newReq()
@@ -324,20 +329,18 @@ func (p *corePort) Store(addr, pc uint64, now sim.Cycle) bool {
 // stopping at the first refusal (in-order egress).
 func (p *corePort) flush(now sim.Cycle) {
 	popped := false
-	for len(p.out) > 0 {
-		r := p.out[0]
-		if !p.m.thr.Accept(r, now) {
+	for p.out.Len() > 0 {
+		if !p.m.thr.Accept(*p.out.At(0), now) {
 			break
 		}
-		copy(p.out, p.out[1:])
-		p.out = p.out[:len(p.out)-1]
+		p.out.PopHead()
 		popped = true
 	}
 	if popped {
-		if len(p.out) == 0 {
+		if p.out.Len() == 0 {
 			p.m.outOcc &^= 1 << uint(p.id)
 		}
 		// Freed egress slots may unblock a refused load or store retry.
-		p.m.Cores[p.id].WakeIdle()
+		p.m.Cores[p.id].PortFreed()
 	}
 }

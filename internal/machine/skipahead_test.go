@@ -9,6 +9,7 @@ import (
 	"pivot/internal/bwctrl"
 	"pivot/internal/mem"
 	"pivot/internal/rrbp"
+	"pivot/internal/sim"
 	"pivot/internal/workload"
 )
 
@@ -79,7 +80,15 @@ func TestSkipAheadEquivalence(t *testing.T) {
 //     prefetching on and eight L1 MSHRs (four of them open to prefetches)
 //     park on a full miss file that waiter-less prefetch fills free; a
 //     skip-ahead core that slept through such a fill retries late and
-//     charges extra miss probes.
+//     charges extra miss probes. Such fills land on a full miss file only
+//     through cycles 109-197 of its warm-up, so the case alone would not
+//     notice a model change that blunts that transient.
+//   - prefetch-fill-steady: the same wake, in steady state. Both machines
+//     run densely through a 20,000-cycle warm-up before the skip-ahead one
+//     starts skipping, so only steady-state fills can tell the two apart.
+//     With sixteen L1 MSHRs, two in-memory-analytics copies' random
+//     gathers fill the miss file while prefetches run ahead of their
+//     streams, and waiter-less prefetch fills free it.
 //   - refresh: a parked PIVOT core's elided retries owe RRBP lookups, whose
 //     flag updates depend on the counters and threshold that the aux
 //     ticker's predictor refresh and bandwidth adaptation rewrite every
@@ -100,11 +109,13 @@ func TestSkipAheadSettleBeforeMutate(t *testing.T) {
 		tasks  []TaskSpec
 		mshrs  int
 		cycles int
+		warmup int // cycles both machines run densely before the skip one skips
 	}{
-		{"fill", Options{Policy: PolicyDefault}, beTasks(workload.GraphAn, 1), 2, 40_000},
-		{"prefetch-fill", Options{Policy: PolicyDefault, Prefetch: true}, beTasks(workload.IBench, 2), 8, 40_000},
+		{"fill", Options{Policy: PolicyDefault}, beTasks(workload.GraphAn, 1), 2, 40_000, 0},
+		{"prefetch-fill", Options{Policy: PolicyDefault, Prefetch: true}, beTasks(workload.IBench, 2), 8, 40_000, 0},
+		{"prefetch-fill-steady", Options{Policy: PolicyDefault, Prefetch: true}, beTasks(workload.InMemAn, 2), 16, 60_000, 20_000},
 		{"refresh", Options{Policy: PolicyPIVOT, RRBP: refresh, ExpectedLCBW: 0.2},
-			append([]TaskSpec{pivotLC}, beTasks(workload.GraphAn, 1)...), 2, 200_000},
+			append([]TaskSpec{pivotLC}, beTasks(workload.GraphAn, 1)...), 2, 200_000, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,8 +126,13 @@ func TestSkipAheadSettleBeforeMutate(t *testing.T) {
 				opt.Dense = dense
 				return MustNew(cfg, opt, tc.tasks)
 			}
-			dense, skip := mk(true), mk(false)
-			for c := 0; c < tc.cycles; c += 1_000 {
+			dense, skip := mk(true), mk(tc.warmup > 0)
+			if tc.warmup > 0 {
+				dense.Engine.Step(sim.Cycle(tc.warmup))
+				skip.Engine.Step(sim.Cycle(tc.warmup))
+				skip.Engine.SetDense(false)
+			}
+			for c := tc.warmup; c < tc.cycles; c += 1_000 {
 				dense.Engine.Step(1_000)
 				skip.Engine.Step(1_000)
 				for core := range tc.tasks {

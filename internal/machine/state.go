@@ -163,10 +163,10 @@ func (m *Machine) SnapshotState() *MachineState {
 			L1:   p.l1.SnapshotState(),
 			L2:   p.l2.SnapshotState(),
 			MSHR: p.mshr.SnapshotState(),
-			Out:  make([]mem.ReqState, len(p.out)),
+			Out:  make([]mem.ReqState, p.out.Len()),
 		}
-		for j, r := range p.out {
-			ps.Out[j] = r.State()
+		for j := range ps.Out {
+			ps.Out[j] = (*p.out.At(j)).State()
 		}
 		if p.pf != nil {
 			pf := p.pf.SnapshotState()

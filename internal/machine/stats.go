@@ -40,7 +40,7 @@ func (m *Machine) EnableStats(epochCycles sim.Cycle, ringCap int) {
 		p.mshr.RegisterStats(reg, fmt.Sprintf("cpu%d.l1.mshr", i))
 		port := p
 		reg.Gauge(fmt.Sprintf("cpu%d.port_out", i),
-			func() float64 { return float64(len(port.out)) })
+			func() float64 { return float64(port.out.Len()) })
 	}
 	m.llc.RegisterStats(reg, "llc")
 	m.ic.RegisterStats(reg, "ic")
@@ -77,7 +77,7 @@ func (m *Machine) EnableStats(epochCycles sim.Cycle, ringCap int) {
 	m.statsOn = true
 	m.sampler = stats.NewSampler(reg, uint64(epochCycles), ringCap)
 	// Registered after every component, so each sample sees the cycle's
-	// final state. The ticker reports its next epoch boundary so skip-ahead
+	// final state. The ticker forecasts its next epoch boundary so skip-ahead
 	// never jumps over a sample point.
 	m.Engine.Register(&samplerTicker{m: m, epoch: epochCycles})
 }
@@ -91,7 +91,8 @@ type samplerTicker struct {
 	epoch sim.Cycle
 }
 
-func (s *samplerTicker) Tick(now sim.Cycle) {
+// Tick samples at each epoch boundary and sleeps until the next one.
+func (s *samplerTicker) Tick(now sim.Cycle) sim.Cycle {
 	if now%s.epoch == 0 {
 		// The sample reads every component's counters: bring the sleepers'
 		// compensation up to this cycle first.
@@ -99,13 +100,7 @@ func (s *samplerTicker) Tick(now sim.Cycle) {
 		s.m.statsNow = now
 		s.m.sampler.Sample(uint64(now))
 	}
-}
-
-func (s *samplerTicker) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if now%s.epoch == 0 {
-		return 0, false
-	}
-	return now + (s.epoch - now%s.epoch), true
+	return now + s.epoch - now%s.epoch
 }
 
 // StatsEnabled reports whether EnableStats has been called.

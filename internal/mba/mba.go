@@ -19,9 +19,9 @@ import (
 // The throttle is an interconnect.Acceptor only, never a sim.Ticker: it
 // mutates state (nextOK, Delayed) only inside Accept, which is reached
 // exclusively from port flushes. It cooperates with the skip-ahead engine
-// through HeldUntil, which lets the machine's auxTicker report a real
-// NextWork bound — instead of pinning every slot dense — while a port's
-// head-of-line request sits in an MBA-inserted delay.
+// through HeldUntil, which lets the machine's auxTicker forecast a real
+// bound — instead of pinning every slot dense — while a port's head-of-line
+// request sits in an MBA-inserted delay.
 type Throttle struct {
 	down    interconnect.Acceptor
 	baseGap sim.Cycle

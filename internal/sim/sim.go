@@ -7,51 +7,70 @@ package sim
 // Cycle is a point in simulated time, counted in CPU clock cycles.
 type Cycle uint64
 
-// NeverWork is the NextWork sentinel for "no self-generated work pending":
-// the component will stay quiescent until some other ticker's activity feeds
-// it new input.
-const NeverWork = ^Cycle(0)
+// NeverWork is the forecast for "no self-generated work pending": the
+// component will stay quiescent until some other ticker's activity feeds it
+// new input.
+const NeverWork = oweMark - 1
+
+// oweMark is the forecast bit Owing sets. Real cycles never reach it.
+const oweMark = Cycle(1) << 63
+
+// Owing marks forecast next as a sleep that owes compensation: the
+// component's idle Ticks would have bumped counters that its SkipCycles
+// applies. The engine never calls SkipCycles for an unmarked sleep.
+func Owing(next Cycle) Cycle { return next | oweMark }
+
+// SplitForecast splits a forecast into its cycle and its Owing mark.
+func SplitForecast(next Cycle) (at Cycle, owes bool) {
+	return next &^ oweMark, next&oweMark != 0
+}
+
+// NoLaterThan brings forecast next forward to c when c is earlier, keeping
+// its Owing mark.
+func NoLaterThan(next, c Cycle) Cycle {
+	if c < next&^oweMark {
+		return c | next&oweMark
+	}
+	return next
+}
 
 // Ticker is any component advanced once per simulated cycle.
+//
+// Tick(now) does the cycle's work and returns the component's forecast:
+// the next cycle at which it could do observable work. now+1 (or anything
+// earlier) keeps it awake. A later cycle promises that Ticks at every cycle
+// of [now+1, next) would change no state beyond what SkipCycles compensates
+// (see Owing), so the engine elides them and ticks the component again at
+// next (never, for NeverWork) unless it is woken first. Returning now+1 is
+// always sound; the -dense loop ignores forecasts and ticks every slot
+// every cycle.
+//
+// A forecast must hold for its whole span unless the component is woken:
+// any input from outside its own Tick that can change it (a request
+// enqueued, a load completed, a structural resource freed) must go through
+// the Waker the engine handed over at Register (see Wakeable), before it
+// mutates the component.
 //
 // Tick ordering matters: the Engine ticks components in registration order,
 // so a machine registers the DRAM controller first (so responses produced in
 // cycle N are visible upstream in cycle N), then the memory-side stations
 // downstream-to-upstream, then the cores.
 type Ticker interface {
-	Tick(now Cycle)
+	Tick(now Cycle) (next Cycle)
 }
 
-// IdleReporter is the optional quiescence interface a Ticker may implement.
-//
-// NextWork(now) returns (next, true) when Tick(now) would perform no
-// observable work — no state change beyond what SkipCycles compensates — and
-// the component will stay that way at every cycle until next (NeverWork when
-// only external input can wake it). It returns (_, false) when the component
-// is active and must be ticked. An idle report with next <= now is treated as
-// active.
-//
-// The engine caches an idle report as the slot's forecast and does not poll
-// the component again until next, so a report must hold for the whole span
-// [now, next) unless the component is woken: any input from outside its own
-// Tick that can change the verdict (a request enqueued, a load completed, a
-// structural resource freed) must call the Waker the engine handed over at
-// Register (see Wakeable) before it mutates the component.
-type IdleReporter interface {
-	NextWork(now Cycle) (next Cycle, idle bool)
-}
-
-// Skipper is the optional compensation interface for IdleReporters whose
-// idle Tick still bumps pure book-keeping counters (stall attribution,
+// Skipper is the optional compensation interface for Tickers whose idle
+// Tick still bumps pure book-keeping counters (stall attribution,
 // refused-probe statistics, the refusals a blocked station's re-offers
-// would have met downstream, ...). SkipCycles(from, to) must apply exactly the
-// counter updates that to-from consecutive idle Ticks would have applied, so
-// that a skipping run is bit-identical to a dense one.
+// would have met downstream, ...). SkipCycles(from, to) must apply exactly
+// the counter updates that to-from consecutive idle Ticks would have
+// applied, so that a skipping run is bit-identical to a dense one.
 //
-// The engine defers compensation: a sleeping slot is compensated in one call
-// covering its whole elided span when it is polled again, woken, settled by
-// an observer (Engine.Settle) or when Step returns. SkipCycles therefore
-// always describes the state of the idle report that began the sleep.
+// The engine defers compensation: a sleep whose forecast is marked Owing is
+// compensated in one call covering its whole elided span when the forecast
+// expires, when it is woken, when an observer settles it (Engine.Settle) or
+// when Step returns. SkipCycles therefore always describes the state the
+// Tick that began the sleep left behind.
 type Skipper interface {
 	SkipCycles(from, to Cycle)
 }
@@ -69,52 +88,78 @@ type Waker struct {
 	slot int
 }
 
-// Wake ends the slot's cached sleep, so it is polled again at its next turn.
-// It must be called before the caller mutates the component's state: it
-// first settles the sleeper's pending compensation, which is not always
-// commutative with the mutation (an L1 fill after elided L1 miss probes).
-// The settle is position-aware, matching what a dense run has already
-// ticked: a waker ordered before the sleeper settles it to the current
-// cycle, and the sleeper is polled later in the same cycle; a waker ordered
-// after it settles it through the current cycle, and the sleeper is polled
-// the next cycle.
+// Wake ends the slot's sleep, so it is ticked at its next turn. It must be
+// called before the caller mutates the component's state: it first settles
+// the sleeper's pending compensation, which is not always commutative with
+// the mutation (an L1 fill after elided L1 miss probes). The settle is
+// position-aware, matching what a dense run has already ticked: a waker
+// ordered before the sleeper settles it to the current cycle, and the
+// sleeper is ticked later in the same cycle; a waker ordered after it
+// settles it through the current cycle, and the sleeper is ticked the next
+// cycle.
 func (w Waker) Wake() {
 	if w.e != nil && w.e.slots[w.slot].until != 0 {
 		w.e.wake(w.slot)
 	}
 }
 
-// TickFunc adapts a plain function to the Ticker interface.
+// WakeAt brings the slot's sleep forward to end by cycle c, without
+// settling it. It is for inputs that can only bring the sleeper's work
+// forward, to no earlier than c, and that leave what its SkipCycles counts
+// untouched (a delay event falling due at c, a queue head ready at c).
+// When c is not after the sleeper's next turn — the current cycle for a
+// slot ordered after the caller, the next one for a slot ordered before
+// it — WakeAt is Wake.
+func (w Waker) WakeAt(c Cycle) {
+	if w.e == nil {
+		return
+	}
+	e := w.e
+	s := &e.slots[w.slot]
+	if s.until <= c { // awake, or due by c anyway
+		return
+	}
+	if c <= e.turn(w.slot) {
+		e.wake(w.slot)
+		return
+	}
+	s.until = c
+	e.next = min(e.next, c)
+}
+
+// TickFunc adapts a plain function to the Ticker interface. It never
+// sleeps.
 type TickFunc func(now Cycle)
 
-// Tick calls f(now).
-func (f TickFunc) Tick(now Cycle) { f(now) }
+// Tick calls f(now) and keeps the slot awake.
+func (f TickFunc) Tick(now Cycle) Cycle {
+	f(now)
+	return now + 1
+}
 
-// tickerSlot caches a ticker's optional capabilities so the hot loop never
-// repeats interface type assertions, plus the slot's cached forecast.
+// tickerSlot caches a ticker's compensation side so the hot loop never
+// repeats interface type assertions, plus the slot's forecast.
 type tickerSlot struct {
 	tick Ticker
-	idle IdleReporter // nil: always ticked densely (pins the engine dense)
-	skip Skipper      // nil: no compensation needed
+	skip Skipper // nil: no compensation needed
 
-	// until is the cached forecast of a sleeping slot, 0 when awake: the
-	// slot is neither polled nor ticked before cycle until unless woken.
-	// Cycles [from, now) (through now, once the slot's turn in the current
-	// cycle has passed) are elided and not yet compensated.
+	// until is the forecast of a sleeping slot, 0 when awake: the slot is
+	// not ticked before cycle until unless woken. Cycles [from, now)
+	// (through now, once the slot's turn in the current cycle has passed)
+	// are elided, and while owes is set not yet compensated.
 	until Cycle
 	from  Cycle
+	owes  bool
 }
 
 // Engine drives a set of Tickers through simulated time.
 //
-// A slot whose IdleReporter reports idle is put to sleep until its forecast
-// expires or it is woken; while asleep it costs the loop one comparison per
-// cycle and no interface call. When every slot is asleep, Step advances the
-// clock directly to the earliest forecast. Per-slot counter effects of the
-// elided cycles are preserved through Skipper, applied once per sleep span.
-// Components that do not implement IdleReporter are simply ticked every
-// cycle, which also prevents any global jump — correctness is opt-in per
-// component.
+// Each Tick returns its slot's forecast. A slot whose forecast lies beyond
+// the next cycle sleeps until the forecast expires or it is woken; while
+// asleep it costs the loop one comparison per cycle and no interface call.
+// When every slot sleeps, Step advances the clock directly to the earliest
+// forecast. Per-slot counter effects of the elided cycles are preserved
+// through Skipper, applied once per owing sleep span.
 type Engine struct {
 	now   Cycle
 	slots []tickerSlot
@@ -124,17 +169,20 @@ type Engine struct {
 	// it to tell which sleepers a dense run would already have ticked this
 	// cycle.
 	cur int
+	// next is the earliest cycle, at or after the next one, at which some
+	// slot must be ticked, as far as the current cycle's loop has seen:
+	// wakes of slots it has passed lower it.
+	next Cycle
 }
 
 // NewEngine returns an engine positioned at cycle 0 with no tickers.
 func NewEngine() *Engine { return &Engine{} }
 
 // Register appends t to the tick order. Registration order is tick order.
-// The optional IdleReporter/Skipper capabilities are resolved once here, and
-// a Wakeable component receives its slot's Waker.
+// The optional Skipper capability is resolved once here, and a Wakeable
+// component receives its slot's Waker.
 func (e *Engine) Register(t Ticker) {
 	s := tickerSlot{tick: t}
-	s.idle, _ = t.(IdleReporter)
 	s.skip, _ = t.(Skipper)
 	e.slots = append(e.slots, s)
 	if w, ok := t.(Wakeable); ok {
@@ -143,7 +191,7 @@ func (e *Engine) Register(t Ticker) {
 }
 
 // SetDense forces naive per-cycle stepping (the -dense escape hatch),
-// ignoring all IdleReporters. Skip-ahead and dense runs are bit-identical;
+// ignoring every forecast. Skip-ahead and dense runs are bit-identical;
 // dense exists as the trusted reference for equivalence checking.
 func (e *Engine) SetDense(dense bool) { e.dense = dense }
 
@@ -158,10 +206,10 @@ func (e *Engine) Now() Cycle { return e.now }
 // epochs, cycle budgets) see exactly the same stopping points with and
 // without skip-ahead.
 //
-// No forecast survives a Step: every slot is polled afresh on entry (so
-// manager actions, state clones or EnableStats between steps need no
-// wake), and every sleeper is settled on exit, so audits, snapshots and
-// the watchdog read exact counters.
+// No forecast survives a Step: every slot is ticked on entry (so manager
+// actions, state clones or EnableStats between steps need no wake), and
+// every sleeper is settled on exit, so audits, snapshots and the watchdog
+// read exact counters.
 func (e *Engine) Step(n Cycle) {
 	end := e.now + n
 	if e.dense {
@@ -175,57 +223,45 @@ func (e *Engine) Step(n Cycle) {
 	}
 	for e.now < end {
 		now := e.now
-		allAsleep := true
-		minNext := NeverWork
+		e.next = NeverWork
 		for i := range e.slots {
 			s := &e.slots[i]
 			if s.until > now {
-				if s.until < minNext {
-					minNext = s.until
-				}
+				e.next = min(e.next, s.until)
 				continue
 			}
-			if s.until != 0 {
+			if s.owes {
 				// The forecast expired: compensate the span before the
-				// component is polled (the poll may replace the state the
-				// compensation describes).
+				// Tick replaces the state the compensation describes.
 				e.settle(s, now)
-				s.until = 0
+				s.owes = false
 			}
-			if s.idle != nil {
-				if next, idle := s.idle.NextWork(now); idle && next > now {
-					s.until, s.from = next, now
-					if next < minNext {
-						minNext = next
-					}
-					continue
-				}
-			}
-			allAsleep = false
+			s.until = 0
 			e.cur = i
-			s.tick.Tick(now)
+			next := s.tick.Tick(now)
+			if at, owes := SplitForecast(next); at > now+1 {
+				s.until, s.from, s.owes = at, now+1, owes
+				e.next = min(e.next, at)
+			} else {
+				e.next = now + 1 // awake: no slot can be due earlier
+			}
 		}
-		e.now++
-		if !allAsleep || minNext <= e.now {
-			continue
-		}
-		// Every slot sleeps and nothing ticked, so nothing can have been
-		// woken: jump straight to the earliest forecast (clamped to this
-		// Step's end). The sleepers' compensation stays deferred.
-		if minNext > end {
-			minNext = end
-		}
-		e.now = minNext
+		// Jump straight to the earliest cycle a slot must be ticked at
+		// (clamped to this Step's end); the sleepers' compensation stays
+		// deferred.
+		e.now = min(max(now+1, e.next), end)
 	}
 	for i := range e.slots {
-		if s := &e.slots[i]; s.until != 0 {
+		s := &e.slots[i]
+		if s.owes {
 			e.settle(s, e.now)
-			s.until = 0
+			s.owes = false
 		}
+		s.until = 0
 	}
 }
 
-// settle compensates a sleeping slot's elided cycles up to (excluding) to.
+// settle compensates an owing sleep's elided cycles up to (excluding) to.
 func (e *Engine) settle(s *tickerSlot, to Cycle) {
 	if to <= s.from {
 		return
@@ -236,9 +272,10 @@ func (e *Engine) settle(s *tickerSlot, to Cycle) {
 	s.from = to
 }
 
-// settleTo is the cycle a mid-cycle settle of slot i covers up to: through
-// the current cycle when slot i's turn has passed, else up to it.
-func (e *Engine) settleTo(i int) Cycle {
+// turn is slot i's next turn mid-cycle, which is also how far a mid-cycle
+// settle of it reaches: the next cycle when its turn in the current cycle
+// has passed, else the current one.
+func (e *Engine) turn(i int) Cycle {
 	if i < e.cur {
 		return e.now + 1
 	}
@@ -248,21 +285,25 @@ func (e *Engine) settleTo(i int) Cycle {
 // wake settles sleeping slot i and ends its sleep.
 func (e *Engine) wake(i int) {
 	s := &e.slots[i]
-	e.settle(s, e.settleTo(i))
+	if s.owes {
+		e.settle(s, e.turn(i))
+		s.owes = false
+	}
 	s.until = 0
+	e.next = min(e.next, e.now+1)
 }
 
-// Settle brings every sleeping slot's compensation up to date without
-// ending its sleep. A component that reads other components' compensated
-// state mid-Step (a stats sampler, a predictor refresh that reads flags the
-// sleeping cores' elided lookups would have set) calls it first: slots
-// ordered before the caller are settled through the current cycle, slots
-// after it up to it, exactly as far as a dense run has ticked them. Outside
-// Step no slot sleeps and Settle does nothing.
+// Settle brings every owing sleep's compensation up to date without ending
+// it. A component that reads other components' compensated state mid-Step
+// (a stats sampler, a predictor refresh that reads flags the sleeping
+// cores' elided lookups would have set) calls it first: slots ordered
+// before the caller are settled through the current cycle, slots after it
+// up to it, exactly as far as a dense run has ticked them. Outside Step no
+// slot sleeps and Settle does nothing.
 func (e *Engine) Settle() {
 	for i := range e.slots {
-		if s := &e.slots[i]; s.until != 0 {
-			e.settle(s, e.settleTo(i))
+		if s := &e.slots[i]; s.owes {
+			e.settle(s, e.turn(i))
 		}
 	}
 }

@@ -1,25 +1,26 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // probe is a ticker that is quiescent until its wake cycle and active from
 // then on, recording every ticked cycle and every compensated skip range so
-// tests can prove the engine covers each simulated cycle exactly once.
+// tests can prove the engine covers each simulated cycle exactly once. Its
+// idle ticks owe compensation.
 type probe struct {
 	wake  Cycle
-	polls int
 	ticks []Cycle
 	skips [][2]Cycle
 }
 
-func (p *probe) Tick(now Cycle) { p.ticks = append(p.ticks, now) }
-
-func (p *probe) NextWork(now Cycle) (Cycle, bool) {
-	p.polls++
-	if now < p.wake {
-		return p.wake, true
+func (p *probe) Tick(now Cycle) Cycle {
+	p.ticks = append(p.ticks, now)
+	if now+1 < p.wake {
+		return Owing(p.wake)
 	}
-	return 0, false
+	return now + 1
 }
 
 func (p *probe) SkipCycles(from, to Cycle) {
@@ -46,6 +47,14 @@ func (p *probe) coverage(t *testing.T, end Cycle) {
 	}
 }
 
+// wantSkips fails unless p was compensated in exactly the ranges want.
+func (p *probe) wantSkips(t *testing.T, name string, want ...[2]Cycle) {
+	t.Helper()
+	if !slices.Equal(p.skips, want) {
+		t.Fatalf("%s skips = %v, want %v", name, p.skips, want)
+	}
+}
+
 // TestSkipCompensationCoversEveryCycle drives the global bulk jump while
 // all slots sleep and a forecast expiring while another slot ticks densely,
 // and proves every cycle is either ticked or compensated exactly once per
@@ -63,26 +72,24 @@ func TestSkipCompensationCoversEveryCycle(t *testing.T) {
 	}
 	a.coverage(t, 300)
 	b.coverage(t, 300)
-	if len(a.ticks) != 200 { // active 100..299
-		t.Fatalf("a ticked %d cycles, want 200", len(a.ticks))
+	if len(a.ticks) != 201 { // cycle 0, then active 100..299
+		t.Fatalf("a ticked %d cycles, want 201", len(a.ticks))
 	}
-	if len(b.ticks) != 50 { // active 250..299
-		t.Fatalf("b ticked %d cycles, want 50", len(b.ticks))
+	if len(b.ticks) != 51 { // cycle 0, then active 250..299
+		t.Fatalf("b ticked %d cycles, want 51", len(b.ticks))
 	}
-	// Each probe sleeps once, from its first poll at cycle 0 until its
-	// forecast, and is compensated for that span in a single call — even b,
-	// whose last 150 sleeping cycles pass while a ticks every cycle.
-	if len(a.skips) != 1 || a.skips[0] != [2]Cycle{0, 100} {
-		t.Fatalf("a skips = %v, want [[0 100]]", a.skips)
-	}
-	if len(b.skips) != 1 || b.skips[0] != [2]Cycle{0, 250} {
-		t.Fatalf("b skips = %v, want [[0 250]]", b.skips)
-	}
+	// Each probe sleeps once, from the cycle after its first Tick until its
+	// forecast, and is compensated for that span in a single call — even
+	// b, whose last 150 sleeping cycles pass while a ticks every cycle.
+	a.wantSkips(t, "a", [2]Cycle{1, 100})
+	b.wantSkips(t, "b", [2]Cycle{1, 250})
 }
 
 // TestStepNeverOvershoots: a bulk jump is clamped to the Step window even
 // when the earliest reported work lies far beyond it, so absolute boundaries
-// (audit epochs, stats epochs, cycle budgets) are always honoured.
+// (audit epochs, stats epochs, cycle budgets) are always honoured. No
+// forecast survives a Step, so the probe is ticked once at each Step's
+// start.
 func TestStepNeverOvershoots(t *testing.T) {
 	p := &probe{wake: 1 << 40}
 	e := NewEngine()
@@ -94,16 +101,16 @@ func TestStepNeverOvershoots(t *testing.T) {
 		t.Fatalf("Now = %d, want %d", e.Now(), 5*123)
 	}
 	p.coverage(t, 5*123)
-	if len(p.ticks) != 0 {
-		t.Fatalf("quiescent probe ticked %d times", len(p.ticks))
+	if !slices.Equal(p.ticks, []Cycle{0, 123, 246, 369, 492}) {
+		t.Fatalf("quiescent probe ticked at %v, want once per Step", p.ticks)
 	}
 }
 
-// TestNonReporterPinsDense: a ticker without NextWork must be ticked every
-// cycle, and its presence must prevent any global jump. The sleeping
-// reporter beside it is still polled once and compensated once, for its
-// whole sleep, when Step returns.
-func TestNonReporterPinsDense(t *testing.T) {
+// TestAwakeSlotPinsDense: a ticker that always stays awake (a TickFunc)
+// must be ticked every cycle, and its presence must prevent any global
+// jump. The sleeping probe beside it is ticked once and compensated once,
+// for its whole sleep, when Step returns.
+func TestAwakeSlotPinsDense(t *testing.T) {
 	plain := 0
 	p := &probe{wake: NeverWork}
 	e := NewEngine()
@@ -114,16 +121,14 @@ func TestNonReporterPinsDense(t *testing.T) {
 		t.Fatalf("plain ticker ran %d times, want 500", plain)
 	}
 	p.coverage(t, 500)
-	if p.polls != 1 {
-		t.Fatalf("probe polled %d times, want 1", p.polls)
+	if len(p.ticks) != 1 {
+		t.Fatalf("probe ticked %d times, want 1", len(p.ticks))
 	}
-	if len(p.skips) != 1 || p.skips[0] != [2]Cycle{0, 500} {
-		t.Fatalf("probe skips = %v, want one range [0 500]", p.skips)
-	}
+	p.wantSkips(t, "probe", [2]Cycle{1, 500})
 }
 
 // TestDenseModeIgnoresReporters: the -dense escape hatch must tick every
-// component every cycle and never call SkipCycles.
+// component every cycle, whatever it forecasts, and never call SkipCycles.
 func TestDenseModeIgnoresReporters(t *testing.T) {
 	p := &probe{wake: NeverWork}
 	e := NewEngine()
@@ -187,13 +192,8 @@ func TestSkipRunUntilStopsAtExactBoundaries(t *testing.T) {
 		return false
 	})
 	want := []Cycle{64, 128, 192, 256, 320, 384, 448, 512, 576, 640, 700}
-	if len(checks) != len(want) {
+	if !slices.Equal(checks, want) {
 		t.Fatalf("stop checked at %v, want %v", checks, want)
-	}
-	for i := range want {
-		if checks[i] != want[i] {
-			t.Fatalf("stop check %d at cycle %d, want %d", i, checks[i], want[i])
-		}
 	}
 	p.coverage(t, 700)
 }
@@ -205,30 +205,22 @@ type periodic struct {
 	period Cycle
 }
 
-func (p *periodic) NextWork(now Cycle) (Cycle, bool) {
-	p.polls++
-	if now%p.period == 0 {
-		return 0, false
-	}
-	return now + p.period - now%p.period, true
+func (p *periodic) Tick(now Cycle) Cycle {
+	p.ticks = append(p.ticks, now)
+	return Owing(now + p.period - now%p.period)
 }
 
-// TestSleeperPolledOncePerSleep: while a neighbour ticks every cycle (so the
-// engine never jumps), a sleeping slot is polled once when it falls asleep
-// and once when its forecast expires — not every cycle — and each sleep
-// span is compensated in one call.
-func TestSleeperPolledOncePerSleep(t *testing.T) {
+// TestSleeperTickedOncePerSleep: while a neighbour ticks every cycle (so
+// the engine never jumps), a sleeping slot is ticked only when its forecast
+// expires — not every cycle — and each sleep span is compensated in one
+// call.
+func TestSleeperTickedOncePerSleep(t *testing.T) {
 	p := &periodic{period: 100}
 	e := NewEngine()
 	e.Register(TickFunc(func(Cycle) {}))
 	e.Register(p)
 	e.Step(1000)
 	p.coverage(t, 1000)
-	// Per period: a poll at the work cycle (active, ticked) and one at the
-	// next cycle (idle, asleep until the next multiple of 100).
-	if p.polls != 20 {
-		t.Fatalf("polled %d times over 10 periods, want 20", p.polls)
-	}
 	if len(p.ticks) != 10 || len(p.skips) != 10 {
 		t.Fatalf("%d ticks, %d skip ranges; want 10 and 10", len(p.ticks), len(p.skips))
 	}
@@ -239,37 +231,88 @@ func TestSleeperPolledOncePerSleep(t *testing.T) {
 	}
 }
 
+// TestBusySlotOneCallPerCycle: a slot that always has work costs exactly
+// one call per cycle — its Tick, in cycle order — and is never
+// compensated, while a sleeper beside it comes and goes.
+func TestBusySlotOneCallPerCycle(t *testing.T) {
+	busy := &probe{}
+	sleeper := &periodic{period: 37}
+	e := NewEngine()
+	e.Register(sleeper)
+	e.Register(busy)
+	e.Step(1000)
+	want := make([]Cycle, 1000)
+	for i := range want {
+		want[i] = Cycle(i)
+	}
+	if !slices.Equal(busy.ticks, want) || len(busy.skips) != 0 {
+		t.Fatalf("busy slot: %d ticks, %d skips; want one tick per cycle, in order, and no skips",
+			len(busy.ticks), len(busy.skips))
+	}
+	sleeper.coverage(t, 1000)
+}
+
 // mailbox sleeps until a message is posted; its Tick consumes the message.
 // Posting goes through the slot's Waker, as a machine component's input
-// does.
+// does: post wakes the slot, postAt brings its sleep forward to the
+// message's due cycle. Its idle ticks owe compensation.
 type mailbox struct {
 	probe
 	waker Waker
-	msgs  int
+	msgs  []Cycle // due cycles of the messages not yet consumed
 	seen  []Cycle // cycles whose Tick consumed a message
+	// settledAt records the engine cycle of each SkipCycles call.
+	e         *Engine
+	settledAt []Cycle
 }
 
 func (m *mailbox) SetWaker(w Waker) { m.waker = w }
 
-func (m *mailbox) post() {
+func (m *mailbox) post(now Cycle) {
 	m.waker.Wake()
-	m.msgs++
+	m.msgs = append(m.msgs, now)
 }
 
-func (m *mailbox) NextWork(now Cycle) (Cycle, bool) {
-	m.polls++
-	if m.msgs > 0 {
-		return 0, false
+func (m *mailbox) postAt(due Cycle) {
+	m.waker.WakeAt(due)
+	m.msgs = append(m.msgs, due)
+}
+
+func (m *mailbox) SkipCycles(from, to Cycle) {
+	m.probe.SkipCycles(from, to)
+	if m.e != nil {
+		m.settledAt = append(m.settledAt, m.e.Now())
 	}
-	return NeverWork, true
 }
 
-func (m *mailbox) Tick(now Cycle) {
+func (m *mailbox) Tick(now Cycle) Cycle {
 	m.ticks = append(m.ticks, now)
-	if m.msgs > 0 {
-		m.msgs = 0
-		m.seen = append(m.seen, now)
+	next := NeverWork
+	keep := m.msgs[:0]
+	for _, due := range m.msgs {
+		if due <= now {
+			m.seen = append(m.seen, now)
+			continue
+		}
+		keep = append(keep, due)
+		next = min(next, due)
 	}
+	m.msgs = keep
+	return Owing(max(next, now+1))
+}
+
+// mailRun ticks a mailbox between two posters, one ordered before it and
+// one after, each called every cycle, and returns it after Step(n).
+func mailRun(dense bool, n Cycle, early, late func(mb *mailbox, now Cycle)) *mailbox {
+	mb := &mailbox{}
+	e := NewEngine()
+	mb.e = e
+	e.SetDense(dense)
+	e.Register(TickFunc(func(now Cycle) { early(mb, now) }))
+	e.Register(mb)
+	e.Register(TickFunc(func(now Cycle) { late(mb, now) }))
+	e.Step(n)
+	return mb
 }
 
 // TestWakeOrderMatchesDense: a Wake from a slot ordered before the sleeper
@@ -278,41 +321,99 @@ func (m *mailbox) Tick(now Cycle) {
 // sleeper's compensation stops where the dense run's idle ticks stopped.
 func TestWakeOrderMatchesDense(t *testing.T) {
 	run := func(dense bool) *mailbox {
-		mb := &mailbox{}
-		e := NewEngine()
-		e.SetDense(dense)
-		e.Register(TickFunc(func(now Cycle) {
-			if now == 10 {
-				mb.post()
-			}
-		}))
-		e.Register(mb)
-		e.Register(TickFunc(func(now Cycle) {
-			if now == 20 {
-				mb.post()
-			}
-		}))
-		e.Step(40)
-		return mb
+		return mailRun(dense, 40,
+			func(mb *mailbox, now Cycle) {
+				if now == 10 {
+					mb.post(now)
+				}
+			},
+			func(mb *mailbox, now Cycle) {
+				if now == 20 {
+					mb.post(now)
+				}
+			})
 	}
 	ref, got := run(true), run(false)
-	if want := []Cycle{10, 21}; len(ref.seen) != 2 || ref.seen[0] != want[0] || ref.seen[1] != want[1] {
+	if want := []Cycle{10, 21}; !slices.Equal(ref.seen, want) {
 		t.Fatalf("dense saw messages at %v, want %v", ref.seen, want)
 	}
-	if len(got.seen) != len(ref.seen) || got.seen[0] != ref.seen[0] || got.seen[1] != ref.seen[1] {
+	if !slices.Equal(got.seen, ref.seen) {
 		t.Fatalf("skip saw messages at %v, dense at %v", got.seen, ref.seen)
 	}
 	got.coverage(t, 40)
-	// Asleep from 0; the early wake settles up to cycle 10 (ticked), the
+	// Asleep from 1; the early wake settles up to cycle 10 (ticked), the
 	// late one through cycle 20 (elided before the wake), and Step's exit
 	// settles the final sleep.
-	want := [][2]Cycle{{0, 10}, {11, 21}, {22, 40}}
-	if len(got.skips) != len(want) {
-		t.Fatalf("skips = %v, want %v", got.skips, want)
+	got.wantSkips(t, "mailbox", [2]Cycle{1, 10}, [2]Cycle{11, 21}, [2]Cycle{22, 40})
+}
+
+// TestWakeAtDefersTickAndSettle: a WakeAt that brings a sleep forward to a
+// later cycle neither ticks nor settles the sleeper before that cycle, from
+// either side of it in the tick order, and the message is still consumed
+// when a dense run consumes it.
+func TestWakeAtDefersTickAndSettle(t *testing.T) {
+	for _, before := range []bool{true, false} {
+		poster := func(mb *mailbox, now Cycle) {
+			if now == 10 {
+				mb.postAt(30)
+			}
+		}
+		idle := func(*mailbox, Cycle) {}
+		run := func(dense bool) *mailbox {
+			if before {
+				return mailRun(dense, 60, poster, idle)
+			}
+			return mailRun(dense, 60, idle, poster)
+		}
+		ref, got := run(true), run(false)
+		if !slices.Equal(ref.seen, []Cycle{30}) || !slices.Equal(got.seen, ref.seen) {
+			t.Fatalf("poster before=%v: skip saw messages at %v, dense at %v, want [30]", before, got.seen, ref.seen)
+		}
+		if !slices.Equal(got.ticks, []Cycle{0, 30}) {
+			t.Fatalf("poster before=%v: sleeper ticked at %v, want [0 30]", before, got.ticks)
+		}
+		if !slices.Equal(got.settledAt, []Cycle{30, 60}) {
+			t.Fatalf("poster before=%v: sleeper settled at cycles %v, want [30 60]", before, got.settledAt)
+		}
+		got.coverage(t, 60)
+		got.wantSkips(t, "mailbox", [2]Cycle{1, 30}, [2]Cycle{31, 60})
 	}
-	for i := range want {
-		if got.skips[i] != want[i] {
-			t.Fatalf("skips = %v, want %v", got.skips, want)
+}
+
+// TestWakeAtByTurnIsWake: a WakeAt whose cycle is not after the sleeper's
+// next turn — the current cycle for a sleeper ordered after the poster,
+// the next cycle for one ordered before it — behaves exactly like Wake:
+// same ticks, same settles, same consumption cycle.
+func TestWakeAtByTurnIsWake(t *testing.T) {
+	for _, before := range []bool{true, false} {
+		for _, due := range []Cycle{9, 10, 11} {
+			if before && due == 11 {
+				continue // after the sleeper's turn: a real deferral
+			}
+			at := func(mb *mailbox, now Cycle) {
+				if now == 10 {
+					mb.postAt(due)
+				}
+			}
+			wake := func(mb *mailbox, now Cycle) {
+				if now == 10 {
+					mb.post(due)
+				}
+			}
+			idle := func(*mailbox, Cycle) {}
+			run := func(post func(*mailbox, Cycle)) *mailbox {
+				if before {
+					return mailRun(false, 40, post, idle)
+				}
+				return mailRun(false, 40, idle, post)
+			}
+			got, ref := run(at), run(wake)
+			if !slices.Equal(got.ticks, ref.ticks) || !slices.Equal(got.skips, ref.skips) ||
+				!slices.Equal(got.settledAt, ref.settledAt) || !slices.Equal(got.seen, ref.seen) {
+				t.Fatalf("poster before=%v due %d: WakeAt ticks %v skips %v seen %v; Wake ticks %v skips %v seen %v",
+					before, due, got.ticks, got.skips, got.seen, ref.ticks, ref.skips, ref.seen)
+			}
+			got.coverage(t, 40)
 		}
 	}
 }
@@ -331,21 +432,90 @@ func TestSettleIsPositionAware(t *testing.T) {
 		// Ticked every cycle; observes at cycle 50 only.
 		if now == 50 {
 			e.Settle()
-			atSettle[0] = append([][2]Cycle(nil), before.skips...)
-			atSettle[1] = append([][2]Cycle(nil), after.skips...)
+			atSettle[0] = slices.Clone(before.skips)
+			atSettle[1] = slices.Clone(after.skips)
 		}
 	}))
 	e.Register(after)
 	e.Step(100)
-	if len(atSettle[0]) != 1 || atSettle[0][0] != [2]Cycle{0, 51} {
-		t.Fatalf("earlier sleeper settled to %v, want [[0 51]]", atSettle[0])
+	if !slices.Equal(atSettle[0], [][2]Cycle{{1, 51}}) {
+		t.Fatalf("earlier sleeper settled to %v, want [[1 51]]", atSettle[0])
 	}
-	if len(atSettle[1]) != 1 || atSettle[1][0] != [2]Cycle{0, 50} {
-		t.Fatalf("later sleeper settled to %v, want [[0 50]]", atSettle[1])
+	if !slices.Equal(atSettle[1], [][2]Cycle{{1, 50}}) {
+		t.Fatalf("later sleeper settled to %v, want [[1 50]]", atSettle[1])
 	}
-	if before.polls != 1 || after.polls != 1 {
-		t.Fatalf("settle ended a sleep: polls %d/%d, want 1/1", before.polls, after.polls)
+	if len(before.ticks) != 1 || len(after.ticks) != 1 {
+		t.Fatalf("settle ended a sleep: ticks %d/%d, want 1/1", len(before.ticks), len(after.ticks))
 	}
 	before.coverage(t, 100)
 	after.coverage(t, 100)
+}
+
+// meter alternates, every period cycles, between a phase whose idle ticks
+// count (its sleeps owe) and one whose idle ticks change nothing (its
+// sleeps owe nothing).
+type meter struct {
+	t       *testing.T
+	period  Cycle
+	owing   bool
+	counted uint64
+	skips   int
+	waker   Waker
+}
+
+func (m *meter) SetWaker(w Waker) { m.waker = w }
+
+func (m *meter) Tick(now Cycle) Cycle {
+	if now%m.period == 0 {
+		m.owing = !m.owing
+	} else if m.owing {
+		m.counted++
+	}
+	next := now + m.period - now%m.period
+	if m.owing {
+		return Owing(next)
+	}
+	return next
+}
+
+func (m *meter) SkipCycles(from, to Cycle) {
+	if !m.owing {
+		m.t.Fatalf("sleep over [%d, %d) owes nothing, yet it was settled", from, to)
+	}
+	m.skips++
+	m.counted += uint64(to - from)
+}
+
+// TestUnowedSleepNeverSettled: a sleep whose forecast is not marked Owing
+// is never compensated — not when it expires, not when it is woken, not
+// when an observer settles, not when Step returns — and the counters still
+// match a dense run.
+func TestUnowedSleepNeverSettled(t *testing.T) {
+	run := func(dense bool) *meter {
+		m := &meter{t: t, period: 50}
+		e := NewEngine()
+		e.SetDense(dense)
+		e.Register(TickFunc(func(now Cycle) {
+			if now%13 == 0 {
+				m.waker.Wake()
+			}
+		}))
+		e.Register(m)
+		e.Register(TickFunc(func(now Cycle) {
+			if now%7 == 0 {
+				e.Settle()
+			}
+		}))
+		for i := 0; i < 10; i++ {
+			e.Step(97)
+		}
+		return m
+	}
+	ref, got := run(true), run(false)
+	if got.counted != ref.counted {
+		t.Fatalf("skip counted %d, dense %d", got.counted, ref.counted)
+	}
+	if got.skips == 0 {
+		t.Fatal("no owing sleep was settled; the test exercises nothing")
+	}
 }
